@@ -14,7 +14,14 @@ the cardinality-constrained ridge problem at S:
 
   negative semidefinite. `psd_margin` evaluates its top eigenvalue, a convex
   function of lam, and a safeguarded subgradient bisection searches for a
-  nonpositive point inside an analytic bracket.
+  nonpositive point inside an analytic bracket. Each subgradient's tangent
+  bounds the margin from below everywhere, so the search stops as soon as a
+  tangent stays positive over the whole remaining bracket.
+
+A dual-certificate search that fails says why: `interval-empty` means no
+threshold can certify, proved either by the analytic bracket or by a tangent
+cut; `bisection-exhausted` means the bracket shrank below the tolerance (or
+the iteration cap ran out) without a proof either way.
 
 A passing threshold certificate always transfers to a dual certificate
 (pwg_witness_to_dcl), and every dual certificate can be cross-checked against
@@ -25,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -103,7 +111,7 @@ class CertificateConsistencyError(RuntimeError):
 
 
 class _CertContext:
-    """Per-(instance, support) precomputation shared by the dual-search ops."""
+    """Per-(instance, support) precomputation shared by the certificate ops."""
 
     def __init__(self, inst: ProblemInstance, support: Sequence[int]):
         self.inst = inst
@@ -119,9 +127,14 @@ class _CertContext:
         self.in_mask = np.zeros(inst.p, dtype=bool)
         self.in_mask[list(self.support)] = True
         self.out_mask = ~self.in_mask
-        gram = inst.X.T @ inst.X
-        # negated PSD part of the slack matrix; symmetrized against BLAS noise
-        self.base = -0.5 * (gram + gram.T) / inst.rho - np.eye(inst.p)
+
+    @cached_property
+    def base(self) -> np.ndarray:
+        """Negated PSD part of the slack matrix, -X^T X/rho - I_p, formed on
+        first use so that the threshold test never pays for it."""
+        gram = self.inst.X.T @ self.inst.X
+        # symmetrized against BLAS noise
+        return -0.5 * (gram + gram.T) / self.inst.rho - np.eye(self.inst.p)
 
     def all_scores_zero(self) -> bool:
         return bool((self.sq == 0.0).all())
@@ -139,6 +152,42 @@ class _CertContext:
         A = self.base.copy()
         A[np.diag_indices_from(A)] += duals
         return A
+
+    def subgradient(self, lam: float, eigvec: np.ndarray) -> float:
+        """Subgradient of the margin at `lam` built from a top eigenvector:
+
+            h = sum_{i in S} u_i^2 / c_i^2 - (1/lam^2) sum_{i not in S} c_i^2 u_i^2.
+        """
+        lam = _require_positive(lam)
+        u = np.asarray(eigvec, dtype=float).reshape(-1)
+        if u.shape != (self.inst.p,):
+            raise ValueError(f"eigenvector has length {u.shape[0]}, expected p={self.inst.p}")
+        u2 = u**2
+        inner = float(np.sum(u2[self.in_mask] / self.sq[self.in_mask]))
+        outer = float(np.sum(u2[self.out_mask] * self.sq[self.out_mask]))
+        # divide twice: lam**2 raises OverflowError above lam ~ 1e154 and
+        # underflows to a zero divisor below lam ~ 1e-162
+        return inner - outer / lam / lam
+
+    def bracket(self) -> tuple[float, float]:
+        """Bracket [ell, up] that must contain any threshold with negative
+        margin, read off the slack matrix's diagonal:
+
+            ell = max_{i not in S} c_i^2 / (||X_i||^2/rho + 1),
+            up  = min_{i in S}  c_i^2 * (||X_i||^2/rho + 1).
+
+        Returned as-is even when ell >= up (caller reports the empty interval).
+        """
+        if self.zero_score_in_support():
+            raise ValueError("support contains a zero correlation score")
+        X = self.inst.X
+        weight = np.einsum("ij,ij->j", X, X) / self.inst.rho + 1.0
+        up = float((self.sq[self.in_mask] * weight[self.in_mask]).min())
+        if self.out_mask.any():
+            ell = float((self.sq[self.out_mask] / weight[self.out_mask]).max())
+        else:
+            ell = 0.0
+        return ell, up
 
 
 def _require_positive(lam: float) -> float:
@@ -207,43 +256,15 @@ def psd_margin_grid(
 def psd_margin_subgradient(
     inst: ProblemInstance, support: Sequence[int], lam: float, eigvec: np.ndarray
 ) -> float:
-    """Subgradient of the margin at `lam` built from a top eigenvector:
-
-        h = sum_{i in S} u_i^2 / c_i^2 - (1/lam^2) sum_{i not in S} c_i^2 u_i^2.
-    """
-    ctx = _CertContext(inst, support)
-    lam = _require_positive(lam)
-    u = np.asarray(eigvec, dtype=float).reshape(-1)
-    if u.shape != (inst.p,):
-        raise ValueError(f"eigenvector has length {u.shape[0]}, expected p={inst.p}")
-    u2 = u**2
-    inner = float(np.sum(u2[ctx.in_mask] / ctx.sq[ctx.in_mask])) if ctx.in_mask.any() else 0.0
-    outer = float(np.sum(u2[ctx.out_mask] * ctx.sq[ctx.out_mask])) if ctx.out_mask.any() else 0.0
-    return inner - outer / lam**2
+    """Subgradient of the margin at `lam`; see `_CertContext.subgradient`."""
+    return _CertContext(inst, support).subgradient(lam, eigvec)
 
 
 def certificate_bracket(
     inst: ProblemInstance, support: Sequence[int]
 ) -> tuple[float, float]:
-    """Bracket [ell, up] that must contain any threshold with negative margin,
-    read off the slack matrix's diagonal:
-
-        ell = max_{i not in S} c_i^2 / (||X_i||^2/rho + 1),
-        up  = min_{i in S}  c_i^2 * (||X_i||^2/rho + 1).
-
-    Returned as-is even when ell >= up (caller reports the empty interval).
-    """
-    ctx = _CertContext(inst, support)
-    if ctx.zero_score_in_support():
-        raise ValueError("support contains a zero correlation score")
-    col_sq = np.einsum("ij,ij->j", inst.X, inst.X)
-    weight = col_sq / inst.rho + 1.0
-    up = float((ctx.sq[ctx.in_mask] * weight[ctx.in_mask]).min())
-    if ctx.out_mask.any():
-        ell = float((ctx.sq[ctx.out_mask] / weight[ctx.out_mask]).max())
-    else:
-        ell = 0.0
-    return ell, up
+    """Analytic bracket of the certifying thresholds; see `_CertContext.bracket`."""
+    return _CertContext(inst, support).bracket()
 
 
 def check_dcl(
@@ -256,10 +277,15 @@ def check_dcl(
 
     Midpoint evaluations plus subgradient (Newton) cuts lam_hat - f/h shrink
     the bracket; by convexity no nonpositive-margin point is ever cut away,
-    and each iteration at least halves the bracket. Stops as NotCertified
-    when the bracket width drops below tol*max(1, up) or after max_iter
-    evaluations. The all-scores-zero degenerate case is exact with the zero
-    certificate.
+    and each iteration at least halves the bracket. The tangent at lam_hat is
+    a global lower bound on the margin, so when its zero `cut` falls on or
+    beyond the far end of the bracket (h > 0 and cut <= ell, or h < 0 and
+    cut >= up) the margin is positive on the whole bracket and the search
+    stops as NotCertified with `interval-empty`, as it does when the analytic
+    bracket itself is empty. It stops with `bisection-exhausted` when the
+    bracket width drops below tol*max(1, up), after max_iter evaluations, or
+    at a zero subgradient. The all-scores-zero degenerate case is exact with
+    the zero certificate.
     """
     ctx = _CertContext(inst, support)
     if tol <= 0:
@@ -275,7 +301,7 @@ def check_dcl(
     if ctx.zero_score_in_support():
         return CertOutcome(CertStatus.NOT_CERTIFIED, reason=REASON_ZERO_SCORE)
 
-    ell, up = certificate_bracket(inst, ctx.support)
+    ell, up = ctx.bracket()
     # a bracket narrower than the stopping width has no searchable interior
     if ell >= up or up - ell <= tol * max(1.0, up):
         return CertOutcome(CertStatus.NOT_CERTIFIED, reason=REASON_EMPTY_INTERVAL)
@@ -291,11 +317,14 @@ def check_dcl(
                 margin=margin,
             )
             return CertOutcome(CertStatus.EXACT, cert)
-        h = psd_margin_subgradient(inst, ctx.support, lam_hat, eigvec)
+        h = ctx.subgradient(lam_hat, eigvec)
         if h == 0.0:
             # lam_hat minimizes a convex function with positive value
             return CertOutcome(CertStatus.NOT_CERTIFIED, reason=REASON_EXHAUSTED)
         cut = lam_hat - margin / h
+        if (h > 0.0 and cut <= ell) or (h < 0.0 and cut >= up):
+            # the tangent stays positive across the whole open bracket
+            return CertOutcome(CertStatus.NOT_CERTIFIED, reason=REASON_EMPTY_INTERVAL)
         if h > 0.0:
             up = cut if (np.isfinite(cut) and ell < cut < up) else lam_hat
         else:

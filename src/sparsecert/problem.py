@@ -72,9 +72,3 @@ def normalize_support(indices: Sequence[int], p: int) -> tuple[int, ...]:
         if a == b:
             raise ValueError(f"duplicate support index {a}")
     return tup
-
-
-def complement(support: Sequence[int], p: int) -> tuple[int, ...]:
-    """Columns not in the support, sorted ascending."""
-    s = set(support)
-    return tuple(j for j in range(p) if j not in s)

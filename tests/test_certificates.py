@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import mixed_instance, noise_instance, planted_instance, random_support
 from sparsecert import (
+    CertOutcome,
     ProblemInstance,
     brute_force_l0,
     canonical_duals,
@@ -17,12 +20,16 @@ from sparsecert import (
     verify_dcl_certificate,
     verify_kkt,
 )
+from sparsecert import certificates
 from sparsecert.certificates import (
+    DEFAULT_BISECTION_TOL,
     REASON_EMPTY_INTERVAL,
     REASON_SEPARATION,
     REASON_ZERO_SCORE,
     psd_margin_grid,
 )
+from sparsecert.ensemble import EnsembleConfig, generate_instance
+from sparsecert.linalg import max_eig_sym
 
 I2 = np.eye(2)
 
@@ -124,6 +131,15 @@ def test_subgradient_zero_when_eigvec_on_zero_scores():
     assert h == 0.0
 
 
+def test_subgradient_at_extreme_thresholds_does_not_raise():
+    # lam**2 overflows (OverflowError) above ~1e154 and underflows to a zero
+    # divisor (ZeroDivisionError) below ~1e-162
+    inst = ident([1.0, 1.0])
+    u = np.array([0.0, 1.0])
+    assert psd_margin_subgradient(inst, [0], 1e200, u) == 0.0
+    assert psd_margin_subgradient(inst, [0], 1e-200, u) == -np.inf
+
+
 # ---------------------------------------------------------------------- bracket
 
 
@@ -195,6 +211,37 @@ def test_dcl_zero_score_in_support_rejected():
     out = check_dcl(inst, [0])
     assert not out.exact
     assert out.reason == REASON_ZERO_SCORE
+
+
+def test_dcl_tiny_rho_returns_an_outcome():
+    # used to raise OverflowError from the subgradient: the bracket's upper
+    # end reaches ~1e269 here, and lam**2 overflows
+    rng = np.random.default_rng(0)
+    inst = ProblemInstance(
+        X=rng.standard_normal((12, 8)), y=rng.standard_normal(12), rho=1e-300, k=2
+    )
+    assert isinstance(check_dcl(inst, [0, 1]), CertOutcome)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31),
+    st.floats(min_value=-300.0, max_value=300.0),
+    st.floats(min_value=-150.0, max_value=150.0),
+)
+def test_dcl_extreme_scales_give_outcome_or_value_error(seed, log_rho, log_scale):
+    rng = np.random.default_rng(seed)
+    inst = ProblemInstance(
+        X=10.0**log_scale * rng.standard_normal((8, 6)),
+        y=rng.standard_normal(8),
+        rho=10.0**log_rho,
+        k=2,
+    )
+    try:
+        out = check_dcl(inst, [0, 1])
+    except ValueError:
+        return
+    assert isinstance(out, CertOutcome)
 
 
 def test_dcl_invalid_supports():
@@ -396,6 +443,38 @@ def test_margin_convexity_and_subgradient_random():
             f_other = psd_margin(inst, sup, lam)[0]
             assert f_other >= f_hat + h * (lam - lam_hat) - 1e-9
         tested += 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31), st.floats(min_value=0.05, max_value=1.0))
+def test_cut_proved_empty_interval_has_positive_margin(seed, amplitude):
+    # interval-empty from a nonempty analytic bracket comes from a tangent
+    # cut, which claims the margin is positive across the whole bracket
+    rng = np.random.default_rng(seed)
+    inst, sup = planted_instance(rng, p=int(rng.integers(4, 9)), amplitude=amplitude)
+    if check_dcl(inst, sup).reason != REASON_EMPTY_INTERVAL:
+        return
+    ell, up = certificate_bracket(inst, sup)
+    if ell >= up or up - ell <= DEFAULT_BISECTION_TOL * max(1.0, up):
+        return
+    lams = np.linspace(ell, up, 1002)[1:-1]
+    assert (psd_margin_grid(inst, sup, lams) > 0.0).all()
+
+
+def test_crossing_cut_ends_search_within_three_evaluations(monkeypatch):
+    # this trial used to halve its bracket 33 times and end bisection-exhausted
+    cfg = EnsembleConfig(p_list=[64], trials=1, alpha_grid=[1.0], rho_multipliers=[2.0])
+    inst, _, sup = generate_instance(cfg, 64, 1.0, 2.0, 0)
+    calls = []
+
+    def counting(A):
+        calls.append(A.shape)
+        return max_eig_sym(A)
+
+    monkeypatch.setattr(certificates, "max_eig_sym", counting)
+    out = check_dcl(inst, sup)
+    assert out.reason == REASON_EMPTY_INTERVAL
+    assert 1 <= len(calls) <= 3
 
 
 def test_bisection_matches_grid_scan_small():
