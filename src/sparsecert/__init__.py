@@ -8,13 +8,10 @@ from .certificates import (
     DclCertificate,
     KktReport,
     PwgCertificate,
-    canonical_duals,
-    certificate_bracket,
+    SupportContext,
     check_dcl,
     check_pwg,
     kkt_variables,
-    psd_margin,
-    psd_margin_subgradient,
     pwg_witness_to_dcl,
     verify_dcl_certificate,
     verify_kkt,
@@ -62,12 +59,11 @@ __all__ = [
     "RecoveryCurve",
     "RestrictedRidgeSolution",
     "SplitMix64",
+    "SupportContext",
     "TrialRecord",
     "DEFAULT_REL_TOL",
     "aggregate_curves",
     "brute_force_l0",
-    "canonical_duals",
-    "certificate_bracket",
     "check_dcl",
     "check_pwg",
     "correlation_scores",
@@ -77,8 +73,6 @@ __all__ = [
     "max_eig_sym",
     "normalize_support",
     "project_capped_simplex",
-    "psd_margin",
-    "psd_margin_subgradient",
     "pwg_value",
     "pwg_witness_to_dcl",
     "ridge_kernel_solve",

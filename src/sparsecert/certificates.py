@@ -12,16 +12,20 @@ the cardinality-constrained ridge problem at S:
       diag(d(lam)) - X^T X / rho - I_p,
       d_i(lam) = lam / c_i^2 (i in S),  d_i(lam) = c_i^2 / lam (i not in S),
 
-  negative semidefinite. `psd_margin` evaluates its top eigenvalue, a convex
-  function of lam, and a safeguarded subgradient bisection searches for a
-  nonpositive point inside an analytic bracket. Each subgradient's tangent
-  bounds the margin from below everywhere, so the search stops as soon as a
-  tangent stays positive over the whole remaining bracket.
+  negative semidefinite. Its top eigenvalue, the margin, is a convex function
+  of lam, and a safeguarded subgradient bisection searches for a nonpositive
+  point inside an analytic bracket. Each subgradient's tangent bounds the
+  margin from below everywhere, so the search stops as soon as a tangent
+  stays positive over the whole remaining bracket.
+
+`SupportContext` holds everything these tests compute for one (instance,
+support) pair (scores, duals, slack matrix, margin, subgradient, bracket),
+and each certificate test builds exactly one.
 
 A dual-certificate search that fails says why: `interval-empty` means no
 threshold can certify, proved either by the analytic bracket or by a tangent
-cut; `bisection-exhausted` means the bracket shrank below the tolerance (or
-the iteration cap ran out) without a proof either way.
+cut; `bisection-exhausted` means the bracket shrank below the tolerance
+without a proof either way.
 
 A passing threshold certificate always transfers to a dual certificate
 (pwg_witness_to_dcl), and every dual certificate can be cross-checked against
@@ -46,8 +50,8 @@ REASON_ZERO_SCORE = "zero-score-in-support"
 REASON_EXHAUSTED = "bisection-exhausted"
 REASON_EMPTY_INTERVAL = "interval-empty"
 
-DEFAULT_BISECTION_TOL = 1e-10
-DEFAULT_BISECTION_MAX_ITER = 200
+BISECTION_TOL = 1e-10  # relative bracket width at which the search gives up
+BISECTION_MAX_ITER = 200  # guard only: halving reaches BISECTION_TOL first
 
 COND_TOL = 1e-8  # slack allowed when re-verifying certificate conditions
 
@@ -110,8 +114,18 @@ class CertificateConsistencyError(RuntimeError):
     """A constructed certificate failed its own validity conditions."""
 
 
-class _CertContext:
-    """Per-(instance, support) precomputation shared by the certificate ops."""
+class SupportContext:
+    """Everything the certificate tests compute for one (instance, support)
+    pair: the correlation scores, the canonical duals and slack matrix at any
+    threshold, its top eigenvalue (the margin), a subgradient of the margin
+    and the analytic bracket of certifying thresholds.
+
+    The support is validated on construction. Every method that takes a
+    threshold raises ValueError on one that is not a positive finite real,
+    and those methods and `bracket` raise it when a support column has a zero
+    correlation score, for which the canonical duals are undefined;
+    `zero_score_in_support` is computed once, so a caller can test it first.
+    """
 
     def __init__(self, inst: ProblemInstance, support: Sequence[int]):
         self.inst = inst
@@ -127,6 +141,9 @@ class _CertContext:
         self.in_mask = np.zeros(inst.p, dtype=bool)
         self.in_mask[list(self.support)] = True
         self.out_mask = ~self.in_mask
+        self.sq_in = self.sq[self.in_mask]
+        self.sq_out = self.sq[self.out_mask]
+        self.zero_score_in_support = bool((self.sq_in == 0.0).any())
 
     @cached_property
     def base(self) -> np.ndarray:
@@ -139,32 +156,57 @@ class _CertContext:
     def all_scores_zero(self) -> bool:
         return bool((self.sq == 0.0).all())
 
-    def zero_score_in_support(self) -> bool:
-        return bool((self.sq[self.in_mask] == 0.0).any())
+    def _thresholds(self, lam) -> np.ndarray:
+        if self.zero_score_in_support:
+            raise ValueError("support contains a zero correlation score")
+        lam = np.asarray(lam, dtype=float)
+        if not (np.isfinite(lam) & (lam > 0.0)).all():
+            raise ValueError(f"thresholds must be positive reals, got {lam}")
+        return lam
 
-    def duals_at(self, lam: float) -> np.ndarray:
-        d = np.empty(self.inst.p)
-        d[self.in_mask] = lam / self.sq[self.in_mask]
-        d[self.out_mask] = self.sq[self.out_mask] / lam
+    def duals(self, lam) -> np.ndarray:
+        """Canonical duals lam/c_i^2 on the support and c_i^2/lam off it: the
+        pointwise-smallest duals satisfying the certificate's side
+        conditions, so the slack matrix at them decides whether `lam`
+        certifies. A scalar `lam` gives shape (p,), an array of m
+        thresholds gives (m, p)."""
+        lam = self._thresholds(lam)[..., None]
+        d = np.empty(lam.shape[:-1] + (self.inst.p,))
+        d[..., self.in_mask] = lam / self.sq_in
+        d[..., self.out_mask] = self.sq_out / lam
         return d
 
     def slack_matrix(self, duals: np.ndarray) -> np.ndarray:
-        A = self.base.copy()
-        A[np.diag_indices_from(A)] += duals
+        """diag(duals) - X^T X/rho - I_p for one dual vector (p,) or a stack
+        of them (m, p)."""
+        duals = np.asarray(duals, dtype=float)
+        A = np.broadcast_to(self.base, duals.shape[:-1] + self.base.shape).copy()
+        diag = np.arange(self.inst.p)
+        A[..., diag, diag] += duals
         return A
+
+    def margin(self, lam: float) -> tuple[float, np.ndarray]:
+        """Top eigenvalue and a unit eigenvector of the slack matrix at the
+        canonical duals for `lam`. A nonpositive margin certifies exactness."""
+        return max_eig_sym(self.slack_matrix(self.duals(float(lam))))
+
+    def margins(self, lams: np.ndarray) -> np.ndarray:
+        """Margins at an array of thresholds, one batched eigenvalue solve."""
+        lams = np.asarray(lams, dtype=float).reshape(-1)
+        return np.linalg.eigvalsh(self.slack_matrix(self.duals(lams)))[:, -1]
 
     def subgradient(self, lam: float, eigvec: np.ndarray) -> float:
         """Subgradient of the margin at `lam` built from a top eigenvector:
 
             h = sum_{i in S} u_i^2 / c_i^2 - (1/lam^2) sum_{i not in S} c_i^2 u_i^2.
         """
-        lam = _require_positive(lam)
+        lam = float(self._thresholds(float(lam)))
         u = np.asarray(eigvec, dtype=float).reshape(-1)
         if u.shape != (self.inst.p,):
             raise ValueError(f"eigenvector has length {u.shape[0]}, expected p={self.inst.p}")
         u2 = u**2
-        inner = float(np.sum(u2[self.in_mask] / self.sq[self.in_mask]))
-        outer = float(np.sum(u2[self.out_mask] * self.sq[self.out_mask]))
+        inner = float(np.sum(u2[self.in_mask] / self.sq_in))
+        outer = float(np.sum(u2[self.out_mask] * self.sq_out))
         # divide twice: lam**2 raises OverflowError above lam ~ 1e154 and
         # underflows to a zero divisor below lam ~ 1e-162
         return inner - outer / lam / lam
@@ -178,29 +220,22 @@ class _CertContext:
 
         Returned as-is even when ell >= up (caller reports the empty interval).
         """
-        if self.zero_score_in_support():
+        if self.zero_score_in_support:
             raise ValueError("support contains a zero correlation score")
         X = self.inst.X
         weight = np.einsum("ij,ij->j", X, X) / self.inst.rho + 1.0
-        up = float((self.sq[self.in_mask] * weight[self.in_mask]).min())
+        up = float((self.sq_in * weight[self.in_mask]).min())
         if self.out_mask.any():
-            ell = float((self.sq[self.out_mask] / weight[self.out_mask]).max())
+            ell = float((self.sq_out / weight[self.out_mask]).max())
         else:
             ell = 0.0
         return ell, up
 
 
-def _require_positive(lam: float) -> float:
-    lam = float(lam)
-    if not np.isfinite(lam) or lam <= 0.0:
-        raise ValueError(f"threshold must be a positive real, got {lam}")
-    return lam
-
-
 def check_pwg(inst: ProblemInstance, support: Sequence[int]) -> CertOutcome:
     """Threshold test: exact iff off-support scores sit strictly below every
     on-support score in absolute value. Ties fail (strictness required)."""
-    ctx = _CertContext(inst, support)
+    ctx = SupportContext(inst, support)
     abs_scores = np.abs(ctx.scores)
     min_in = float(abs_scores[ctx.in_mask].min())
     max_out = float(abs_scores[ctx.out_mask].max()) if ctx.out_mask.any() else 0.0
@@ -210,69 +245,7 @@ def check_pwg(inst: ProblemInstance, support: Sequence[int]) -> CertOutcome:
     return CertOutcome(CertStatus.NOT_CERTIFIED, reason=REASON_SEPARATION)
 
 
-def canonical_duals(inst: ProblemInstance, support: Sequence[int], lam: float) -> np.ndarray:
-    """Canonical dual vector at a threshold: lam/c_i^2 on the support,
-    c_i^2/lam off it. This is the pointwise-smallest dual satisfying the
-    certificate's equality/inequality side conditions, so feasibility of the
-    slack matrix at it decides certificate existence."""
-    ctx = _CertContext(inst, support)
-    lam = _require_positive(lam)
-    if ctx.zero_score_in_support():
-        raise ValueError("support contains a zero correlation score")
-    return ctx.duals_at(lam)
-
-
-def psd_margin(
-    inst: ProblemInstance, support: Sequence[int], lam: float
-) -> tuple[float, np.ndarray]:
-    """Top eigenvalue (and a unit eigenvector) of the slack matrix at the
-    canonical duals for `lam`. Nonpositive margin certifies exactness."""
-    ctx = _CertContext(inst, support)
-    lam = _require_positive(lam)
-    if ctx.zero_score_in_support():
-        raise ValueError("support contains a zero correlation score")
-    return max_eig_sym(ctx.slack_matrix(ctx.duals_at(lam)))
-
-
-def psd_margin_grid(
-    inst: ProblemInstance, support: Sequence[int], lams: np.ndarray
-) -> np.ndarray:
-    """Vectorized psd_margin over an array of positive thresholds."""
-    ctx = _CertContext(inst, support)
-    lams = np.asarray(lams, dtype=float).reshape(-1)
-    if (lams <= 0).any():
-        raise ValueError("thresholds must be positive")
-    if ctx.zero_score_in_support():
-        raise ValueError("support contains a zero correlation score")
-    diags = np.empty((lams.size, inst.p))
-    diags[:, ctx.in_mask] = lams[:, None] / ctx.sq[ctx.in_mask][None, :]
-    diags[:, ctx.out_mask] = ctx.sq[ctx.out_mask][None, :] / lams[:, None]
-    mats = np.broadcast_to(ctx.base, (lams.size, inst.p, inst.p)).copy()
-    idx = np.arange(inst.p)
-    mats[:, idx, idx] += diags
-    return np.linalg.eigvalsh(mats)[:, -1]
-
-
-def psd_margin_subgradient(
-    inst: ProblemInstance, support: Sequence[int], lam: float, eigvec: np.ndarray
-) -> float:
-    """Subgradient of the margin at `lam`; see `_CertContext.subgradient`."""
-    return _CertContext(inst, support).subgradient(lam, eigvec)
-
-
-def certificate_bracket(
-    inst: ProblemInstance, support: Sequence[int]
-) -> tuple[float, float]:
-    """Analytic bracket of the certifying thresholds; see `_CertContext.bracket`."""
-    return _CertContext(inst, support).bracket()
-
-
-def check_dcl(
-    inst: ProblemInstance,
-    support: Sequence[int],
-    tol: float = DEFAULT_BISECTION_TOL,
-    max_iter: int = DEFAULT_BISECTION_MAX_ITER,
-) -> CertOutcome:
+def check_dcl(inst: ProblemInstance, support: Sequence[int]) -> CertOutcome:
     """Dual-certificate search by safeguarded subgradient bisection.
 
     Midpoint evaluations plus subgradient (Newton) cuts lam_hat - f/h shrink
@@ -283,13 +256,12 @@ def check_dcl(
     cut >= up) the margin is positive on the whole bracket and the search
     stops as NotCertified with `interval-empty`, as it does when the analytic
     bracket itself is empty. It stops with `bisection-exhausted` when the
-    bracket width drops below tol*max(1, up), after max_iter evaluations, or
-    at a zero subgradient. The all-scores-zero degenerate case is exact with
-    the zero certificate.
+    bracket width drops below BISECTION_TOL*max(1, up) (about 34 halvings of
+    a unit bracket), at a zero subgradient, or, as a guard that halving makes
+    unreachable, after BISECTION_MAX_ITER evaluations. The all-scores-zero
+    degenerate case is exact with the zero certificate.
     """
-    ctx = _CertContext(inst, support)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    ctx = SupportContext(inst, support)
     if ctx.all_scores_zero():
         cert = DclCertificate(
             support=ctx.support,
@@ -298,22 +270,22 @@ def check_dcl(
             margin=float(np.linalg.eigvalsh(ctx.base)[-1]),
         )
         return CertOutcome(CertStatus.EXACT, cert)
-    if ctx.zero_score_in_support():
+    if ctx.zero_score_in_support:
         return CertOutcome(CertStatus.NOT_CERTIFIED, reason=REASON_ZERO_SCORE)
 
     ell, up = ctx.bracket()
     # a bracket narrower than the stopping width has no searchable interior
-    if ell >= up or up - ell <= tol * max(1.0, up):
+    if ell >= up or up - ell <= BISECTION_TOL * max(1.0, up):
         return CertOutcome(CertStatus.NOT_CERTIFIED, reason=REASON_EMPTY_INTERVAL)
 
-    for _ in range(max_iter):
+    for _ in range(BISECTION_MAX_ITER):
         lam_hat = 0.5 * (ell + up)
-        margin, eigvec = max_eig_sym(ctx.slack_matrix(ctx.duals_at(lam_hat)))
+        margin, eigvec = ctx.margin(lam_hat)
         if margin <= 0.0:
             cert = DclCertificate(
                 support=ctx.support,
                 lam=lam_hat,
-                duals=ctx.duals_at(lam_hat),
+                duals=ctx.duals(lam_hat),
                 margin=margin,
             )
             return CertOutcome(CertStatus.EXACT, cert)
@@ -329,7 +301,7 @@ def check_dcl(
             up = cut if (np.isfinite(cut) and ell < cut < up) else lam_hat
         else:
             ell = cut if (np.isfinite(cut) and ell < cut < up) else lam_hat
-        if up - ell <= tol * max(1.0, up):
+        if up - ell <= BISECTION_TOL * max(1.0, up):
             return CertOutcome(CertStatus.NOT_CERTIFIED, reason=REASON_EXHAUSTED)
     return CertOutcome(CertStatus.NOT_CERTIFIED, reason=REASON_EXHAUSTED)
 
@@ -338,26 +310,29 @@ def verify_dcl_certificate(
     inst: ProblemInstance, cert: DclCertificate, tol: float = COND_TOL
 ) -> None:
     """Re-check a dual certificate from scratch (independent of how it was
-    found): duals nonnegative, slack matrix negative semidefinite, equality on
-    the support, inequality off it. Raises CertificateConsistencyError."""
-    ctx = _CertContext(inst, cert.support)
+    found): duals finite and nonnegative, slack matrix negative semidefinite,
+    equality on the support, inequality off it. Every condition is written
+    so that a NaN fails it. Raises CertificateConsistencyError."""
+    ctx = SupportContext(inst, cert.support)
     d = np.asarray(cert.duals, dtype=float).reshape(-1)
     lam = float(cert.lam)
     if d.shape != (inst.p,):
         raise CertificateConsistencyError("dual vector has the wrong length")
-    if lam < 0.0 or (d < 0.0).any():
+    if not (np.isfinite(lam) and np.isfinite(d).all()):
+        raise CertificateConsistencyError("non-finite dual variables")
+    if not (lam >= 0.0 and (d >= 0.0).all()):
         raise CertificateConsistencyError("negative dual variables")
     # PSD side: X^T X/rho + I - D(d) >= 0  <=>  top eig of slack matrix <= 0
     top = float(np.linalg.eigvalsh(ctx.slack_matrix(d))[-1])
-    if top > tol:
+    if not (np.isfinite(top) and top <= tol):
         raise CertificateConsistencyError(f"slack matrix not NSD: top eigenvalue {top:g}")
-    gap_in = np.abs(lam - d[ctx.in_mask] * ctx.sq[ctx.in_mask])
-    if gap_in.size and float(gap_in.max()) > tol * max(1.0, lam):
+    gap_in = np.abs(lam - d[ctx.in_mask] * ctx.sq_in)
+    if not float(gap_in.max()) <= tol * max(1.0, lam):
         raise CertificateConsistencyError(
             f"support equality violated by {float(gap_in.max()):g}"
         )
-    slack_out = lam * d[ctx.out_mask] - ctx.sq[ctx.out_mask]
-    if slack_out.size and float(slack_out.min()) < -tol:
+    slack_out = lam * d[ctx.out_mask] - ctx.sq_out
+    if slack_out.size and not float(slack_out.min()) >= -tol:
         raise CertificateConsistencyError(
             f"off-support inequality violated by {-float(slack_out.min()):g}"
         )
@@ -375,14 +350,12 @@ def pwg_witness_to_dcl(
     strict threshold separation gives the off-support inequality. The result
     is re-verified before being returned.
     """
-    ctx = _CertContext(inst, support)
+    ctx = SupportContext(inst, support)
     if ctx.support != tuple(pwg.support):
         raise ValueError("certificate support does not match")
-    if ctx.zero_score_in_support():
-        raise ValueError("support contains a zero correlation score")
-    lam = float(ctx.sq[ctx.in_mask].min())
-    duals = np.ones(inst.p)
-    duals[ctx.in_mask] = lam / ctx.sq[ctx.in_mask]
+    lam = float(ctx.sq_in.min())
+    duals = ctx.duals(lam)
+    duals[ctx.out_mask] = 1.0
     margin = float(np.linalg.eigvalsh(ctx.slack_matrix(duals))[-1])
     cert = DclCertificate(support=ctx.support, lam=lam, duals=duals, margin=margin)
     verify_dcl_certificate(inst, cert)

@@ -20,14 +20,7 @@ import sys
 from pathlib import Path
 
 from . import fileio
-from .certificates import (
-    DEFAULT_BISECTION_MAX_ITER,
-    DEFAULT_BISECTION_TOL,
-    check_dcl,
-    check_pwg,
-    kkt_variables,
-    verify_kkt,
-)
+from .certificates import check_dcl, check_pwg, kkt_variables, verify_kkt
 from .ensemble import DominanceViolationError, aggregate_curves, run_sweep, write_dominance_dump
 from .linalg import correlation_scores
 from .oracles import CombinationBudgetError, DEFAULT_MAX_COMBINATIONS, brute_force_l0, pwg_value
@@ -64,7 +57,7 @@ def cmd_check(args) -> int:
         )
     else:
         print(f"pwg: not-certified ({pwg.reason})")
-    dcl = check_dcl(inst, support, tol=args.tol, max_iter=args.max_iter)
+    dcl = check_dcl(inst, support)
     if dcl.exact:
         cert = dcl.certificate
         print(
@@ -158,8 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run both certificate checks on an instance")
     p_check.add_argument("instance", help="instance JSON file")
     p_check.add_argument("--support", help="comma-separated column indices", default=None)
-    p_check.add_argument("--tol", type=float, default=DEFAULT_BISECTION_TOL)
-    p_check.add_argument("--max-iter", type=int, default=DEFAULT_BISECTION_MAX_ITER)
     p_check.set_defaults(func=cmd_check)
 
     p_oracle = sub.add_parser("oracle", help="brute-force and relaxation oracles")

@@ -28,7 +28,6 @@ from .rng import SplitMix64, seed_derive
 DEFAULT_ALPHA_GRID = [1.0 + 0.5 * i for i in range(19)]  # 1, 1.5, ..., 10
 DEFAULT_RHO_MULTIPLIERS = [2.0, 3.0, 4.0, 6.0, 8.0, 12.0]
 DEFAULT_NOISE_STD = 0.5
-K_RULE = "ceil-sqrt-p"
 
 
 class DominanceViolationError(RuntimeError):
@@ -55,7 +54,6 @@ class EnsembleConfig:
     gamma: float = DEFAULT_NOISE_STD
     master_seed: int = 0
     amplitude: float = 1.0  # signal magnitude; set 1/sqrt(k) for the scaled variant
-    k_rule: str = K_RULE
 
     def __post_init__(self) -> None:
         self.p_list = [int(p) for p in self.p_list]
@@ -84,8 +82,6 @@ class EnsembleConfig:
             raise ValueError("gamma must be nonnegative")
         if self.amplitude <= 0:
             raise ValueError("amplitude must be positive")
-        if self.k_rule != K_RULE:
-            raise ValueError(f"unsupported k_rule {self.k_rule!r}")
 
 
 @dataclass

@@ -27,7 +27,6 @@ _CONFIG_KEYS = {
     "gamma",
     "master_seed",
     "amplitude",
-    "k_rule",
 }
 
 
@@ -132,8 +131,6 @@ def load_ensemble_config(path) -> EnsembleConfig:
         kwargs["master_seed"] = _require_int(doc, "master_seed")
     if "amplitude" in doc:
         kwargs["amplitude"] = _require_real(doc, "amplitude")
-    if "k_rule" in doc:
-        kwargs["k_rule"] = doc["k_rule"]
     return EnsembleConfig(**kwargs)
 
 

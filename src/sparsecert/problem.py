@@ -61,8 +61,11 @@ def normalize_support(indices: Sequence[int], p: int) -> tuple[int, ...]:
     operations that require nonempty supports check separately."""
     out = []
     for i in indices:
-        j = int(i)
-        if j != i:
+        try:
+            j = int(i)
+        except (TypeError, ValueError, OverflowError):  # None, lists, NaN, inf
+            j = None
+        if j is None or j != i or isinstance(i, (bool, np.bool_)):
             raise ValueError(f"support index {i!r} is not an integer")
         if not 0 <= j < p:
             raise ValueError(f"support index {j} outside [0, {p})")

@@ -15,13 +15,11 @@ import pytest
 from helpers import noise_instance, planted_instance
 from sparsecert import (
     EnsembleConfig,
+    SupportContext,
     brute_force_l0,
-    certificate_bracket,
     check_dcl,
     check_pwg,
     kkt_variables,
-    psd_margin,
-    psd_margin_subgradient,
     pwg_value,
     pwg_witness_to_dcl,
     ridge_restricted_solve,
@@ -29,7 +27,6 @@ from sparsecert import (
     smw_residuals,
     verify_kkt,
 )
-from sparsecert.certificates import psd_margin_grid
 from sparsecert.cli import main
 from sparsecert.ensemble import aggregate_curves, run_sweep
 from sparsecert.oracles import project_capped_simplex, relaxed_gradient, relaxed_objective
@@ -108,8 +105,9 @@ def test_criterion_3_bisection_vs_grid():
             support = tuple(sorted(rng.choice(p, size=inst.k, replace=False).tolist()))
         decision = check_dcl(inst, support).exact
         yes_count += decision
+        ctx = SupportContext(inst, support)
         try:
-            ell, up = certificate_bracket(inst, support)
+            ell, up = ctx.bracket()
         except ValueError:
             assert not decision  # zero score in support: no certificate
             agreements += 1
@@ -121,7 +119,7 @@ def test_criterion_3_bisection_vs_grid():
         lams = np.linspace(ell, up, 10_000)
         if lams[0] <= 0.0:
             lams[0] = 0.5 * lams[1]
-        grid_min = float(psd_margin_grid(inst, support, lams).min())
+        grid_min = float(ctx.margins(lams).min())
         if -1e-6 < grid_min < 1e-6:
             borderline += 1
             continue
@@ -189,8 +187,9 @@ def test_criterion_5_convexity_and_subgradient():
     instances = 0
     while instances < 100:
         inst, support = planted_instance(rng)
+        ctx = SupportContext(inst, support)
         try:
-            ell, up = certificate_bracket(inst, support)
+            ell, up = ctx.bracket()
         except ValueError:
             continue
         lo = max(ell / 2.0, up * 1e-6)
@@ -201,16 +200,16 @@ def test_criterion_5_convexity_and_subgradient():
             l1, l2, l3 = np.sort(rng.uniform(lo, hi, size=3))
             if l1 == l2 or l2 == l3:
                 continue
-            f1 = psd_margin(inst, support, l1)[0]
-            f2 = psd_margin(inst, support, l2)[0]
-            f3 = psd_margin(inst, support, l3)[0]
+            f1 = ctx.margin(l1)[0]
+            f2 = ctx.margin(l2)[0]
+            f3 = ctx.margin(l3)[0]
             t = (l3 - l2) / (l3 - l1)
             assert f2 <= t * f1 + (1.0 - t) * f3 + 1e-9
         for _ in range(25):
             lam_hat, lam = rng.uniform(lo, hi, size=2)
-            f_hat, eigvec = psd_margin(inst, support, lam_hat)
-            h = psd_margin_subgradient(inst, support, lam_hat, eigvec)
-            assert psd_margin(inst, support, lam)[0] >= f_hat + h * (lam - lam_hat) - 1e-9
+            f_hat, eigvec = ctx.margin(lam_hat)
+            h = ctx.subgradient(lam_hat, eigvec)
+            assert ctx.margin(lam)[0] >= f_hat + h * (lam - lam_hat) - 1e-9
         instances += 1
     print("PASS criterion 5: convexity and subgradient inequalities on 100 instances x 50 points")
 

@@ -7,14 +7,11 @@ from helpers import mixed_instance, noise_instance, planted_instance, random_sup
 from sparsecert import (
     CertOutcome,
     ProblemInstance,
+    SupportContext,
     brute_force_l0,
-    canonical_duals,
-    certificate_bracket,
     check_dcl,
     check_pwg,
     kkt_variables,
-    psd_margin,
-    psd_margin_subgradient,
     pwg_witness_to_dcl,
     ridge_value_kernel,
     verify_dcl_certificate,
@@ -22,11 +19,12 @@ from sparsecert import (
 )
 from sparsecert import certificates
 from sparsecert.certificates import (
-    DEFAULT_BISECTION_TOL,
+    BISECTION_TOL,
     REASON_EMPTY_INTERVAL,
     REASON_SEPARATION,
     REASON_ZERO_SCORE,
-    psd_margin_grid,
+    CertificateConsistencyError,
+    DclCertificate,
 )
 from sparsecert.ensemble import EnsembleConfig, generate_instance
 from sparsecert.linalg import max_eig_sym
@@ -79,11 +77,11 @@ def test_pwg_rejects_empty_and_oversized_support():
 
 
 def test_psd_margin_diagonal_cases():
-    inst = ident([1.0, 0.0])
-    f, u = psd_margin(inst, [0], 0.25)
+    ctx = SupportContext(ident([1.0, 0.0]), [0])
+    f, u = ctx.margin(0.25)
     assert f == pytest.approx(-1.0)
     assert np.allclose(np.abs(u), [1.0, 0.0])
-    f, u = psd_margin(inst, [0], 0.75)
+    f, u = ctx.margin(0.75)
     assert f == pytest.approx(1.0)
     assert np.allclose(np.abs(u), [1.0, 0.0])
 
@@ -96,60 +94,87 @@ def test_psd_margin_full_support_orthonormal_columns():
     scores = q.T @ np.linalg.solve(np.eye(6) + q @ q.T, inst.y)
     lam = 0.37
     expected = lam * (scores**-2).max() - 2.0
-    f, _ = psd_margin(inst, [0, 1, 2], lam)
+    f, _ = SupportContext(inst, [0, 1, 2]).margin(lam)
     assert f == pytest.approx(expected, rel=1e-9)
 
 
 def test_psd_margin_rejects_bad_threshold():
-    inst = ident([1.0, 0.0])
-    with pytest.raises(ValueError):
-        psd_margin(inst, [0], 0.0)
-    with pytest.raises(ValueError):
-        psd_margin(inst, [0], -1.0)
+    ctx = SupportContext(ident([1.0, 0.0]), [0])
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        for call in (ctx.margin, ctx.duals, ctx.margins):
+            with pytest.raises(ValueError, match="positive"):
+                call(bad)
+        # one bad entry spoils the whole array
+        for call in (ctx.duals, ctx.margins):
+            with pytest.raises(ValueError, match="positive"):
+                call(np.array([0.25, bad]))
 
 
 def test_psd_margin_rejects_zero_score_in_support():
-    with pytest.raises(ValueError):
-        psd_margin(ident([1.0, 0.0]), [1], 0.5)
+    ctx = SupportContext(ident([1.0, 0.0]), [1])
+    assert ctx.zero_score_in_support
+    for call in (ctx.margin, ctx.duals, ctx.margins):
+        with pytest.raises(ValueError, match="zero correlation score"):
+            call(0.5)
+    for call in (ctx.duals, ctx.margins):
+        with pytest.raises(ValueError, match="zero correlation score"):
+            call(np.array([0.25, 0.5]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31))
+def test_batched_margins_match_scalar_margins(seed):
+    rng = np.random.default_rng(seed)
+    inst, sup = planted_instance(rng)
+    ctx = SupportContext(inst, sup)
+    if ctx.zero_score_in_support:
+        return
+    _, up = ctx.bracket()
+    lams = up * rng.uniform(1e-3, 3.0, size=7)
+    scalar = np.array([ctx.margin(lam)[0] for lam in lams])
+    # eigenvalues carry roundoff relative to the matrix norm, not to each value
+    scale = np.abs(ctx.slack_matrix(ctx.duals(lams))).max(axis=(1, 2))
+    assert np.all(np.abs(ctx.margins(lams) - scalar) <= 1e-12 * scale)
+    assert np.array_equal(ctx.duals(lams), [ctx.duals(lam) for lam in lams])
 
 
 def test_subgradient_hand_values():
-    inst = ident([1.0, 0.0])
-    _, u = psd_margin(inst, [0], 0.75)
-    assert psd_margin_subgradient(inst, [0], 0.75, u) == pytest.approx(4.0)
-    inst2 = ident([1.0, 1.0])
+    ctx = SupportContext(ident([1.0, 0.0]), [0])
+    _, u = ctx.margin(0.75)
+    assert ctx.subgradient(0.75, u) == pytest.approx(4.0)
+    ctx2 = SupportContext(ident([1.0, 1.0]), [0])
     lam = 0.05  # small: top eigenvector is the off-support axis
-    _, u2 = psd_margin(inst2, [0], lam)
+    _, u2 = ctx2.margin(lam)
     assert np.allclose(np.abs(u2), [0.0, 1.0])
-    h = psd_margin_subgradient(inst2, [0], lam, u2)
+    h = ctx2.subgradient(lam, u2)
     assert h == pytest.approx(-1.0 / lam**2)
 
 
 def test_subgradient_zero_when_eigvec_on_zero_scores():
-    inst = ident([1.0, 0.0])
-    h = psd_margin_subgradient(inst, [0], 0.5, np.array([0.0, 1.0]))
+    ctx = SupportContext(ident([1.0, 0.0]), [0])
+    h = ctx.subgradient(0.5, np.array([0.0, 1.0]))
     assert h == 0.0
 
 
 def test_subgradient_at_extreme_thresholds_does_not_raise():
     # lam**2 overflows (OverflowError) above ~1e154 and underflows to a zero
     # divisor (ZeroDivisionError) below ~1e-162
-    inst = ident([1.0, 1.0])
+    ctx = SupportContext(ident([1.0, 1.0]), [0])
     u = np.array([0.0, 1.0])
-    assert psd_margin_subgradient(inst, [0], 1e200, u) == 0.0
-    assert psd_margin_subgradient(inst, [0], 1e-200, u) == -np.inf
+    assert ctx.subgradient(1e200, u) == 0.0
+    assert ctx.subgradient(1e-200, u) == -np.inf
 
 
 # ---------------------------------------------------------------------- bracket
 
 
 def test_bracket_examples():
-    ell, up = certificate_bracket(ident([1.0, 0.0]), [0])
+    ell, up = SupportContext(ident([1.0, 0.0]), [0]).bracket()
     assert (ell, up) == pytest.approx((0.0, 0.5))
     inst2 = ProblemInstance(X=[[1.0]], y=[2.0], rho=1.0, k=1)
-    ell, up = certificate_bracket(inst2, [0])
+    ell, up = SupportContext(inst2, [0]).bracket()
     assert (ell, up) == pytest.approx((0.0, 2.0))
-    ell, up = certificate_bracket(ident([1.0, 1.0]), [0])
+    ell, up = SupportContext(ident([1.0, 1.0]), [0]).bracket()
     assert (ell, up) == pytest.approx((0.5, 0.5))  # empty interior
 
 
@@ -158,19 +183,20 @@ def test_bracket_contains_negative_margin_points():
     checked = 0
     for _ in range(200):
         inst, sup = planted_instance(rng)
+        ctx = SupportContext(inst, sup)
         try:
-            ell, up = certificate_bracket(inst, sup)
+            ell, up = ctx.bracket()
         except ValueError:
             continue
         if ell >= up:
             continue
         lams = np.linspace(ell if ell > 0 else (up - ell) * 1e-9, up, 50)
-        margins = psd_margin_grid(inst, sup, lams)
+        margins = ctx.margins(lams)
         # negative margin should never appear outside [ell, up]
         outside = np.concatenate(
             [np.linspace(max(up * 1.0001, up + 1e-12), up * 3.0, 20)]
         )
-        out_marg = psd_margin_grid(inst, sup, outside)
+        out_marg = ctx.margins(outside)
         assert (out_marg >= -1e-10).all()
         checked += 1
         del margins
@@ -181,7 +207,7 @@ def test_bracket_contains_negative_margin_points():
 
 
 def test_dcl_exact_first_midpoint():
-    out = check_dcl(ident([1.0, 0.0]), [0], tol=1e-10)
+    out = check_dcl(ident([1.0, 0.0]), [0])
     assert out.exact
     cert = out.certificate
     assert cert.lam == pytest.approx(0.25)
@@ -253,12 +279,12 @@ def test_dcl_invalid_supports():
 
 
 def test_canonical_duals_examples():
-    assert canonical_duals(ident([1.0, 0.0]), [0], 0.25) == pytest.approx([1.0, 0.0])
+    assert SupportContext(ident([1.0, 0.0]), [0]).duals(0.25) == pytest.approx([1.0, 0.0])
     inst2 = ProblemInstance(X=[[1.0]], y=[2.0], rho=1.0, k=1)
-    assert canonical_duals(inst2, [0], 1.0) == pytest.approx([1.0])
+    assert SupportContext(inst2, [0]).duals(1.0) == pytest.approx([1.0])
     # lam equal to the squared score of a singleton support gives dual 1
     inst3 = ident([1.0, 0.0])
-    assert canonical_duals(inst3, [0], 0.25)[0] == pytest.approx(1.0)
+    assert SupportContext(inst3, [0]).duals(0.25)[0] == pytest.approx(1.0)
 
 
 def test_every_returned_certificate_reverifies():
@@ -276,6 +302,17 @@ def test_every_returned_certificate_reverifies():
             verify_dcl_certificate(inst2, out2.certificate)
             count += 1
     assert count > 30  # the family must actually exercise the exact branch
+
+
+@pytest.mark.parametrize(
+    "lam, duals",
+    [(np.nan, [np.nan, np.nan]), (np.nan, [1.0, 0.0]), (0.25, [np.nan, 0.0]), (np.inf, [1.0, 0.0])],
+)
+def test_verify_rejects_non_finite_certificates(lam, duals):
+    # every comparison with NaN is false, so each check must fail closed
+    cert = DclCertificate(support=(0,), lam=lam, duals=np.array(duals), margin=-1.0)
+    with pytest.raises(CertificateConsistencyError):
+        verify_dcl_certificate(ident([1.0, 0.0]), cert)
 
 
 def test_zero_response_scale_property():
@@ -419,8 +456,9 @@ def test_margin_convexity_and_subgradient_random():
     tested = 0
     while tested < 40:
         inst, sup = planted_instance(rng)
+        ctx = SupportContext(inst, sup)
         try:
-            ell, up = certificate_bracket(inst, sup)
+            ell, up = ctx.bracket()
         except ValueError:
             continue
         if up <= 0:
@@ -431,16 +469,16 @@ def test_margin_convexity_and_subgradient_random():
             l1, l2, l3 = np.sort(rng.uniform(lo, hi, size=3))
             if l1 == l2 or l2 == l3:
                 continue
-            f1 = psd_margin(inst, sup, l1)[0]
-            f2 = psd_margin(inst, sup, l2)[0]
-            f3 = psd_margin(inst, sup, l3)[0]
+            f1 = ctx.margin(l1)[0]
+            f2 = ctx.margin(l2)[0]
+            f3 = ctx.margin(l3)[0]
             t = (l3 - l2) / (l3 - l1)
             assert f2 <= t * f1 + (1 - t) * f3 + 1e-9
         for _ in range(20):
             lam_hat, lam = rng.uniform(lo, hi, size=2)
-            f_hat, u = psd_margin(inst, sup, lam_hat)
-            h = psd_margin_subgradient(inst, sup, lam_hat, u)
-            f_other = psd_margin(inst, sup, lam)[0]
+            f_hat, u = ctx.margin(lam_hat)
+            h = ctx.subgradient(lam_hat, u)
+            f_other = ctx.margin(lam)[0]
             assert f_other >= f_hat + h * (lam - lam_hat) - 1e-9
         tested += 1
 
@@ -454,11 +492,12 @@ def test_cut_proved_empty_interval_has_positive_margin(seed, amplitude):
     inst, sup = planted_instance(rng, p=int(rng.integers(4, 9)), amplitude=amplitude)
     if check_dcl(inst, sup).reason != REASON_EMPTY_INTERVAL:
         return
-    ell, up = certificate_bracket(inst, sup)
-    if ell >= up or up - ell <= DEFAULT_BISECTION_TOL * max(1.0, up):
+    ctx = SupportContext(inst, sup)
+    ell, up = ctx.bracket()
+    if ell >= up or up - ell <= BISECTION_TOL * max(1.0, up):
         return
     lams = np.linspace(ell, up, 1002)[1:-1]
-    assert (psd_margin_grid(inst, sup, lams) > 0.0).all()
+    assert (ctx.margins(lams) > 0.0).all()
 
 
 def test_crossing_cut_ends_search_within_three_evaluations(monkeypatch):
@@ -484,8 +523,9 @@ def test_bisection_matches_grid_scan_small():
         inst = mixed_instance(rng, p=int(rng.integers(6, 11)))
         sup = random_support(rng, inst)
         out = check_dcl(inst, sup)
+        ctx = SupportContext(inst, sup)
         try:
-            ell, up = certificate_bracket(inst, sup)
+            ell, up = ctx.bracket()
         except ValueError:
             # zero score in support: both routes say no
             assert not out.exact
@@ -497,7 +537,7 @@ def test_bisection_matches_grid_scan_small():
             continue
         lams = np.linspace(ell, up, 2000)
         lams[lams <= 0] = (up - ell) * 1e-9
-        grid_min = float(psd_margin_grid(inst, sup, lams).min())
+        grid_min = float(ctx.margins(lams).min())
         if abs(grid_min) > 1e-6:
             assert out.exact == (grid_min <= 0.0)
         tested += 1

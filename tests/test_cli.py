@@ -77,6 +77,17 @@ def test_check_unknown_key_names_it(tmp_path, capsys):
     assert "mystery" in capsys.readouterr().err
 
 
+def test_check_malformed_support_exits_1(tmp_path, capsys):
+    # each used to end in a TypeError/OverflowError traceback or, for true,
+    # be read as column 1
+    bad = tmp_path / "bad.json"
+    for support in ("[null]", "[[1]]", "[1e999]", "[true]"):
+        text = json.dumps(IDENTITY_DOC).replace('"support": [0]', f'"support": {support}')
+        bad.write_text(text, encoding="utf-8")
+        assert main(["check", str(bad)]) == 1
+        assert "error: support index" in capsys.readouterr().err
+
+
 def test_oracle_reports_values(identity_instance, capsys):
     code = main(["oracle", str(identity_instance)])
     out = capsys.readouterr().out

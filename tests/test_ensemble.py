@@ -133,8 +133,6 @@ def test_config_validation():
         small_config(gamma=-0.1)
     with pytest.raises(ValueError):
         small_config(alpha_grid=[1.0, 1.0])
-    with pytest.raises(ValueError):
-        small_config(k_rule="fixed")
 
 
 # -------------------------------------------------------------------- trials

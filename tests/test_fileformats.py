@@ -76,6 +76,12 @@ def test_instance_rejects_non_integer_counts(tmp_path):
     path = write_json(tmp_path / "bad.json", doc)
     with pytest.raises(ValueError, match="'k'"):
         load_instance(path)
+    # 1e999 parses as inf; true must not be read as column 1
+    for bad in ("[null]", "[[1]]", "[1e999]", "[true]"):
+        text = json.dumps(IDENTITY_DOC).replace('"support": [0]', f'"support": {bad}')
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match="support index"):
+            load_instance(path)
 
 
 def test_config_parse_defaults_and_strictness(tmp_path):
@@ -86,9 +92,10 @@ def test_config_parse_defaults_and_strictness(tmp_path):
     assert len(cfg.alpha_grid) == 19
     assert cfg.rho_multipliers == [2.0, 3.0, 4.0, 6.0, 8.0, 12.0]
     assert cfg.master_seed == 0
-    bad = write_json(tmp_path / "bad.json", {"p_list": [9], "trials": 2, "seed": 3})
-    with pytest.raises(ValueError, match="seed"):
-        load_ensemble_config(bad)
+    for key, value in (("seed", 3), ("k_rule", "ceil-sqrt-p")):
+        bad = write_json(tmp_path / "bad.json", {"p_list": [9], "trials": 2, key: value})
+        with pytest.raises(ValueError, match=key):
+            load_ensemble_config(bad)
 
 
 def small_sweep():
