@@ -4,7 +4,6 @@ support-recovery harness."""
 
 from .certificates import (
     CertOutcome,
-    CertStatus,
     DclCertificate,
     KktReport,
     PwgCertificate,
@@ -48,7 +47,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CertOutcome",
-    "CertStatus",
     "DclCertificate",
     "EnsembleConfig",
     "KktReport",

@@ -35,7 +35,6 @@ the KKT system of the lifted program (verify_kkt).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -54,11 +53,6 @@ BISECTION_TOL = 1e-10  # relative bracket width at which the search gives up
 BISECTION_MAX_ITER = 200  # guard only: halving reaches BISECTION_TOL first
 
 COND_TOL = 1e-8  # slack allowed when re-verifying certificate conditions
-
-
-class CertStatus(Enum):
-    EXACT = "exact"
-    NOT_CERTIFIED = "not-certified"
 
 
 @dataclass
@@ -89,13 +83,14 @@ class DclCertificate:
 
 @dataclass
 class CertOutcome:
-    status: CertStatus
+    """Exact when it carries a certificate; otherwise `reason` says why not."""
+
     certificate: Optional[PwgCertificate | DclCertificate] = None
     reason: str = ""
 
     @property
     def exact(self) -> bool:
-        return self.status is CertStatus.EXACT
+        return self.certificate is not None
 
 
 @dataclass
@@ -114,6 +109,16 @@ class CertificateConsistencyError(RuntimeError):
     """A constructed certificate failed its own validity conditions."""
 
 
+def _checked_support(inst: ProblemInstance, support: Sequence[int]) -> tuple[int, ...]:
+    """The normalized support, which must be nonempty and at most k long."""
+    sup = normalize_support(support, inst.p)
+    if not sup:
+        raise ValueError("certificate checks need a nonempty support")
+    if len(sup) > inst.k:
+        raise ValueError(f"support size {len(sup)} exceeds cardinality budget k={inst.k}")
+    return sup
+
+
 class SupportContext:
     """Everything the certificate tests compute for one (instance, support)
     pair: the correlation scores, the canonical duals and slack matrix at any
@@ -129,13 +134,7 @@ class SupportContext:
 
     def __init__(self, inst: ProblemInstance, support: Sequence[int]):
         self.inst = inst
-        self.support = normalize_support(support, inst.p)
-        if not self.support:
-            raise ValueError("certificate checks need a nonempty support")
-        if len(self.support) > inst.k:
-            raise ValueError(
-                f"support size {len(self.support)} exceeds cardinality budget k={inst.k}"
-            )
+        self.support = _checked_support(inst, support)
         self.scores = correlation_scores(inst, self.support)
         self.sq = self.scores**2
         self.in_mask = np.zeros(inst.p, dtype=bool)
@@ -241,8 +240,8 @@ def check_pwg(inst: ProblemInstance, support: Sequence[int]) -> CertOutcome:
     max_out = float(abs_scores[ctx.out_mask].max()) if ctx.out_mask.any() else 0.0
     if max_out < min_in:
         cert = PwgCertificate(support=ctx.support, min_in=min_in, max_out=max_out)
-        return CertOutcome(CertStatus.EXACT, cert)
-    return CertOutcome(CertStatus.NOT_CERTIFIED, reason=REASON_SEPARATION)
+        return CertOutcome(cert)
+    return CertOutcome(reason=REASON_SEPARATION)
 
 
 def check_dcl(inst: ProblemInstance, support: Sequence[int]) -> CertOutcome:
@@ -253,13 +252,14 @@ def check_dcl(inst: ProblemInstance, support: Sequence[int]) -> CertOutcome:
     and each iteration at least halves the bracket. The tangent at lam_hat is
     a global lower bound on the margin, so when its zero `cut` falls on or
     beyond the far end of the bracket (h > 0 and cut <= ell, or h < 0 and
-    cut >= up) the margin is positive on the whole bracket and the search
-    stops as NotCertified with `interval-empty`, as it does when the analytic
-    bracket itself is empty. It stops with `bisection-exhausted` when the
-    bracket width drops below BISECTION_TOL*max(1, up) (about 34 halvings of
-    a unit bracket), at a zero subgradient, or, as a guard that halving makes
-    unreachable, after BISECTION_MAX_ITER evaluations. The all-scores-zero
-    degenerate case is exact with the zero certificate.
+    cut >= up), or the subgradient vanished (h = 0), the margin is positive
+    on the whole bracket and the search stops as NotCertified with
+    `interval-empty`, as it does when the analytic bracket itself is empty.
+    It stops with `bisection-exhausted` when the bracket width drops below
+    BISECTION_TOL*max(1, up) (about 34 halvings of a unit bracket) or, as a
+    guard that halving makes unreachable, after BISECTION_MAX_ITER
+    evaluations. The all-scores-zero degenerate case is exact with the zero
+    certificate.
     """
     ctx = SupportContext(inst, support)
     if ctx.all_scores_zero():
@@ -269,14 +269,14 @@ def check_dcl(inst: ProblemInstance, support: Sequence[int]) -> CertOutcome:
             duals=np.zeros(inst.p),
             margin=float(np.linalg.eigvalsh(ctx.base)[-1]),
         )
-        return CertOutcome(CertStatus.EXACT, cert)
+        return CertOutcome(cert)
     if ctx.zero_score_in_support:
-        return CertOutcome(CertStatus.NOT_CERTIFIED, reason=REASON_ZERO_SCORE)
+        return CertOutcome(reason=REASON_ZERO_SCORE)
 
     ell, up = ctx.bracket()
     # a bracket narrower than the stopping width has no searchable interior
     if ell >= up or up - ell <= BISECTION_TOL * max(1.0, up):
-        return CertOutcome(CertStatus.NOT_CERTIFIED, reason=REASON_EMPTY_INTERVAL)
+        return CertOutcome(reason=REASON_EMPTY_INTERVAL)
 
     for _ in range(BISECTION_MAX_ITER):
         lam_hat = 0.5 * (ell + up)
@@ -288,27 +288,25 @@ def check_dcl(inst: ProblemInstance, support: Sequence[int]) -> CertOutcome:
                 duals=ctx.duals(lam_hat),
                 margin=margin,
             )
-            return CertOutcome(CertStatus.EXACT, cert)
+            return CertOutcome(cert)
         h = ctx.subgradient(lam_hat, eigvec)
+        # the tangent margin + h*(lam - lam_hat) stays positive across the
+        # whole open bracket when it is flat or its zero lies beyond the far end
         if h == 0.0:
-            # lam_hat minimizes a convex function with positive value
-            return CertOutcome(CertStatus.NOT_CERTIFIED, reason=REASON_EXHAUSTED)
+            return CertOutcome(reason=REASON_EMPTY_INTERVAL)
         cut = lam_hat - margin / h
         if (h > 0.0 and cut <= ell) or (h < 0.0 and cut >= up):
-            # the tangent stays positive across the whole open bracket
-            return CertOutcome(CertStatus.NOT_CERTIFIED, reason=REASON_EMPTY_INTERVAL)
+            return CertOutcome(reason=REASON_EMPTY_INTERVAL)
         if h > 0.0:
             up = cut if (np.isfinite(cut) and ell < cut < up) else lam_hat
         else:
             ell = cut if (np.isfinite(cut) and ell < cut < up) else lam_hat
         if up - ell <= BISECTION_TOL * max(1.0, up):
-            return CertOutcome(CertStatus.NOT_CERTIFIED, reason=REASON_EXHAUSTED)
-    return CertOutcome(CertStatus.NOT_CERTIFIED, reason=REASON_EXHAUSTED)
+            return CertOutcome(reason=REASON_EXHAUSTED)
+    return CertOutcome(reason=REASON_EXHAUSTED)
 
 
-def verify_dcl_certificate(
-    inst: ProblemInstance, cert: DclCertificate, tol: float = COND_TOL
-) -> None:
+def verify_dcl_certificate(inst: ProblemInstance, cert: DclCertificate) -> None:
     """Re-check a dual certificate from scratch (independent of how it was
     found): duals finite and nonnegative, slack matrix negative semidefinite,
     equality on the support, inequality off it. Every condition is written
@@ -324,15 +322,15 @@ def verify_dcl_certificate(
         raise CertificateConsistencyError("negative dual variables")
     # PSD side: X^T X/rho + I - D(d) >= 0  <=>  top eig of slack matrix <= 0
     top = float(np.linalg.eigvalsh(ctx.slack_matrix(d))[-1])
-    if not (np.isfinite(top) and top <= tol):
+    if not (np.isfinite(top) and top <= COND_TOL):
         raise CertificateConsistencyError(f"slack matrix not NSD: top eigenvalue {top:g}")
     gap_in = np.abs(lam - d[ctx.in_mask] * ctx.sq_in)
-    if not float(gap_in.max()) <= tol * max(1.0, lam):
+    if not float(gap_in.max()) <= COND_TOL * max(1.0, lam):
         raise CertificateConsistencyError(
             f"support equality violated by {float(gap_in.max()):g}"
         )
     slack_out = lam * d[ctx.out_mask] - ctx.sq_out
-    if slack_out.size and not float(slack_out.min()) >= -tol:
+    if slack_out.size and not float(slack_out.min()) >= -COND_TOL:
         raise CertificateConsistencyError(
             f"off-support inequality violated by {-float(slack_out.min()):g}"
         )
@@ -388,9 +386,7 @@ def verify_kkt(
     2x2 block [[lam, t_i], [t_i, d_i]] is PSD, and the two complementarity
     pairings vanish. A true certificate drives every residual below 1e-6.
     """
-    sup = normalize_support(support, inst.p)
-    if not sup:
-        raise ValueError("KKT check needs a nonempty support")
+    sup = _checked_support(inst, support)
     d = np.asarray(d, dtype=float).reshape(-1)
     if d.shape != (inst.p,):
         raise ValueError(f"dual vector has length {d.shape[0]}, expected p={inst.p}")

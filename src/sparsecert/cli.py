@@ -23,12 +23,10 @@ from . import fileio
 from .certificates import check_dcl, check_pwg, kkt_variables, verify_kkt
 from .ensemble import DominanceViolationError, aggregate_curves, run_sweep, write_dominance_dump
 from .linalg import correlation_scores
-from .oracles import CombinationBudgetError, DEFAULT_MAX_COMBINATIONS, brute_force_l0, pwg_value
+from .oracles import brute_force_l0, pwg_value
 from .problem import normalize_support
 from .rng import SEED_DERIVE_REFERENCE, SplitMix64, seed_derive
 from .svgplot import render_recovery_svg
-
-SEED_ENV_VAR = "SPARSECERT_SEED"
 
 
 def _parse_support(text: str):
@@ -79,7 +77,7 @@ def cmd_check(args) -> int:
 
 def cmd_oracle(args) -> int:
     inst, _ = fileio.load_instance(args.instance)
-    brute = brute_force_l0(inst, max_combinations=args.max_combinations)
+    brute = brute_force_l0(inst)
     print(f"best subset value: {fileio.fmt_real(brute.value)}")
     print(
         "argmin supports: "
@@ -98,9 +96,6 @@ def cmd_oracle(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = fileio.load_ensemble_config(args.config)
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        cfg.master_seed = int(env_seed)
     workers = args.workers if args.workers is not None else os.cpu_count() or 1
     try:
         records = run_sweep(cfg, workers=workers)
@@ -155,9 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="brute-force and relaxation oracles")
     p_oracle.add_argument("instance", help="instance JSON file")
-    p_oracle.add_argument(
-        "--max-combinations", type=int, default=DEFAULT_MAX_COMBINATIONS
-    )
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_sweep = sub.add_parser("sweep", help="run a Gaussian-ensemble recovery sweep")
@@ -181,9 +173,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CombinationBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

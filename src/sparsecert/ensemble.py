@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -43,6 +45,22 @@ class DominanceViolationError(RuntimeError):
         return self.args[0]
 
 
+def _grid(values, name: str, kind: type) -> list:
+    """A config grid as a list of `kind` (int or float). Anything but a
+    nonempty list of finite real numbers that `kind` keeps unchanged is
+    rejected: booleans, strings, null, inf, NaN, and 16.5 as an int."""
+    if not isinstance(values, list) or not values:
+        raise ValueError(f"{name} must be a nonempty list")
+    for v in values:
+        if (
+            isinstance(v, bool)
+            or not isinstance(v, numbers.Real)
+            or not (abs(v) <= sys.float_info.max and kind(v) == v)
+        ):
+            raise ValueError(f"{name} entries must be finite {kind.__name__}s, got {v!r}")
+    return [kind(v) for v in values]
+
+
 @dataclass
 class EnsembleConfig:
     p_list: list[int]
@@ -53,14 +71,11 @@ class EnsembleConfig:
     )
     gamma: float = DEFAULT_NOISE_STD
     master_seed: int = 0
-    amplitude: float = 1.0  # signal magnitude; set 1/sqrt(k) for the scaled variant
 
     def __post_init__(self) -> None:
-        self.p_list = [int(p) for p in self.p_list]
-        self.alpha_grid = [float(a) for a in self.alpha_grid]
-        self.rho_multipliers = [float(r) for r in self.rho_multipliers]
-        if not self.p_list or not self.alpha_grid or not self.rho_multipliers:
-            raise ValueError("p_list, alpha_grid and rho_multipliers must be nonempty")
+        self.p_list = _grid(self.p_list, "p_list", int)
+        self.alpha_grid = _grid(self.alpha_grid, "alpha_grid", float)
+        self.rho_multipliers = _grid(self.rho_multipliers, "rho_multipliers", float)
         if len(set(self.p_list)) != len(self.p_list):
             raise ValueError("p_list entries must be distinct")
         if len(set(self.alpha_grid)) != len(self.alpha_grid):
@@ -80,8 +95,6 @@ class EnsembleConfig:
             raise ValueError("trials must be >= 1")
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
-        if self.amplitude <= 0:
-            raise ValueError("amplitude must be positive")
 
 
 @dataclass
@@ -137,7 +150,7 @@ def generate_instance(
     X = gen.normals(n * p).reshape(n, p)
     support = gen.subset(p, k)
     beta = np.zeros(p)
-    beta[list(support)] = cfg.amplitude * gen.signs(k)
+    beta[list(support)] = gen.signs(k)
     noise = gen.normals(n)
     y = X @ beta + cfg.gamma * noise
     inst = ProblemInstance(X=X, y=y, rho=rho, k=k)

@@ -26,7 +26,6 @@ _CONFIG_KEYS = {
     "rho_multipliers",
     "gamma",
     "master_seed",
-    "amplitude",
 }
 
 
@@ -129,8 +128,6 @@ def load_ensemble_config(path) -> EnsembleConfig:
         kwargs["gamma"] = _require_real(doc, "gamma")
     if "master_seed" in doc:
         kwargs["master_seed"] = _require_int(doc, "master_seed")
-    if "amplitude" in doc:
-        kwargs["amplitude"] = _require_real(doc, "amplitude")
     return EnsembleConfig(**kwargs)
 
 

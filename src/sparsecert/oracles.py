@@ -17,14 +17,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.linalg
 
 from .problem import ProblemInstance, DEFAULT_REL_TOL
 
-DEFAULT_MAX_COMBINATIONS = 10**6
+MAX_COMBINATIONS = 10**6  # supports brute_force_l0 may enumerate
+PWG_TOL = 1e-10  # pwg_value stops once no coordinate moves by more than this
+PWG_MAX_ITER = 5000
 
 
 class CombinationBudgetError(ValueError):
@@ -50,16 +51,14 @@ class PwgValueResult:
     z: np.ndarray
     iterations: int
     grad_norm_kkt: float  # Frank-Wolfe stationarity gap at the returned point
-    trace: Optional[list[float]] = None  # per-iteration objective, if requested
+    trace: list[float]  # objective at z0 and after every accepted step or snap
 
 
-def brute_force_l0(
-    inst: ProblemInstance, max_combinations: int = DEFAULT_MAX_COMBINATIONS
-) -> BruteForceResult:
+def brute_force_l0(inst: ProblemInstance) -> BruteForceResult:
     """Exact best-subset ridge value by enumerating all supports of size k."""
     total = math.comb(inst.p, inst.k)
-    if total > max_combinations:
-        raise CombinationBudgetError(total, max_combinations)
+    if total > MAX_COMBINATIONS:
+        raise CombinationBudgetError(total, MAX_COMBINATIONS)
     X, y, rho = inst.X, inst.y, inst.rho
     yty = float(y @ y)
     tie_tol = DEFAULT_REL_TOL
@@ -147,12 +146,7 @@ def _frank_wolfe_gap(grad: np.ndarray, z: np.ndarray, k: int) -> float:
     return max(float(grad @ z) - best, 0.0)
 
 
-def pwg_value(
-    inst: ProblemInstance,
-    tol: float = 1e-10,
-    max_iter: int = 5000,
-    record_trace: bool = False,
-) -> PwgValueResult:
+def pwg_value(inst: ProblemInstance) -> PwgValueResult:
     """Minimize the continuous relaxation over the capped simplex.
 
     Projected gradient descent from the uniform interior point z0 = (k/p)e,
@@ -161,18 +155,16 @@ def pwg_value(
     the k largest coordinates of z is evaluated and kept if it is lower;
     near-exact instances optimize at a vertex and the snap removes the last
     sliver of first-order error. Stops when the iterate stops moving (inf
-    norm below tol) or at max_iter.
+    norm below PWG_TOL) or at PWG_MAX_ITER.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     p, k = inst.p, inst.k
     z = np.full(p, k / p)
     val, scores = _relaxed_objective_and_scores(inst, z)
     grad = -(scores**2) / (2.0 * inst.rho)
-    trace = [val] if record_trace else None
+    trace = [val]
     step = 1.0
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, PWG_MAX_ITER + 1):
         moved = False
         trial_step = step
         for _ in range(60):
@@ -193,9 +185,8 @@ def pwg_value(
         den = float(delta @ dg)
         step = min(max(num / den, 1e-12), 1e12) if den > 0 else trial_step * 2.0
         z, val, grad = z_new, val_new, grad_new
-        if trace is not None:
-            trace.append(val)
-        if float(np.abs(delta).max()) <= tol:
+        trace.append(val)
+        if float(np.abs(delta).max()) <= PWG_TOL:
             break
     # vertex snap: binary point on the k largest coordinates
     top = np.argsort(-z)[:k]
@@ -205,8 +196,7 @@ def pwg_value(
     if val_bin < val:
         z, val = z_bin, val_bin
         grad = -(scores_bin**2) / (2.0 * inst.rho)
-        if trace is not None:
-            trace.append(val)
+        trace.append(val)
     gap = _frank_wolfe_gap(grad, z, k)
     return PwgValueResult(
         value=val, z=z, iterations=iterations, grad_norm_kkt=gap, trace=trace

@@ -415,6 +415,8 @@ def test_kkt_hand_example():
     assert report.psd_residual_big <= 1e-10
     assert report.psd_residual_small <= 1e-10
     assert report.comp_residual <= 1e-10
+    with pytest.raises(ValueError, match="exceeds cardinality budget k=1"):
+        verify_kkt(inst, [0, 1], np.zeros(2), 0.0)
 
 
 def test_kkt_all_zero():
@@ -514,6 +516,23 @@ def test_crossing_cut_ends_search_within_three_evaluations(monkeypatch):
     out = check_dcl(inst, sup)
     assert out.reason == REASON_EMPTY_INTERVAL
     assert 1 <= len(calls) <= 3
+
+
+def test_zero_subgradient_proves_interval_empty(monkeypatch):
+    # a flat tangent at a positive margin stays positive everywhere
+    cfg = EnsembleConfig(p_list=[64], trials=1, alpha_grid=[1.0], rho_multipliers=[2.0])
+    inst, _, sup = generate_instance(cfg, 64, 1.0, 2.0, 0)
+    calls = []
+
+    def counting(A):
+        calls.append(A.shape)
+        return max_eig_sym(A)
+
+    monkeypatch.setattr(certificates, "max_eig_sym", counting)
+    monkeypatch.setattr(SupportContext, "subgradient", lambda self, lam, eigvec: 0.0)
+    out = check_dcl(inst, sup)
+    assert out.reason == REASON_EMPTY_INTERVAL
+    assert len(calls) == 1
 
 
 def test_bisection_matches_grid_scan_small():

@@ -97,8 +97,13 @@ def test_oracle_reports_values(identity_instance, capsys):
     assert "relaxation value: 0.24" in out or "relaxation value: 0.25" in out
 
 
-def test_oracle_budget_exceeded(identity_instance, capsys):
-    code = main(["oracle", str(identity_instance), "--max-combinations", "1"])
+def test_oracle_budget_exceeded(tmp_path, capsys):
+    # C(30, 10) > 10**6: the budget check raises before enumerating anything
+    inst = ProblemInstance(X=np.random.default_rng(0).standard_normal((4, 30)),
+                           y=np.zeros(4), rho=1.0, k=10)
+    path = tmp_path / "wide.json"
+    save_instance(path, inst)
+    code = main(["oracle", str(path)])
     assert code == 1
     assert "budget" in capsys.readouterr().err
 
@@ -142,11 +147,11 @@ def test_sweep_identical_across_workers(tmp_path):
     ).read_bytes()
 
 
-def test_sweep_env_seed_override(tmp_path, monkeypatch):
-    cfg = sweep_config(tmp_path)
+def test_sweep_master_seed_changes_output(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    cfg = sweep_config(tmp_path)
     assert main(["sweep", str(cfg), str(a), "--workers", "1"]) == 0
-    monkeypatch.setenv("SPARSECERT_SEED", "777")
+    cfg = sweep_config(tmp_path, master_seed=777)
     assert main(["sweep", str(cfg), str(b), "--workers", "1"]) == 0
     assert a.read_bytes() != b.read_bytes()
 
@@ -156,6 +161,23 @@ def test_sweep_bad_config_exits_1(tmp_path, capsys):
     bad.write_text(json.dumps({"p_list": [9]}), encoding="utf-8")
     assert main(["sweep", str(bad), str(tmp_path / "x.csv")]) == 1
     assert "trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        {"p_list": [None]},
+        {"p_list": 9},
+        {"p_list": [16.5]},
+        {"alpha_grid": [float("inf")]},
+        {"alpha_grid": ["2"]},
+        {"rho_multipliers": [True]},
+    ],
+)
+def test_sweep_malformed_grid_exits_1(tmp_path, capsys, grid):
+    cfg = sweep_config(tmp_path, **grid)
+    assert main(["sweep", str(cfg), str(tmp_path / "x.csv"), "--workers", "1"]) == 1
+    assert "error: " + next(iter(grid)) in capsys.readouterr().err
 
 
 def test_plot_empty_csv_exits_1(tmp_path, capsys):

@@ -99,15 +99,6 @@ def test_generate_instance_deterministic():
     assert a[2] == b[2]
 
 
-def test_generate_instance_amplitude_scale():
-    k = sparsity_for(9)
-    cfg = small_config(amplitude=1.0 / math.sqrt(k))
-    _, beta, support = generate_instance(cfg, 9, 1.0, 2.0, 0)
-    assert np.abs(beta[list(support)]) == pytest.approx(
-        np.full(k, 1.0 / math.sqrt(k))
-    )
-
-
 def test_generate_instance_normality_sanity():
     cfg = small_config(p_list=[100], alpha_grid=[6.0])
     inst, _, _ = generate_instance(cfg, 100, 6.0, 2.0, 0)
@@ -133,6 +124,24 @@ def test_config_validation():
         small_config(gamma=-0.1)
     with pytest.raises(ValueError):
         small_config(alpha_grid=[1.0, 1.0])
+    for bad in (
+        dict(p_list=9),
+        dict(p_list=(9,)),
+        dict(p_list=[None]),
+        dict(p_list=["9"]),
+        dict(p_list=[True, 9]),
+        dict(p_list=[16.5]),
+        dict(p_list=[float("inf")]),
+        dict(alpha_grid=[float("inf")]),
+        dict(alpha_grid=[float("nan")]),
+        dict(alpha_grid=["2"]),
+        dict(alpha_grid=[None]),
+        dict(rho_multipliers=[True]),
+        dict(rho_multipliers=[-float("inf")]),
+        dict(rho_multipliers=2.0),
+    ):
+        with pytest.raises(ValueError):
+            small_config(**bad)
 
 
 # -------------------------------------------------------------------- trials

@@ -92,7 +92,7 @@ def test_config_parse_defaults_and_strictness(tmp_path):
     assert len(cfg.alpha_grid) == 19
     assert cfg.rho_multipliers == [2.0, 3.0, 4.0, 6.0, 8.0, 12.0]
     assert cfg.master_seed == 0
-    for key, value in (("seed", 3), ("k_rule", "ceil-sqrt-p")):
+    for key, value in (("seed", 3), ("k_rule", "ceil-sqrt-p"), ("amplitude", 0.5)):
         bad = write_json(tmp_path / "bad.json", {"p_list": [9], "trials": 2, key: value})
         with pytest.raises(ValueError, match=key):
             load_ensemble_config(bad)

@@ -13,6 +13,7 @@ from sparsecert import (
     pwg_value,
 )
 from sparsecert.oracles import (
+    MAX_COMBINATIONS,
     CombinationBudgetError,
     relaxed_gradient,
     relaxed_objective,
@@ -43,11 +44,12 @@ def test_brute_force_symmetric_tie():
 
 
 def test_brute_force_budget():
-    inst = ProblemInstance(X=np.random.default_rng(0).standard_normal((4, 20)),
+    inst = ProblemInstance(X=np.random.default_rng(0).standard_normal((4, 30)),
                            y=np.zeros(4), rho=1.0, k=10)
     with pytest.raises(CombinationBudgetError) as exc:
-        brute_force_l0(inst, max_combinations=1000)
-    assert exc.value.combinations == 184756  # C(20, 10)
+        brute_force_l0(inst)
+    assert exc.value.combinations == 30045015  # C(30, 10)
+    assert exc.value.budget == MAX_COMBINATIONS
 
 
 def test_brute_force_matches_exhaustive_over_all_sizes():
@@ -187,6 +189,6 @@ def test_monotone_descent_trace():
     rng = np.random.default_rng(17)
     for _ in range(30):
         inst = mixed_instance(rng)
-        res = pwg_value(inst, record_trace=True)
+        res = pwg_value(inst)
         trace = np.asarray(res.trace)
         assert (np.diff(trace) <= 1e-12).all()
