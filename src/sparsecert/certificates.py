@@ -13,10 +13,15 @@ the cardinality-constrained ridge problem at S:
       d_i(lam) = lam / c_i^2 (i in S),  d_i(lam) = c_i^2 / lam (i not in S),
 
   negative semidefinite. Its top eigenvalue, the margin, is a convex function
-  of lam, and a safeguarded subgradient bisection searches for a nonpositive
-  point inside an analytic bracket. Each subgradient's tangent bounds the
-  margin from below everywhere, so the search stops as soon as a tangent
-  stays positive over the whole remaining bracket.
+  of lam. check_dcl certifies without an eigenproblem where it can: by the
+  witness transfer (separated scores put every canonical dual at
+  lam0 = min_{i in S} c_i^2 at or below 1, so the slack matrix is NSD by
+  construction, and a threshold certificate always yields a dual one), or
+  by a Cholesky probe at each midpoint of a safeguarded bisection. Only a
+  failed probe computes the top eigenpair, whose tangent cut shrinks an
+  analytic bracket or proves it empty. Certificates carry no eigenvalue;
+  verify_dcl_certificate re-checks one densely and returns the top
+  eigenvalue of its slack matrix.
 
 `SupportContext` holds everything these tests compute for one (instance,
 support) pair (scores, duals, slack matrix, margin, subgradient, bracket),
@@ -27,9 +32,8 @@ threshold can certify, proved either by the analytic bracket or by a tangent
 cut; `bisection-exhausted` means the bracket shrank below the tolerance
 without a proof either way.
 
-A passing threshold certificate always transfers to a dual certificate
-(pwg_witness_to_dcl), and every dual certificate can be cross-checked against
-the KKT system of the lifted program (verify_kkt).
+Every dual certificate can be cross-checked against the KKT system of the
+lifted program (verify_kkt).
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .linalg import correlation_scores, max_eig_sym, ridge_restricted_solve
 from .problem import ProblemInstance, normalize_support
@@ -69,16 +74,16 @@ class PwgCertificate:
 class DclCertificate:
     """Witness for the dual-certificate test.
 
-    `lam` is the dual threshold, `duals` the nonnegative diagonal dual vector,
-    and `margin` the top eigenvalue of diag(duals) - X^T X/rho - I_p; a valid
-    certificate has margin <= 0 (up to roundoff). The degenerate case where
-    every correlation score vanishes is certified by lam = 0, duals = 0.
+    `lam` is the dual threshold and `duals` the nonnegative diagonal dual
+    vector; a valid certificate makes diag(duals) - X^T X/rho - I_p negative
+    semidefinite (up to roundoff), which `verify_dcl_certificate` checks. The
+    degenerate case where every correlation score vanishes is certified by
+    lam = 0, duals = 0.
     """
 
     support: tuple[int, ...]
     lam: float
     duals: np.ndarray  # (p,), >= 0
-    margin: float
 
 
 @dataclass
@@ -231,47 +236,75 @@ class SupportContext:
         return ell, up
 
 
-def check_pwg(inst: ProblemInstance, support: Sequence[int]) -> CertOutcome:
-    """Threshold test: exact iff off-support scores sit strictly below every
-    on-support score in absolute value. Ties fail (strictness required)."""
-    ctx = SupportContext(inst, support)
+def _threshold_witness(ctx: SupportContext) -> Optional[PwgCertificate]:
+    """The threshold certificate at ctx's support, or None when the scores
+    do not separate. Ties fail (strictness required)."""
     abs_scores = np.abs(ctx.scores)
     min_in = float(abs_scores[ctx.in_mask].min())
     max_out = float(abs_scores[ctx.out_mask].max()) if ctx.out_mask.any() else 0.0
     if max_out < min_in:
-        cert = PwgCertificate(support=ctx.support, min_in=min_in, max_out=max_out)
-        return CertOutcome(cert)
-    return CertOutcome(reason=REASON_SEPARATION)
+        return PwgCertificate(support=ctx.support, min_in=min_in, max_out=max_out)
+    return None
+
+
+def _witness_transfer(ctx: SupportContext) -> DclCertificate:
+    """The dual certificate that separated scores yield with no eigenproblem:
+    at lam0 = min_{i in S} c_i^2 the canonical duals are lam0/c_i^2 <= 1 on
+    the support and c_i^2/lam0 < 1 off it, so diag(d) - I is NSD, and so is
+    the slack matrix, which subtracts the PSD X^T X/rho from it."""
+    lam = float(ctx.sq_in.min())
+    return DclCertificate(support=ctx.support, lam=lam, duals=ctx.duals(lam))
+
+
+def _negative_definite(slack: np.ndarray) -> bool:
+    """Cholesky probe: True when -slack = X^T X/rho + I - D factors, which
+    proves the slack matrix negative definite without an eigensolve. A
+    non-finite entry raises ValueError."""
+    try:
+        scipy.linalg.cho_factor(-slack, overwrite_a=True)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def check_pwg(inst: ProblemInstance, support: Sequence[int]) -> CertOutcome:
+    """Threshold test: exact iff off-support scores sit strictly below every
+    on-support score in absolute value. Ties fail (strictness required)."""
+    cert = _threshold_witness(SupportContext(inst, support))
+    return CertOutcome(cert) if cert is not None else CertOutcome(reason=REASON_SEPARATION)
 
 
 def check_dcl(inst: ProblemInstance, support: Sequence[int]) -> CertOutcome:
-    """Dual-certificate search by safeguarded subgradient bisection.
+    """Dual-certificate search.
 
-    Midpoint evaluations plus subgradient (Newton) cuts lam_hat - f/h shrink
-    the bracket; by convexity no nonpositive-margin point is ever cut away,
-    and each iteration at least halves the bracket. The tangent at lam_hat is
-    a global lower bound on the margin, so when its zero `cut` falls on or
-    beyond the far end of the bracket (h > 0 and cut <= ell, or h < 0 and
-    cut >= up), or the subgradient vanished (h = 0), the margin is positive
-    on the whole bracket and the search stops as NotCertified with
-    `interval-empty`, as it does when the analytic bracket itself is empty.
-    It stops with `bisection-exhausted` when the bracket width drops below
+    The all-scores-zero degenerate case is exact with the zero certificate,
+    and a zero score in the support is `zero-score-in-support`. When the
+    scores separate, the witness transfer certifies at lam0 = min_{i in S}
+    c_i^2 with no eigenproblem. Otherwise a safeguarded subgradient bisection
+    searches the analytic bracket. At each midpoint lam_hat a Cholesky probe
+    of the negated slack matrix certifies lam_hat when it succeeds; only when
+    it fails is the top eigenpair computed (through `max_eig_sym`). A
+    nonpositive top eigenvalue still certifies lam_hat; otherwise the
+    subgradient (Newton) cut lam_hat - f/h shrinks the bracket. By convexity
+    no nonpositive-margin point is ever cut away, and each iteration at least
+    halves the bracket. The tangent at lam_hat is a global lower bound on the
+    margin, so when its zero `cut` falls on or beyond the far end of the
+    bracket (h > 0 and cut <= ell, or h < 0 and cut >= up), or the
+    subgradient vanished (h = 0), the margin is positive on the whole bracket
+    and the search stops as NotCertified with `interval-empty`, as it does
+    when the analytic bracket itself is empty. It stops with
+    `bisection-exhausted` when the bracket width drops below
     BISECTION_TOL*max(1, up) (about 34 halvings of a unit bracket) or, as a
     guard that halving makes unreachable, after BISECTION_MAX_ITER
-    evaluations. The all-scores-zero degenerate case is exact with the zero
-    certificate.
+    evaluations.
     """
     ctx = SupportContext(inst, support)
     if ctx.all_scores_zero():
-        cert = DclCertificate(
-            support=ctx.support,
-            lam=0.0,
-            duals=np.zeros(inst.p),
-            margin=float(np.linalg.eigvalsh(ctx.base)[-1]),
-        )
-        return CertOutcome(cert)
+        return CertOutcome(DclCertificate(support=ctx.support, lam=0.0, duals=np.zeros(inst.p)))
     if ctx.zero_score_in_support:
         return CertOutcome(reason=REASON_ZERO_SCORE)
+    if _threshold_witness(ctx) is not None:
+        return CertOutcome(_witness_transfer(ctx))
 
     ell, up = ctx.bracket()
     # a bracket narrower than the stopping width has no searchable interior
@@ -280,15 +313,13 @@ def check_dcl(inst: ProblemInstance, support: Sequence[int]) -> CertOutcome:
 
     for _ in range(BISECTION_MAX_ITER):
         lam_hat = 0.5 * (ell + up)
-        margin, eigvec = ctx.margin(lam_hat)
+        duals = ctx.duals(lam_hat)
+        slack = ctx.slack_matrix(duals)
+        if _negative_definite(slack):
+            return CertOutcome(DclCertificate(support=ctx.support, lam=lam_hat, duals=duals))
+        margin, eigvec = max_eig_sym(slack)
         if margin <= 0.0:
-            cert = DclCertificate(
-                support=ctx.support,
-                lam=lam_hat,
-                duals=ctx.duals(lam_hat),
-                margin=margin,
-            )
-            return CertOutcome(cert)
+            return CertOutcome(DclCertificate(support=ctx.support, lam=lam_hat, duals=duals))
         h = ctx.subgradient(lam_hat, eigvec)
         # the tangent margin + h*(lam - lam_hat) stays positive across the
         # whole open bracket when it is flat or its zero lies beyond the far end
@@ -306,11 +337,12 @@ def check_dcl(inst: ProblemInstance, support: Sequence[int]) -> CertOutcome:
     return CertOutcome(reason=REASON_EXHAUSTED)
 
 
-def verify_dcl_certificate(inst: ProblemInstance, cert: DclCertificate) -> None:
+def verify_dcl_certificate(inst: ProblemInstance, cert: DclCertificate) -> float:
     """Re-check a dual certificate from scratch (independent of how it was
     found): duals finite and nonnegative, slack matrix negative semidefinite,
     equality on the support, inequality off it. Every condition is written
-    so that a NaN fails it. Raises CertificateConsistencyError."""
+    so that a NaN fails it. Returns the top eigenvalue of the slack matrix
+    (at most COND_TOL); raises CertificateConsistencyError."""
     ctx = SupportContext(inst, cert.support)
     d = np.asarray(cert.duals, dtype=float).reshape(-1)
     lam = float(cert.lam)
@@ -334,28 +366,24 @@ def verify_dcl_certificate(inst: ProblemInstance, cert: DclCertificate) -> None:
         raise CertificateConsistencyError(
             f"off-support inequality violated by {-float(slack_out.min()):g}"
         )
+    return top
 
 
 def pwg_witness_to_dcl(
     inst: ProblemInstance, support: Sequence[int], pwg: PwgCertificate
 ) -> DclCertificate:
-    """Transfer a threshold certificate into a dual certificate:
-
-        lam = min_{j in S} c_j^2,
-        d_i = lam / c_i^2 (i in S),  d_i = 1 (i not in S).
-
-    All duals land in [0, 1], so the slack matrix is NSD outright, and the
-    strict threshold separation gives the off-support inequality. The result
-    is re-verified before being returned.
+    """Transfer a threshold certificate into a dual certificate by the
+    witness transfer of `check_dcl`: lam = min_{j in S} c_j^2 with the
+    canonical duals, all of which land in [0, 1]. Raises ValueError when the
+    certificate's support does not match or its scores do not separate on
+    this instance. The result is re-verified before being returned.
     """
     ctx = SupportContext(inst, support)
     if ctx.support != tuple(pwg.support):
         raise ValueError("certificate support does not match")
-    lam = float(ctx.sq_in.min())
-    duals = ctx.duals(lam)
-    duals[ctx.out_mask] = 1.0
-    margin = float(np.linalg.eigvalsh(ctx.slack_matrix(duals))[-1])
-    cert = DclCertificate(support=ctx.support, lam=lam, duals=duals, margin=margin)
+    if _threshold_witness(ctx) is None:
+        raise ValueError("the correlation scores do not separate at this support")
+    cert = _witness_transfer(ctx)
     verify_dcl_certificate(inst, cert)
     return cert
 

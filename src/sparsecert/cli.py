@@ -7,20 +7,30 @@ Subcommands:
   plot     aggregate CSV -> SVG rate-vs-alpha chart
   selftest frozen RNG regression constants
 
-Exit codes: check returns 0 when the dual certificate exists, 2 when it does
-not, 1 on input errors; oracle returns 3 if the relaxation/brute-force value
-ordering is violated (bug trap); everything else uses 0/1.
+Exit codes: check returns 0 when the dual certificate exists and re-verifies
+from scratch (an NSD slack matrix, whose top eigenvalue it prints as
+psd_margin, and finite KKT residuals), 2 when it does not, 1 on input errors;
+oracle returns 3 if the relaxation/brute-force value ordering is violated
+(bug trap); everything else uses 0/1.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
 
 from . import fileio
-from .certificates import check_dcl, check_pwg, kkt_variables, verify_kkt
+from .certificates import (
+    CertificateConsistencyError,
+    check_dcl,
+    check_pwg,
+    kkt_variables,
+    verify_dcl_certificate,
+    verify_kkt,
+)
 from .ensemble import DominanceViolationError, aggregate_curves, run_sweep, write_dominance_dump
 from .linalg import correlation_scores
 from .oracles import brute_force_l0, pwg_value
@@ -56,23 +66,27 @@ def cmd_check(args) -> int:
     else:
         print(f"pwg: not-certified ({pwg.reason})")
     dcl = check_dcl(inst, support)
-    if dcl.exact:
-        cert = dcl.certificate
-        print(
-            f"dcl: exact  lambda={fileio.fmt_real(cert.lam)} "
-            f"psd_margin={fileio.fmt_real(cert.margin)}"
-        )
-        d_raw, lam_raw = kkt_variables(inst, cert)
-        report = verify_kkt(inst, support, d_raw, lam_raw)
-        print(
-            "kkt residuals: "
-            f"psd_full={report.psd_residual_big:.3e} "
-            f"psd_pairs={report.psd_residual_small:.3e} "
-            f"complementarity={report.comp_residual:.3e}"
-        )
-        return 0
-    print(f"dcl: not-certified ({dcl.reason})")
-    return 2
+    if not dcl.exact:
+        print(f"dcl: not-certified ({dcl.reason})")
+        return 2
+    cert = dcl.certificate
+    try:
+        top = verify_dcl_certificate(inst, cert)
+    except CertificateConsistencyError as exc:
+        print(f"dcl: not-verified ({exc})")
+        return 2
+    d_raw, lam_raw = kkt_variables(inst, cert)
+    report = verify_kkt(inst, support, d_raw, lam_raw)
+    residuals = (report.psd_residual_big, report.psd_residual_small, report.comp_residual)
+    if not all(math.isfinite(r) for r in residuals):
+        print("dcl: not-verified (non-finite KKT residual)")
+        return 2
+    print(f"dcl: exact  lambda={fileio.fmt_real(cert.lam)} psd_margin={fileio.fmt_real(top)}")
+    print(
+        "kkt residuals: "
+        f"psd_full={residuals[0]:.3e} psd_pairs={residuals[1]:.3e} complementarity={residuals[2]:.3e}"
+    )
+    return 0
 
 
 def cmd_oracle(args) -> int:

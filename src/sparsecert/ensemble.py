@@ -95,6 +95,13 @@ class EnsembleConfig:
             raise ValueError("trials must be >= 1")
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
+        # seed_derive reads the seed mod 2^64: a wider one would alias another
+        if (
+            isinstance(self.master_seed, bool)
+            or not isinstance(self.master_seed, numbers.Integral)
+            or not 0 <= self.master_seed < 2**64
+        ):
+            raise ValueError(f"master_seed must be an integer in [0, 2^64), got {self.master_seed!r}")
 
 
 @dataclass

@@ -87,15 +87,19 @@ def correlation_scores(inst: ProblemInstance, support: Sequence[int]) -> np.ndar
 
 
 def max_eig_sym(A: np.ndarray) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue and a unit eigenvector of a symmetric matrix."""
+    """Largest eigenvalue and a unit eigenvector of a symmetric matrix.
+
+    Only the top eigenpair is computed (LAPACK's selected-index solver), not
+    the full decomposition. A non-finite entry raises ValueError."""
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("matrix must be square")
-    scale = max(1.0, float(np.abs(A).max())) if A.size else 1.0
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
+        raise ValueError("matrix must be square and nonempty")
+    scale = max(1.0, float(np.abs(A).max()))
     if float(np.abs(A - A.T).max()) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
-    w, V = np.linalg.eigh(A)
-    return float(w[-1]), V[:, -1].copy()
+    top = A.shape[0] - 1
+    w, V = scipy.linalg.eigh(A, subset_by_index=[top, top])
+    return float(w[0]), V[:, 0]
 
 
 def smw_residuals(inst: ProblemInstance, support: Sequence[int]) -> tuple[float, float]:

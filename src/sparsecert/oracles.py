@@ -24,6 +24,7 @@ import scipy.linalg
 from .problem import ProblemInstance, DEFAULT_REL_TOL
 
 MAX_COMBINATIONS = 10**6  # supports brute_force_l0 may enumerate
+BRUTE_FORCE_CHUNK = 4096  # supports per batched factorization in brute_force_l0
 PWG_TOL = 1e-10  # pwg_value stops once no coordinate moves by more than this
 PWG_MAX_ITER = 5000
 
@@ -55,30 +56,33 @@ class PwgValueResult:
 
 
 def brute_force_l0(inst: ProblemInstance) -> BruteForceResult:
-    """Exact best-subset ridge value by enumerating all supports of size k."""
+    """Exact best-subset ridge value by enumerating all supports of size k.
+
+    The Gram matrix X^T X + rho I is formed once; each chunk of at most
+    BRUTE_FORCE_CHUNK supports gathers its k x k blocks and runs one batched
+    Cholesky and solve, so memory stays bounded at any budget.
+    The value of a support is 0.5*(y^T y - ||L^{-1} X_S^T y||^2)."""
     total = math.comb(inst.p, inst.k)
     if total > MAX_COMBINATIONS:
         raise CombinationBudgetError(total, MAX_COMBINATIONS)
-    X, y, rho = inst.X, inst.y, inst.rho
+    X, y, k = inst.X, inst.y, inst.k
+    gram = X.T @ X + inst.rho * np.eye(inst.p)
+    xty = X.T @ y
     yty = float(y @ y)
-    tie_tol = DEFAULT_REL_TOL
     best = math.inf
     ties: list[tuple[float, tuple[int, ...]]] = []
-    for sup in itertools.combinations(range(inst.p), inst.k):
-        Xs = X[:, sup]
-        gram = Xs.T @ Xs + rho * np.eye(inst.k)
-        xty = Xs.T @ y
-        cho = scipy.linalg.cho_factor(gram, lower=True)
-        val = 0.5 * (yty - float(xty @ scipy.linalg.cho_solve(cho, xty)))
-        if val < best:
-            best = val
-            slack = tie_tol * max(1.0, abs(best))
-            ties = [(v, s) for v, s in ties if v <= best + slack]
-        if val <= best + tie_tol * max(1.0, abs(best)):
-            ties.append((val, sup))
-    slack = tie_tol * max(1.0, abs(best))
-    argmins = [s for v, s in ties if v <= best + slack]
-    return BruteForceResult(value=best, argmin_supports=argmins)
+    combos = itertools.combinations(range(inst.p), k)
+    while chunk := list(itertools.islice(combos, BRUTE_FORCE_CHUNK)):
+        idx = np.array(chunk, dtype=np.intp)
+        chol = np.linalg.cholesky(gram[idx[:, :, None], idx[:, None, :]])
+        w = np.linalg.solve(chol, xty[idx][:, :, None])[:, :, 0]
+        values = 0.5 * (yty - np.einsum("ij,ij->i", w, w))
+        best = min(best, float(values.min()))
+        bound = best + DEFAULT_REL_TOL * max(1.0, abs(best))
+        ties = [(v, s) for v, s in ties if v <= bound]
+        ties += [(float(values[i]), chunk[i]) for i in np.flatnonzero(values <= bound)]
+    # ties within DEFAULT_REL_TOL of the minimum, in lexicographic order
+    return BruteForceResult(value=best, argmin_supports=[s for _, s in ties])
 
 
 def project_capped_simplex(v: np.ndarray, k: int) -> np.ndarray:

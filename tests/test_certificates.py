@@ -207,12 +207,14 @@ def test_bracket_contains_negative_margin_points():
 
 
 def test_dcl_exact_first_midpoint():
+    # the scores (0.5, 0) separate, so the witness transfer certifies at
+    # lam0 = 0.25, which is also the bracket's first midpoint
     out = check_dcl(ident([1.0, 0.0]), [0])
     assert out.exact
     cert = out.certificate
     assert cert.lam == pytest.approx(0.25)
     assert cert.duals == pytest.approx([1.0, 0.0])
-    assert cert.margin == pytest.approx(-1.0)
+    assert verify_dcl_certificate(ident([1.0, 0.0]), cert) == pytest.approx(-1.0)
 
 
 def test_dcl_empty_interval():
@@ -310,7 +312,7 @@ def test_every_returned_certificate_reverifies():
 )
 def test_verify_rejects_non_finite_certificates(lam, duals):
     # every comparison with NaN is false, so each check must fail closed
-    cert = DclCertificate(support=(0,), lam=lam, duals=np.array(duals), margin=-1.0)
+    cert = DclCertificate(support=(0,), lam=lam, duals=np.array(duals))
     with pytest.raises(CertificateConsistencyError):
         verify_dcl_certificate(ident([1.0, 0.0]), cert)
 
@@ -377,8 +379,9 @@ def test_witness_transfer_hand_example():
     pwg = check_pwg(inst, [0]).certificate
     cert = pwg_witness_to_dcl(inst, [0], pwg)
     assert cert.lam == pytest.approx(0.25)
-    assert cert.duals == pytest.approx([1.0, 1.0])
-    assert cert.margin <= 1e-12
+    # canonical duals: the off-support dual is c_1^2/lam0 = 0
+    assert cert.duals == pytest.approx([1.0, 0.0])
+    assert verify_dcl_certificate(inst, cert) <= 1e-12
 
 
 def test_witness_transfer_equal_scores_give_unit_duals():
@@ -402,6 +405,61 @@ def test_witness_transfer_random_and_verified():
         assert np.all(cert.duals >= 0.0) and np.all(cert.duals <= 1.0 + 1e-12)
         hits += 1
     assert hits > 30
+
+
+def test_threshold_pass_certifies_without_eigensolve(monkeypatch):
+    # the witness transfer: lam0 = min_{i in S} c_i^2, no eigenproblem
+    calls = []
+
+    def counting(A):
+        calls.append(A.shape)
+        return max_eig_sym(A)
+
+    monkeypatch.setattr(certificates, "max_eig_sym", counting)
+    rng = np.random.default_rng(61)
+    hits = 0
+    for _ in range(200):
+        inst, sup = planted_instance(rng)
+        pwg = check_pwg(inst, sup)
+        if not pwg.exact:
+            continue
+        out = check_dcl(inst, sup)
+        assert out.exact and not calls
+        assert out.certificate.lam == SupportContext(inst, sup).sq_in.min()
+        witness = pwg_witness_to_dcl(inst, sup, pwg.certificate)
+        assert witness.lam == out.certificate.lam
+        assert np.array_equal(witness.duals, out.certificate.duals)
+        hits += 1
+    assert hits > 20
+
+
+def test_witness_transfer_rejects_non_separating_support():
+    inst = ident([1.0, 1.0])  # scores (0.5, 1) do not separate at {0}
+    forged = certificates.PwgCertificate(support=(0,), min_in=0.5, max_out=0.0)
+    with pytest.raises(ValueError, match="do not separate"):
+        pwg_witness_to_dcl(inst, [0], forged)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31), st.floats(min_value=0.05, max_value=3.0))
+def test_certificates_without_eigenvalue_reverify(seed, amplitude):
+    # a certificate from the witness transfer or the Cholesky probe carries no
+    # eigenvalue; the dense re-verification must still accept it
+    rng = np.random.default_rng(seed)
+    inst, sup = planted_instance(rng, amplitude=amplitude)
+    margins = []
+
+    def recording(A):
+        top = max_eig_sym(A)
+        margins.append(top[0])
+        return top
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certificates, "max_eig_sym", recording)
+        out = check_dcl(inst, sup)
+    # the eigenvalue path certifies only right after a nonpositive margin
+    if out.exact and not (margins and margins[-1] <= 0.0):
+        assert verify_dcl_certificate(inst, out.certificate) <= certificates.COND_TOL
 
 
 # --------------------------------------------------------------- KKT residuals

@@ -1,9 +1,11 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sparsecert import ProblemInstance
+from sparsecert import ProblemInstance, cli, verify_kkt
 from sparsecert.cli import main
 from sparsecert.fileio import save_instance
 
@@ -56,10 +58,30 @@ def test_check_tiny_rho_exits_cleanly(tmp_path, capsys):
     save_instance(path, inst, (0, 1))
     code = main(["check", str(path)])
     out = capsys.readouterr().out
-    # the support scores are at roundoff level here, so only the clean exit
-    # with a verdict is pinned, not the verdict itself
-    assert code in (0, 2)
-    assert "dcl: " in out
+    # the support scores are at roundoff level here; the dual search finds a
+    # threshold, but its KKT residuals overflow, so check does not exit 0
+    assert code == 2
+    assert "dcl: not-verified (non-finite KKT residual)" in out
+
+
+def test_check_non_finite_kkt_residual_exits_2(identity_instance, capsys, monkeypatch):
+    def nan_kkt(inst, support, d, lam):
+        report = verify_kkt(inst, support, d, lam)
+        report.comp_residual = float("nan")
+        return report
+
+    monkeypatch.setattr(cli, "verify_kkt", nan_kkt)
+    code = main(["check", str(identity_instance), "--support", "0"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "dcl: not-verified (non-finite KKT residual)" in out
+    assert "dcl: exact" not in out
+
+
+def test_check_prints_reverified_psd_margin(identity_instance, capsys):
+    # the slack matrix at lam = 0.25 is diag(1, 0) - 2 I, top eigenvalue -1
+    assert main(["check", str(identity_instance), "--support", "0"]) == 0
+    assert "psd_margin=-1.0" in capsys.readouterr().out
 
 
 def test_check_truncated_json_exits_1(tmp_path, capsys):
@@ -156,6 +178,35 @@ def test_sweep_master_seed_changes_output(tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
+# the seed-0 configs of the sweep-p64 and sweep-p256 benchmark workloads,
+# whose CSV digests bench/references.json pins
+PINNED_SWEEPS = {
+    "sweep-p64/seed=0/trials=6": {"p_list": [64], "trials": 6, "master_seed": 0},
+    "sweep-p256/seed=0/trials=5": {
+        "p_list": [256],
+        "trials": 5,
+        "alpha_grid": [1.0, 3.0, 4.0],
+        "rho_multipliers": [2.0],
+        "master_seed": 0,
+    },
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_SWEEPS))
+def test_sweep_matches_pinned_benchmark_digests(tmp_path, key):
+    # byte-identical CSVs mean every trial decision is unchanged
+    refs = json.loads(
+        (Path(__file__).resolve().parents[1] / "bench" / "references.json").read_text(encoding="utf-8")
+    )
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(PINNED_SWEEPS[key]), encoding="utf-8")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", str(cfg), str(out), "--workers", "1"]) == 0
+    digest = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest(out) == refs[key]["trial_csv_sha256"]
+    assert digest(tmp_path / "sweep.csv.agg.csv") == refs[key]["agg_csv_sha256"]
+
+
 def test_sweep_bad_config_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"p_list": [9]}), encoding="utf-8")
@@ -172,6 +223,9 @@ def test_sweep_bad_config_exits_1(tmp_path, capsys):
         {"alpha_grid": [float("inf")]},
         {"alpha_grid": ["2"]},
         {"rho_multipliers": [True]},
+        {"master_seed": 2**64},
+        {"master_seed": -(2**64)},
+        {"master_seed": 1e300},
     ],
 )
 def test_sweep_malformed_grid_exits_1(tmp_path, capsys, grid):

@@ -139,9 +139,16 @@ def test_config_validation():
         dict(rho_multipliers=[True]),
         dict(rho_multipliers=[-float("inf")]),
         dict(rho_multipliers=2.0),
+        # seed_derive reads the seed mod 2^64, so these used to alias seed 0
+        dict(master_seed=2**64),
+        dict(master_seed=-(2**64)),
+        dict(master_seed=-1),
+        dict(master_seed=1e300),
+        dict(master_seed=True),
     ):
         with pytest.raises(ValueError):
             small_config(**bad)
+    assert small_config(master_seed=2**64 - 1).master_seed == 2**64 - 1
 
 
 # -------------------------------------------------------------------- trials

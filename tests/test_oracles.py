@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -9,10 +12,14 @@ from sparsecert import (
     ProblemInstance,
     brute_force_l0,
     check_pwg,
+    oracles,
     project_capped_simplex,
     pwg_value,
 )
+from sparsecert.ensemble import EnsembleConfig, generate_instance
+from sparsecert.problem import DEFAULT_REL_TOL
 from sparsecert.oracles import (
+    BRUTE_FORCE_CHUNK,
     MAX_COMBINATIONS,
     CombinationBudgetError,
     relaxed_gradient,
@@ -52,10 +59,51 @@ def test_brute_force_budget():
     assert exc.value.budget == MAX_COMBINATIONS
 
 
+def _brute_force_loop(inst):
+    """Reference: one Cholesky per support, ties within DEFAULT_REL_TOL of
+    the minimum in lexicographic order."""
+    values = []
+    for sup in itertools.combinations(range(inst.p), inst.k):
+        Xs = inst.X[:, sup]
+        xty = Xs.T @ inst.y
+        cho = scipy.linalg.cho_factor(Xs.T @ Xs + inst.rho * np.eye(inst.k), lower=True)
+        values.append((0.5 * (float(inst.y @ inst.y) - float(xty @ scipy.linalg.cho_solve(cho, xty))), sup))
+    best = min(v for v, _ in values)
+    return best, [s for v, s in values if v <= best + DEFAULT_REL_TOL * max(1.0, abs(best))]
+
+
+@pytest.mark.parametrize("chunk", [BRUTE_FORCE_CHUNK, 100])
+def test_brute_force_matches_per_support_loop(monkeypatch, chunk):
+    # audit-shaped instances (p=16, k=4: 1820 supports) and k=6 ones, in one
+    # chunk or in many
+    monkeypatch.setattr(oracles, "BRUTE_FORCE_CHUNK", chunk)
+    cfg = EnsembleConfig(p_list=[16], trials=2, alpha_grid=[1.0, 2.0, 4.0, 6.0], rho_multipliers=[2.0, 8.0])
+    cases = [
+        generate_instance(cfg, 16, a, m, t)[0]
+        for a in cfg.alpha_grid
+        for m in cfg.rho_multipliers
+        for t in range(2)
+    ]
+    rng = np.random.default_rng(67)
+    cases += [noise_instance(rng, n=8, p=12, k=6) for _ in range(4)]
+    for inst in cases:
+        best, argmins = _brute_force_loop(inst)
+        res = brute_force_l0(inst)
+        assert res.argmin_supports == argmins
+        assert abs(res.value - best) <= 1e-12 * max(1.0, abs(best))
+        assert all(type(i) is int for s in res.argmin_supports for i in s)
+
+
+def test_brute_force_ties_across_chunks(monkeypatch):
+    # identical columns: every support ties, whichever chunk it falls in
+    monkeypatch.setattr(oracles, "BRUTE_FORCE_CHUNK", 7)
+    X = np.tile(np.array([[1.0], [2.0], [0.5]]), (1, 8))
+    res = brute_force_l0(ProblemInstance(X=X, y=[1.0, 0.0, 2.0], rho=1.0, k=2))
+    assert res.argmin_supports == list(itertools.combinations(range(8), 2))
+
+
 def test_brute_force_matches_exhaustive_over_all_sizes():
     # enumerating only size-k supports is enough: value is monotone in growth
-    import itertools
-
     from sparsecert import ridge_value_kernel
 
     rng = np.random.default_rng(3)
