@@ -13,12 +13,12 @@ the cardinality-constrained ridge problem at S:
       d_i(lam) = lam / c_i^2 (i in S),  d_i(lam) = c_i^2 / lam (i not in S),
 
   negative semidefinite. Its top eigenvalue, the margin, is a convex function
-  of lam. check_dcl certifies without an eigenproblem where it can: by the
-  witness transfer (separated scores put every canonical dual at
-  lam0 = min_{i in S} c_i^2 at or below 1, so the slack matrix is NSD by
-  construction, and a threshold certificate always yields a dual one), or
-  by a Cholesky probe at each midpoint of a safeguarded bisection. Only a
-  failed probe computes the top eigenpair, whose tangent cut shrinks an
+  of lam. When the scores separate, check_dcl certifies by the witness
+  transfer with no eigenproblem: every canonical dual at
+  lam0 = min_{i in S} c_i^2 is at most 1, so the slack matrix is NSD by
+  construction, and a threshold certificate always yields a dual one.
+  Otherwise a safeguarded bisection computes the top eigenpair at each
+  midpoint; a nonpositive margin certifies, and a tangent cut shrinks an
   analytic bracket or proves it empty. Certificates carry no eigenvalue;
   verify_dcl_certificate re-checks one densely and returns the top
   eigenvalue of its slack matrix.
@@ -43,7 +43,6 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import correlation_scores, max_eig_sym, ridge_restricted_solve
 from .problem import ProblemInstance, normalize_support
@@ -256,17 +255,6 @@ def _witness_transfer(ctx: SupportContext) -> DclCertificate:
     return DclCertificate(support=ctx.support, lam=lam, duals=ctx.duals(lam))
 
 
-def _negative_definite(slack: np.ndarray) -> bool:
-    """Cholesky probe: True when -slack = X^T X/rho + I - D factors, which
-    proves the slack matrix negative definite without an eigensolve. A
-    non-finite entry raises ValueError."""
-    try:
-        scipy.linalg.cho_factor(-slack, overwrite_a=True)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def check_pwg(inst: ProblemInstance, support: Sequence[int]) -> CertOutcome:
     """Threshold test: exact iff off-support scores sit strictly below every
     on-support score in absolute value. Ties fail (strictness required)."""
@@ -280,19 +268,18 @@ def check_dcl(inst: ProblemInstance, support: Sequence[int]) -> CertOutcome:
     The all-scores-zero degenerate case is exact with the zero certificate,
     and a zero score in the support is `zero-score-in-support`. When the
     scores separate, the witness transfer certifies at lam0 = min_{i in S}
-    c_i^2 with no eigenproblem. Otherwise a safeguarded subgradient bisection
-    searches the analytic bracket. At each midpoint lam_hat a Cholesky probe
-    of the negated slack matrix certifies lam_hat when it succeeds; only when
-    it fails is the top eigenpair computed (through `max_eig_sym`). A
-    nonpositive top eigenvalue still certifies lam_hat; otherwise the
-    subgradient (Newton) cut lam_hat - f/h shrinks the bracket. By convexity
-    no nonpositive-margin point is ever cut away, and each iteration at least
-    halves the bracket. The tangent at lam_hat is a global lower bound on the
-    margin, so when its zero `cut` falls on or beyond the far end of the
+    c_i^2 with no eigenproblem. Otherwise a safeguarded subgradient
+    bisection searches the analytic bracket. At each midpoint lam_hat the
+    top eigenpair of the slack matrix is computed (through `max_eig_sym`). A
+    nonpositive top eigenvalue certifies lam_hat; otherwise the subgradient
+    (Newton) cut lam_hat - f/h shrinks the bracket. By convexity no
+    nonpositive-margin point is ever cut away, and each iteration at least
+    halves the bracket. The tangent at lam_hat is a global lower bound on
+    the margin, so when its zero `cut` falls on or beyond the far end of the
     bracket (h > 0 and cut <= ell, or h < 0 and cut >= up), or the
-    subgradient vanished (h = 0), the margin is positive on the whole bracket
-    and the search stops as NotCertified with `interval-empty`, as it does
-    when the analytic bracket itself is empty. It stops with
+    subgradient vanished (h = 0), the margin is positive on the whole
+    bracket and the search stops as NotCertified with `interval-empty`, as
+    it does when the analytic bracket itself is empty. It stops with
     `bisection-exhausted` when the bracket width drops below
     BISECTION_TOL*max(1, up) (about 34 halvings of a unit bracket) or, as a
     guard that halving makes unreachable, after BISECTION_MAX_ITER
@@ -314,10 +301,7 @@ def check_dcl(inst: ProblemInstance, support: Sequence[int]) -> CertOutcome:
     for _ in range(BISECTION_MAX_ITER):
         lam_hat = 0.5 * (ell + up)
         duals = ctx.duals(lam_hat)
-        slack = ctx.slack_matrix(duals)
-        if _negative_definite(slack):
-            return CertOutcome(DclCertificate(support=ctx.support, lam=lam_hat, duals=duals))
-        margin, eigvec = max_eig_sym(slack)
+        margin, eigvec = max_eig_sym(ctx.slack_matrix(duals))
         if margin <= 0.0:
             return CertOutcome(DclCertificate(support=ctx.support, lam=lam_hat, duals=duals))
         h = ctx.subgradient(lam_hat, eigvec)

@@ -31,7 +31,7 @@ from .certificates import (
     verify_dcl_certificate,
     verify_kkt,
 )
-from .ensemble import DominanceViolationError, aggregate_curves, run_sweep, write_dominance_dump
+from .ensemble import aggregate_curves, run_sweep
 from .linalg import correlation_scores
 from .oracles import brute_force_l0, pwg_value
 from .problem import normalize_support
@@ -111,13 +111,7 @@ def cmd_oracle(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = fileio.load_ensemble_config(args.config)
     workers = args.workers if args.workers is not None else os.cpu_count() or 1
-    try:
-        records = run_sweep(cfg, workers=workers)
-    except DominanceViolationError as exc:
-        dump_path = str(args.output) + ".dominance_violation.json"
-        write_dominance_dump(dump_path, exc)
-        print(f"error: {exc} (instance dumped to {dump_path})", file=sys.stderr)
-        return 1
+    records = run_sweep(cfg, workers=workers)
     fileio.write_sweep_csv(args.output, records)
     curves = aggregate_curves(cfg, records)
     agg_path = str(args.output) + ".agg.csv"

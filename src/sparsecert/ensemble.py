@@ -14,7 +14,6 @@ sweeps produce identical records.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import sys
@@ -30,19 +29,6 @@ from .rng import SplitMix64, seed_derive
 DEFAULT_ALPHA_GRID = [1.0 + 0.5 * i for i in range(19)]  # 1, 1.5, ..., 10
 DEFAULT_RHO_MULTIPLIERS = [2.0, 3.0, 4.0, 6.0, 8.0, 12.0]
 DEFAULT_NOISE_STD = 0.5
-
-
-class DominanceViolationError(RuntimeError):
-    """A trial produced a threshold certificate without a dual certificate,
-    which contradicts the relaxations' ordering. Carries a serialized dump of
-    the offending instance for offline inspection."""
-
-    def __init__(self, message: str, dump: dict):
-        super().__init__(message, dump)
-        self.dump = dump
-
-    def __str__(self) -> str:  # keep the dump out of the one-line message
-        return self.args[0]
 
 
 def _grid(values, name: str, kind: type) -> list:
@@ -177,18 +163,6 @@ def evaluate_trial(
     return pwg, dcl
 
 
-def _instance_dump(inst: ProblemInstance, support: tuple[int, ...]) -> dict:
-    return {
-        "n": inst.n,
-        "p": inst.p,
-        "rho": inst.rho,
-        "k": inst.k,
-        "X": [float(v) for v in inst.X.reshape(-1)],
-        "y": [float(v) for v in inst.y],
-        "support": list(support),
-    }
-
-
 def _run_cell(args: tuple) -> list[TrialRecord]:
     cfg, p, alpha, rho_multiplier = args
     alpha_index = cfg.alpha_grid.index(alpha)
@@ -198,12 +172,6 @@ def _run_cell(args: tuple) -> list[TrialRecord]:
         seed = seed_derive(cfg.master_seed, p, alpha_index, rho_index, trial_index)
         inst, _, support = generate_instance(cfg, p, alpha, rho_multiplier, trial_index)
         pwg_exact, dcl_exact = evaluate_trial(inst, support)
-        if pwg_exact and not dcl_exact:
-            raise DominanceViolationError(
-                f"dominance violated at p={p} alpha={alpha} "
-                f"rho_multiplier={rho_multiplier} trial={trial_index} seed={seed}",
-                _instance_dump(inst, support),
-            )
         records.append(
             TrialRecord(
                 p=p,
@@ -258,10 +226,3 @@ def aggregate_curves(cfg: EnsembleConfig, records: list[TrialRecord]) -> list[Re
                 points.append((alpha, pwg_rate, dcl_rate, len(cell)))
             curves.append(RecoveryCurve(p=p, rho_multiplier=mult, points=points))
     return curves
-
-
-def write_dominance_dump(path, error: DominanceViolationError) -> None:
-    """Persist the offending instance of a dominance violation as JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(error.dump, fh)
-        fh.write("\n")
