@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes: check returns 0 when the dual certificate exists and re-verifies
 from scratch (an NSD slack matrix, whose top eigenvalue it prints as
-psd_margin, and finite KKT residuals), 2 when it does not, 1 on input errors;
+psd_margin, and KKT residuals at most 1e-6 times the larger of 1 and the
+largest entry of X^T X + rho I), 2 when it does not, 1 on input errors;
 oracle returns 3 if the relaxation/brute-force value ordering is violated
 (bug trap); everything else uses 0/1.
 """
@@ -80,6 +81,10 @@ def cmd_check(args) -> int:
     residuals = (report.psd_residual_big, report.psd_residual_small, report.comp_residual)
     if not all(math.isfinite(r) for r in residuals):
         print("dcl: not-verified (non-finite KKT residual)")
+        return 2
+    # relative to the largest entry of X^T X + rho I, which is on its diagonal
+    if max(residuals) > 1e-6 * max(1.0, float((inst.X**2).sum(axis=0).max()) + inst.rho):
+        print("dcl: not-verified (KKT residual above tolerance)")
         return 2
     print(f"dcl: exact  lambda={fileio.fmt_real(cert.lam)} psd_margin={fileio.fmt_real(top)}")
     print(

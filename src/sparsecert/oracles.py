@@ -89,8 +89,11 @@ def project_capped_simplex(v: np.ndarray, k: int) -> np.ndarray:
     """Euclidean projection onto {z in [0,1]^p : sum z <= k}.
 
     If clipping to the box already satisfies the cap, that is the projection;
-    otherwise shift by the theta >= 0 with sum clip(v - theta, 0, 1) = k,
-    found by bisection (the sum is nonincreasing in theta).
+    otherwise shift by the theta >= 0 with s(theta) = sum clip(v - theta, 0, 1)
+    = k. s is piecewise linear and nonincreasing, with breakpoints at v_i - 1
+    (coordinate i leaves 1) and v_i (it reaches 0): sorting the 2p breakpoints,
+    one cumulative sum of the active-coordinate counts gives s at each of
+    them, and theta is solved for on the segment that crosses k. O(p log p).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -98,17 +101,15 @@ def project_capped_simplex(v: np.ndarray, k: int) -> np.ndarray:
     clipped = np.clip(v, 0.0, 1.0)
     if clipped.sum() <= k:
         return clipped
-    lo, hi = 0.0, float(v.max())
-    for _ in range(200):
-        theta = 0.5 * (lo + hi)
-        s = np.clip(v - theta, 0.0, 1.0).sum()
-        if s > k:
-            lo = theta
-        else:
-            hi = theta
-        if hi - lo <= 1e-12:
-            break
-    theta = 0.5 * (lo + hi)
+    points = np.concatenate([v - 1.0, v])
+    order = np.argsort(points)
+    points = points[order]
+    # number of i with 0 < v_i - theta < 1 just right of each breakpoint
+    active = np.cumsum(np.where(order < v.size, 1.0, -1.0))
+    # s = p at the first breakpoint, min(v) - 1, and drops by active * width
+    sums = v.size - np.concatenate([[0.0], np.cumsum(active[:-1] * np.diff(points))])
+    j = int(np.searchsorted(-sums, -k))  # first breakpoint with s <= k; j >= 1
+    theta = points[j - 1] + (sums[j - 1] - k) / active[j - 1]
     return np.clip(v - theta, 0.0, 1.0)
 
 
@@ -158,8 +159,10 @@ def pwg_value(inst: ProblemInstance) -> PwgValueResult:
     objective trace is monotone). Afterwards the binary point supported on
     the k largest coordinates of z is evaluated and kept if it is lower;
     near-exact instances optimize at a vertex and the snap removes the last
-    sliver of first-order error. Stops when the iterate stops moving (inf
-    norm below PWG_TOL) or at PWG_MAX_ITER.
+    sliver of first-order error. Stops at PWG_MAX_ITER or as soon as a
+    projected trial step would move no coordinate by more than PWG_TOL:
+    that step is not evaluated (at that size the Armijo test only sees
+    roundoff), and z is the last accepted iterate.
     """
     p, k = inst.p, inst.k
     z = np.full(p, k / p)
@@ -174,6 +177,8 @@ def pwg_value(inst: ProblemInstance) -> PwgValueResult:
         for _ in range(60):
             z_new = project_capped_simplex(z - trial_step * grad, k)
             delta = z_new - z
+            if float(np.abs(delta).max()) <= PWG_TOL:
+                break  # converged: the Armijo test would only see roundoff
             decrease = float(grad @ delta)
             val_new, scores_new = _relaxed_objective_and_scores(inst, z_new)
             if val_new <= val + 1e-4 * decrease:
@@ -190,8 +195,6 @@ def pwg_value(inst: ProblemInstance) -> PwgValueResult:
         step = min(max(num / den, 1e-12), 1e12) if den > 0 else trial_step * 2.0
         z, val, grad = z_new, val_new, grad_new
         trace.append(val)
-        if float(np.abs(delta).max()) <= PWG_TOL:
-            break
     # vertex snap: binary point on the k largest coordinates
     top = np.argsort(-z)[:k]
     z_bin = np.zeros(p)

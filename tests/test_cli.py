@@ -64,6 +64,22 @@ def test_check_tiny_rho_exits_cleanly(tmp_path, capsys):
     assert "dcl: not-verified (non-finite KKT residual)" in out
 
 
+def test_check_huge_kkt_residual_exits_2(tmp_path, capsys):
+    # check_dcl certifies (0, 1) here although the brute-force argmin is
+    # (3, 4); its complementarity residual is finite but about 1.6e29
+    rng = np.random.default_rng(0)
+    inst = ProblemInstance(
+        X=rng.standard_normal((12, 8)), y=rng.standard_normal(12), rho=1e-30, k=2
+    )
+    path = tmp_path / "huge_kkt.json"
+    save_instance(path, inst, (0, 1))
+    code = main(["check", str(path)])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "dcl: not-verified (KKT residual above tolerance)" in out
+    assert "dcl: exact" not in out
+
+
 def test_check_non_finite_kkt_residual_exits_2(identity_instance, capsys, monkeypatch):
     def nan_kkt(inst, support, d, lam):
         report = verify_kkt(inst, support, d, lam)

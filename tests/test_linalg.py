@@ -155,6 +155,13 @@ def test_max_eig_sym_rejects_asymmetric():
         max_eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_max_eig_sym_accepts_roundoff_asymmetry():
+    # an asymmetry within 1e-12 of the largest entry still passes the check
+    A = np.array([[2.0, 1.0], [1.0 + 1e-13, -1.0]])
+    lam, _ = max_eig_sym(A)
+    assert lam == pytest.approx(max_eig_sym(0.5 * (A + A.T))[0], rel=1e-12)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**31))
 def test_max_eig_sym_properties(dim, seed):

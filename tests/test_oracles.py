@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -131,19 +131,62 @@ def test_projection_examples():
     )
 
 
-@settings(max_examples=100, deadline=None)
+def _project_bisection(v, k):
+    """Reference: the shift theta with sum clip(v - theta, 0, 1) = k found by
+    bisection on [0, max v] to a width of 1e-12."""
+    v = np.asarray(v, dtype=float).reshape(-1)
+    clipped = np.clip(v, 0.0, 1.0)
+    if clipped.sum() <= k:
+        return clipped
+    lo, hi = 0.0, float(v.max())
+    for _ in range(200):
+        theta = 0.5 * (lo + hi)
+        if np.clip(v - theta, 0.0, 1.0).sum() > k:
+            lo = theta
+        else:
+            hi = theta
+        if hi - lo <= 1e-12:
+            break
+    return np.clip(v - 0.5 * (lo + hi), 0.0, 1.0)
+
+
+# a few exact values among the floats, so breakpoints tie (v_i = v_j or
+# v_i - 1 = v_j) and whole segments of s(theta) are flat
+_TIED = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+
+
+@settings(max_examples=300, deadline=None)
 @given(
     arrays(
         np.float64,
-        st.integers(min_value=1, max_value=12),
-        elements=st.floats(min_value=-5, max_value=5, allow_nan=False),
+        st.integers(min_value=1, max_value=40),
+        elements=st.one_of(_TIED, st.floats(min_value=-1e6, max_value=1e6)),
     ),
-    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=8),
+)
+@example(np.array([7.5]), 1)
+@example(np.full(9, 0.75), 2)
+@example(np.full(5, -1e6), 1)
+@example(np.full(5, 1e6), 3)
+def test_projection_matches_bisection(v, k):
+    assert np.abs(project_capped_simplex(v, k) - _project_bisection(v, k)).max() <= 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        st.integers(min_value=1, max_value=40),
+        elements=st.one_of(_TIED, st.floats(min_value=-5, max_value=5)),
+    ),
+    st.integers(min_value=1, max_value=8),
 )
 def test_projection_feasible_and_optimal(v, k):
     z = project_capped_simplex(v, k)
     assert (z >= -1e-12).all() and (z <= 1.0 + 1e-12).all()
     assert z.sum() <= k + 1e-9
+    if np.clip(v, 0.0, 1.0).sum() > k:
+        assert abs(z.sum() - k) <= 1e-12 * max(1, k)
     # variational inequality against random feasible points
     rng = np.random.default_rng(0)
     for _ in range(100):
@@ -231,6 +274,30 @@ def test_gradient_matches_finite_differences():
             e[j] = 1e-6
             fd = (relaxed_objective(inst, z + e) - relaxed_objective(inst, z - e)) / 2e-6
             assert abs(fd - grad[j]) <= 1e-5 * abs(grad[j]) + floor
+
+
+def test_pwg_value_converged_step_exits(monkeypatch):
+    # a step that moves no coordinate by more than PWG_TOL ends the search
+    # unevaluated; halving it 60 times instead costs up to iterations + 71
+    # evaluations on these instances
+    calls = []
+    real = oracles._relaxed_objective_and_scores
+
+    def counting(inst, z):
+        calls.append(1)
+        return real(inst, z)
+
+    monkeypatch.setattr(oracles, "_relaxed_objective_and_scores", counting)
+    for seed in (0, 7919):
+        cfg = EnsembleConfig(p_list=[16], trials=4, alpha_grid=[1.0, 2.0, 4.0, 6.0],
+                             rho_multipliers=[2.0, 8.0], master_seed=seed)
+        for a in cfg.alpha_grid:
+            for m in cfg.rho_multipliers:
+                for t in range(cfg.trials):
+                    inst = generate_instance(cfg, 16, a, m, t)[0]
+                    calls.clear()
+                    res = pwg_value(inst)
+                    assert len(calls) <= res.iterations + 30
 
 
 def test_monotone_descent_trace():
