@@ -1,0 +1,77 @@
+#!/usr/bin/env python3
+"""Decision-identity gate for changes to the certificate tests.
+
+For each master seed, decides both relaxations at the planted support of
+every trial of the p in {16, 32, 64} grid: all 19 alphas x 6 rho multipliers
+x 4 trials, 1368 trials per seed, in `run_sweep`'s order. Every dual
+certificate is re-verified. Prints the `check_dcl` reason counts per p and
+one sha256 over the stream of (pwg_exact, dcl_exact) across all seeds.
+
+Usage:
+    python scripts/decision_grid.py --seeds 100-105 [--expect SHA]
+
+Exits 1 when a certificate fails to re-verify or when the digest differs
+from --expect.
+"""
+
+import argparse
+import hashlib
+import sys
+from collections import Counter
+
+from sparsecert import EnsembleConfig, check_dcl, check_pwg, verify_dcl_certificate
+from sparsecert.certificates import CertificateConsistencyError
+from sparsecert.ensemble import generate_instance
+
+P_LIST = [16, 32, 64]
+TRIALS = 4
+
+
+def seed_range(text: str) -> range:
+    """'100-105' (inclusive) or a single seed '100'."""
+    first, _, last = text.partition("-")
+    return range(int(first), int(last or first) + 1)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--seeds", type=seed_range, required=True)
+    parser.add_argument("--expect", default=None, help="sha256 the decisions must hash to")
+    args = parser.parse_args(argv)
+
+    digest = hashlib.sha256()
+    reasons = {p: Counter() for p in P_LIST}
+    unverified = 0
+    for seed in args.seeds:
+        cfg = EnsembleConfig(p_list=P_LIST, trials=TRIALS, master_seed=seed)
+        for p in cfg.p_list:
+            for alpha in cfg.alpha_grid:
+                for mult in cfg.rho_multipliers:
+                    for trial in range(cfg.trials):
+                        inst, _, support = generate_instance(cfg, p, alpha, mult, trial)
+                        pwg = check_pwg(inst, support).exact
+                        dcl = check_dcl(inst, support)
+                        digest.update(b"%d%d" % (pwg, dcl.exact))
+                        reasons[p]["exact" if dcl.exact else dcl.reason] += 1
+                        if dcl.exact:
+                            try:
+                                verify_dcl_certificate(inst, dcl.certificate)
+                            except CertificateConsistencyError as err:
+                                unverified += 1
+                                print(f"seed {seed} p={p} alpha={alpha} rho x{mult} trial {trial}: {err}")
+
+    for p, counts in reasons.items():
+        print(f"p={p}: " + ", ".join(f"{r} {c}" for r, c in sorted(counts.items())))
+    sha = digest.hexdigest()
+    print(f"trials {sum(sum(c.values()) for c in reasons.values())}, unverified {unverified}")
+    print(f"sha256 {sha}")
+    if unverified:
+        return 1
+    if args.expect is not None and args.expect != sha:
+        print(f"error: expected sha256 {args.expect}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

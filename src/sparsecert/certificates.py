@@ -17,20 +17,24 @@ the cardinality-constrained ridge problem at S:
   transfer with no eigenproblem: every canonical dual at
   lam0 = min_{i in S} c_i^2 is at most 1, so the slack matrix is NSD by
   construction, and a threshold certificate always yields a dual one.
-  Otherwise a safeguarded bisection computes the top eigenpair at each
-  midpoint; a nonpositive margin certifies, and a tangent cut shrinks an
-  analytic bracket or proves it empty. Certificates carry no eigenvalue;
-  verify_dcl_certificate re-checks one densely and returns the top
-  eigenvalue of its slack matrix.
+  Otherwise a safeguarded bisection searches an analytic bracket in log
+  space. Each query is certified by a Cholesky factorization of the negated
+  slack matrix when it succeeds, or else by a nonpositive top eigenvalue.
+  When neither does, the top eigenvector v gives a Rayleigh cut: for any v,
+  g_v(lam) = v^T S(lam) v = a*lam + b/lam - c bounds the margin below, so
+  every certifying threshold lies in the interval between the roots of g_v,
+  and the cut shrinks the bracket to it or proves it empty. Certificates
+  carry no eigenvalue; verify_dcl_certificate re-checks one densely and
+  returns the top eigenvalue of its slack matrix.
 
 `SupportContext` holds everything these tests compute for one (instance,
-support) pair (scores, duals, slack matrix, margin, subgradient, bracket),
-and each certificate test builds exactly one.
+support) pair (scores, duals, slack matrix, margin, subgradient, Rayleigh
+coefficients, bracket), and each certificate test builds exactly one.
 
 A dual-certificate search that fails says why: `interval-empty` means no
-threshold can certify, proved either by the analytic bracket or by a tangent
-cut; `bisection-exhausted` means the bracket shrank below the tolerance
-without a proof either way.
+threshold can certify, proved either by the analytic bracket or by a
+Rayleigh cut; `bisection-exhausted` means the bracket shrank below the
+tolerance without a proof either way.
 
 Every dual certificate can be cross-checked against the KKT system of the
 lifted program (verify_kkt).
@@ -38,13 +42,14 @@ lifted program (verify_kkt).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import correlation_scores, max_eig_sym, ridge_restricted_solve
+from .linalg import correlation_scores, is_pos_def, max_eig_sym, ridge_restricted_solve
 from .problem import ProblemInstance, normalize_support
 
 # NotCertified reasons
@@ -126,14 +131,16 @@ def _checked_support(inst: ProblemInstance, support: Sequence[int]) -> tuple[int
 class SupportContext:
     """Everything the certificate tests compute for one (instance, support)
     pair: the correlation scores, the canonical duals and slack matrix at any
-    threshold, its top eigenvalue (the margin), a subgradient of the margin
-    and the analytic bracket of certifying thresholds.
+    threshold, its top eigenvalue (the margin), a subgradient of the margin,
+    the Rayleigh lower bound on it along any vector, and the analytic bracket
+    of certifying thresholds.
 
     The support is validated on construction. Every method that takes a
     threshold raises ValueError on one that is not a positive finite real,
-    and those methods and `bracket` raise it when a support column has a zero
-    correlation score, for which the canonical duals are undefined;
-    `zero_score_in_support` is computed once, so a caller can test it first.
+    and those methods, `rayleigh` and `bracket` raise it when a support
+    column has a zero correlation score, for which the canonical duals are
+    undefined; `zero_score_in_support` is computed once, so a caller can test
+    it first.
     """
 
     def __init__(self, inst: ProblemInstance, support: Sequence[int]):
@@ -198,21 +205,37 @@ class SupportContext:
         lams = np.asarray(lams, dtype=float).reshape(-1)
         return np.linalg.eigvalsh(self.slack_matrix(self.duals(lams)))[:, -1]
 
+    def rayleigh(self, v: np.ndarray) -> tuple[float, float, float]:
+        """Coefficients of the Rayleigh value of the slack matrix along v,
+
+            g_v(lam) = v^T S(lam) v = a*lam + b/lam - c,
+            a = sum_{i in S} v_i^2/c_i^2,  b = sum_{i not in S} c_i^2 v_i^2,
+            c = ||X v||^2/rho + ||v||^2,
+
+        a lower bound on the margin times ||v||^2 at every threshold, for
+        any v. Costs O(np); X^T X is not formed."""
+        if self.zero_score_in_support:
+            raise ValueError("support contains a zero correlation score")
+        v = np.asarray(v, dtype=float).reshape(-1)
+        if v.shape != (self.inst.p,):
+            raise ValueError(f"vector has length {v.shape[0]}, expected p={self.inst.p}")
+        v2 = v**2
+        a = float(np.sum(v2[self.in_mask] / self.sq_in))
+        b = float(np.sum(v2[self.out_mask] * self.sq_out))
+        Xv = self.inst.X @ v
+        return a, b, float(Xv @ Xv) / self.inst.rho + float(v2.sum())
+
     def subgradient(self, lam: float, eigvec: np.ndarray) -> float:
-        """Subgradient of the margin at `lam` built from a top eigenvector:
+        """Subgradient of the margin at `lam` built from a top eigenvector u,
+        the slope of g_u there:
 
             h = sum_{i in S} u_i^2 / c_i^2 - (1/lam^2) sum_{i not in S} c_i^2 u_i^2.
         """
         lam = float(self._thresholds(float(lam)))
-        u = np.asarray(eigvec, dtype=float).reshape(-1)
-        if u.shape != (self.inst.p,):
-            raise ValueError(f"eigenvector has length {u.shape[0]}, expected p={self.inst.p}")
-        u2 = u**2
-        inner = float(np.sum(u2[self.in_mask] / self.sq_in))
-        outer = float(np.sum(u2[self.out_mask] * self.sq_out))
+        a, b, _ = self.rayleigh(eigvec)
         # divide twice: lam**2 raises OverflowError above lam ~ 1e154 and
         # underflows to a zero divisor below lam ~ 1e-162
-        return inner - outer / lam / lam
+        return a - b / lam / lam
 
     def bracket(self) -> tuple[float, float]:
         """Bracket [ell, up] that must contain any threshold with negative
@@ -233,6 +256,22 @@ class SupportContext:
         else:
             ell = 0.0
         return ell, up
+
+
+def root_interval(a: float, b: float, c: float) -> tuple[float, float]:
+    """The interval {lam > 0 : a*lam + b/lam - c <= 0} for a, b >= 0, as
+    (lo, hi): the roots b/q and q/a of a*lam^2 - c*lam + b, with
+    q = (c + sqrt(c^2 - 4ab))/2 free of cancellation. a = 0 leaves it
+    unbounded above and b = 0 starts it at 0. A negative discriminant or
+    c <= 0 makes it empty, returned as (inf, 0); coefficients that overflowed
+    bound nothing, returned as (0, inf)."""
+    if not math.isfinite(a + b + c):
+        return 0.0, math.inf
+    root_ab = 2.0 * math.sqrt(a) * math.sqrt(b)
+    if c <= 0.0 or root_ab > c:
+        return math.inf, 0.0
+    q = 0.5 * (c + math.sqrt(c - root_ab) * math.sqrt(c + root_ab))
+    return b / q, (q / a if a > 0.0 else math.inf)
 
 
 def _threshold_witness(ctx: SupportContext) -> Optional[PwgCertificate]:
@@ -268,22 +307,22 @@ def check_dcl(inst: ProblemInstance, support: Sequence[int]) -> CertOutcome:
     The all-scores-zero degenerate case is exact with the zero certificate,
     and a zero score in the support is `zero-score-in-support`. When the
     scores separate, the witness transfer certifies at lam0 = min_{i in S}
-    c_i^2 with no eigenproblem. Otherwise a safeguarded subgradient
-    bisection searches the analytic bracket. At each midpoint lam_hat the
-    top eigenpair of the slack matrix is computed (through `max_eig_sym`). A
-    nonpositive top eigenvalue certifies lam_hat; otherwise the subgradient
-    (Newton) cut lam_hat - f/h shrinks the bracket. By convexity no
-    nonpositive-margin point is ever cut away, and each iteration at least
-    halves the bracket. The tangent at lam_hat is a global lower bound on
-    the margin, so when its zero `cut` falls on or beyond the far end of the
-    bracket (h > 0 and cut <= ell, or h < 0 and cut >= up), or the
-    subgradient vanished (h = 0), the margin is positive on the whole
-    bracket and the search stops as NotCertified with `interval-empty`, as
-    it does when the analytic bracket itself is empty. It stops with
-    `bisection-exhausted` when the bracket width drops below
-    BISECTION_TOL*max(1, up) (about 34 halvings of a unit bracket) or, as a
-    guard that halving makes unreachable, after BISECTION_MAX_ITER
-    evaluations.
+    c_i^2 with no eigenproblem. Otherwise a safeguarded bisection searches
+    the analytic bracket [ell, up]. It queries the geometric midpoint
+    lam_hat = sqrt(ell*up), since the duals scale as lam and 1/lam (the
+    arithmetic one while ell = 0). lam_hat is certified when the negated
+    slack matrix has a Cholesky factorization (`is_pos_def`, several times
+    cheaper than an eigensolve, and enough for most queries that certify),
+    and otherwise when the top eigenvalue from `max_eig_sym` is
+    nonpositive. Else its eigenvector u gives the Rayleigh lower bound g_u
+    (`SupportContext.rayleigh`), and the bracket shrinks to the root
+    interval {g_u <= 0} (`root_interval`), which holds every certifying
+    threshold, and to the side of lam_hat where the margin's subgradient
+    a - b/lam_hat^2 points down. The search stops as NotCertified with
+    `interval-empty` when that leaves nothing, as it does when the analytic
+    bracket itself is empty. It stops with `bisection-exhausted` when the
+    bracket width drops below BISECTION_TOL*max(1, up) or, as a guard,
+    after BISECTION_MAX_ITER evaluations.
     """
     ctx = SupportContext(inst, support)
     if ctx.all_scores_zero():
@@ -299,23 +338,27 @@ def check_dcl(inst: ProblemInstance, support: Sequence[int]) -> CertOutcome:
         return CertOutcome(reason=REASON_EMPTY_INTERVAL)
 
     for _ in range(BISECTION_MAX_ITER):
-        lam_hat = 0.5 * (ell + up)
-        duals = ctx.duals(lam_hat)
-        margin, eigvec = max_eig_sym(ctx.slack_matrix(duals))
+        # the duals scale as lam and 1/lam, so query the geometric midpoint
+        lam_hat = math.sqrt(ell) * math.sqrt(up) if ell > 0.0 else 0.5 * (ell + up)
+        cert = DclCertificate(support=ctx.support, lam=lam_hat, duals=ctx.duals(lam_hat))
+        slack = ctx.slack_matrix(cert.duals)
+        if is_pos_def(-slack):
+            return CertOutcome(cert)
+        margin, eigvec = max_eig_sym(slack)
         if margin <= 0.0:
-            return CertOutcome(DclCertificate(support=ctx.support, lam=lam_hat, duals=duals))
-        h = ctx.subgradient(lam_hat, eigvec)
-        # the tangent margin + h*(lam - lam_hat) stays positive across the
-        # whole open bracket when it is flat or its zero lies beyond the far end
-        if h == 0.0:
-            return CertOutcome(reason=REASON_EMPTY_INTERVAL)
-        cut = lam_hat - margin / h
-        if (h > 0.0 and cut <= ell) or (h < 0.0 and cut >= up):
-            return CertOutcome(reason=REASON_EMPTY_INTERVAL)
-        if h > 0.0:
-            up = cut if (np.isfinite(cut) and ell < cut < up) else lam_hat
+            return CertOutcome(cert)
+        a, b, c = ctx.rayleigh(eigvec)
+        lo, hi = root_interval(a, b, c)
+        # the margin is positive at lam_hat, and certifying thresholds lie on
+        # the side where its subgradient a - b/lam_hat^2 points down; cutting
+        # there too keeps the search moving when roundoff blurs the roots
+        if a * lam_hat > b / lam_hat:
+            hi = min(hi, lam_hat)
         else:
-            ell = cut if (np.isfinite(cut) and ell < cut < up) else lam_hat
+            lo = max(lo, lam_hat)
+        ell, up = max(ell, lo), min(up, hi)
+        if ell >= up:
+            return CertOutcome(reason=REASON_EMPTY_INTERVAL)
         if up - ell <= BISECTION_TOL * max(1.0, up):
             return CertOutcome(reason=REASON_EXHAUSTED)
     return CertOutcome(reason=REASON_EXHAUSTED)

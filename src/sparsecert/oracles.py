@@ -94,6 +94,10 @@ def project_capped_simplex(v: np.ndarray, k: int) -> np.ndarray:
     (coordinate i leaves 1) and v_i (it reaches 0): sorting the 2p breakpoints,
     one cumulative sum of the active-coordinate counts gives s at each of
     them, and theta is solved for on the segment that crosses k. O(p log p).
+    Breakpoints need v_i - 1 to be exact, which fails once |v_i| >= 2^53.
+    So when some |v_i| >= 2^52, theta, which lies within 1 below the (k+1)-th
+    largest entry, is solved for on v minus that entry, and the coordinates
+    2^53 or more below it, which stay at 0, leave the breakpoints.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -101,13 +105,17 @@ def project_capped_simplex(v: np.ndarray, k: int) -> np.ndarray:
     clipped = np.clip(v, 0.0, 1.0)
     if clipped.sum() <= k:
         return clipped
-    points = np.concatenate([v - 1.0, v])
+    w = v
+    if max(v.max(), -v.min()) >= 2.0**52:
+        v = v - np.partition(v, v.size - k - 1)[v.size - k - 1]
+        w = v[v > -(2.0**53)]
+    points = np.concatenate([w - 1.0, w])
     order = np.argsort(points)
     points = points[order]
-    # number of i with 0 < v_i - theta < 1 just right of each breakpoint
-    active = np.cumsum(np.where(order < v.size, 1.0, -1.0))
-    # s = p at the first breakpoint, min(v) - 1, and drops by active * width
-    sums = v.size - np.concatenate([[0.0], np.cumsum(active[:-1] * np.diff(points))])
+    # number of i with 0 < w_i - theta < 1 just right of each breakpoint
+    active = np.cumsum(np.where(order < w.size, 1.0, -1.0))
+    # s = w.size at the first breakpoint, min(w) - 1, and drops by active * width
+    sums = w.size - np.concatenate([[0.0], np.cumsum(active[:-1] * np.diff(points))])
     j = int(np.searchsorted(-sums, -k))  # first breakpoint with s <= k; j >= 1
     theta = points[j - 1] + (sums[j - 1] - k) / active[j - 1]
     return np.clip(v - theta, 0.0, 1.0)
@@ -116,11 +124,18 @@ def project_capped_simplex(v: np.ndarray, k: int) -> np.ndarray:
 def _relaxed_objective_and_scores(
     inst: ProblemInstance, z: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """g(z) and the column scores X_j^T K(z)^{-1} y, via one SPD solve."""
+    """g(z) and the column scores X_j^T K(z)^{-1} y, via one SPD solve.
+    K(z) has every eigenvalue >= 1, so a failed Cholesky means roundoff in a
+    kernel whose X D(z) X^T/rho swamps the identity: a ValueError."""
     n = inst.n
     kernel = np.eye(n) + (inst.X * z) @ inst.X.T / inst.rho
     kernel = 0.5 * (kernel + kernel.T)
-    cho = scipy.linalg.cho_factor(kernel, lower=True)
+    try:
+        cho = scipy.linalg.cho_factor(kernel, lower=True)
+    except np.linalg.LinAlgError as err:
+        raise ValueError(
+            f"the kernel I + X D(z) X^T/rho is too ill-conditioned to factor ({err})"
+        ) from None
     ky = scipy.linalg.cho_solve(cho, inst.y)
     return 0.5 * float(inst.y @ ky), inst.X.T @ ky
 

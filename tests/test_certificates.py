@@ -25,6 +25,7 @@ from sparsecert.certificates import (
     REASON_ZERO_SCORE,
     CertificateConsistencyError,
     DclCertificate,
+    root_interval,
 )
 from sparsecert.ensemble import EnsembleConfig, generate_instance
 from sparsecert.linalg import max_eig_sym
@@ -34,6 +35,19 @@ I2 = np.eye(2)
 
 def ident(y, k=1):
     return ProblemInstance(X=I2, y=y, rho=1.0, k=k)
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """The shapes of the matrices check_dcl hands to max_eig_sym, in order."""
+    calls = []
+
+    def counting(A):
+        calls.append(A.shape)
+        return max_eig_sym(A)
+
+    monkeypatch.setattr(certificates, "max_eig_sym", counting)
+    return calls
 
 
 # ---------------------------------------------------------------- threshold test
@@ -116,7 +130,7 @@ def test_psd_margin_rejects_zero_score_in_support():
     for call in (ctx.margin, ctx.duals, ctx.margins):
         with pytest.raises(ValueError, match="zero correlation score"):
             call(0.5)
-    for call in (ctx.duals, ctx.margins):
+    for call in (ctx.duals, ctx.margins, ctx.rayleigh):
         with pytest.raises(ValueError, match="zero correlation score"):
             call(np.array([0.25, 0.5]))
 
@@ -409,15 +423,8 @@ def test_witness_transfer_random_and_verified():
     assert hits > 30
 
 
-def test_threshold_pass_certifies_without_eigensolve(monkeypatch):
+def test_threshold_pass_certifies_without_eigensolve(eig_calls):
     # the witness transfer: lam0 = min_{i in S} c_i^2, no eigenproblem
-    calls = []
-
-    def counting(A):
-        calls.append(A.shape)
-        return max_eig_sym(A)
-
-    monkeypatch.setattr(certificates, "max_eig_sym", counting)
     rng = np.random.default_rng(61)
     hits = 0
     for _ in range(200):
@@ -426,7 +433,7 @@ def test_threshold_pass_certifies_without_eigensolve(monkeypatch):
         if not pwg.exact:
             continue
         out = check_dcl(inst, sup)
-        assert out.exact and not calls
+        assert out.exact and not eig_calls
         assert out.certificate.lam == SupportContext(inst, sup).sq_in.min()
         witness = pwg_witness_to_dcl(inst, sup, pwg.certificate)
         assert witness.lam == out.certificate.lam
@@ -526,8 +533,9 @@ def test_margin_convexity_and_subgradient_random():
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31), st.floats(min_value=0.05, max_value=1.0))
 def test_cut_proved_empty_interval_has_positive_margin(seed, amplitude):
-    # interval-empty from a nonempty analytic bracket comes from a tangent
-    # cut, which claims the margin is positive across the whole bracket
+    # interval-empty from a nonempty analytic bracket comes from a Rayleigh
+    # root-interval cut, which claims the margin is positive across the
+    # whole bracket
     rng = np.random.default_rng(seed)
     inst, sup = planted_instance(rng, p=int(rng.integers(4, 9)), amplitude=amplitude)
     if check_dcl(inst, sup).reason != REASON_EMPTY_INTERVAL:
@@ -540,37 +548,104 @@ def test_cut_proved_empty_interval_has_positive_margin(seed, amplitude):
     assert (ctx.margins(lams) > 0.0).all()
 
 
-def test_crossing_cut_ends_search_within_three_evaluations(monkeypatch):
+def test_crossing_cut_ends_search_within_three_evaluations(eig_calls):
     # this trial used to halve its bracket 33 times and end bisection-exhausted
     cfg = EnsembleConfig(p_list=[64], trials=1, alpha_grid=[1.0], rho_multipliers=[2.0])
     inst, _, sup = generate_instance(cfg, 64, 1.0, 2.0, 0)
-    calls = []
-
-    def counting(A):
-        calls.append(A.shape)
-        return max_eig_sym(A)
-
-    monkeypatch.setattr(certificates, "max_eig_sym", counting)
     out = check_dcl(inst, sup)
     assert out.reason == REASON_EMPTY_INTERVAL
-    assert 1 <= len(calls) <= 3
+    assert 1 <= len(eig_calls) <= 3
 
 
-def test_zero_subgradient_proves_interval_empty(monkeypatch):
-    # a flat tangent at a positive margin stays positive everywhere
-    cfg = EnsembleConfig(p_list=[64], trials=1, alpha_grid=[1.0], rho_multipliers=[2.0])
-    inst, _, sup = generate_instance(cfg, 64, 1.0, 2.0, 0)
+def test_negative_discriminant_proves_interval_empty(monkeypatch):
+    # X v = 0 for v = (1.1, -1): c = ||v||^2 = 2.21 while 4ab = 5.856, so
+    # g_v > 0 at every threshold, although the bracket [0.137, 0.5] is not empty
+    inst = ProblemInstance(X=[[1.0, 1.1]], y=[1.0], rho=1.0, k=1)
+    v = np.array([1.1, -1.0])
+    ctx = SupportContext(inst, [0])
+    ell, up = ctx.bracket()
+    assert ell < up
+    a, b, c = ctx.rayleigh(v)
+    assert c * c < 4.0 * a * b
+    assert root_interval(a, b, c) == (np.inf, 0.0)
+    assert check_dcl(inst, [0]).reason == REASON_EMPTY_INTERVAL
     calls = []
 
-    def counting(A):
+    def fixed_direction(A):
         calls.append(A.shape)
-        return max_eig_sym(A)
+        return 1.0, v
 
-    monkeypatch.setattr(certificates, "max_eig_sym", counting)
-    monkeypatch.setattr(SupportContext, "subgradient", lambda self, lam, eigvec: 0.0)
-    out = check_dcl(inst, sup)
-    assert out.reason == REASON_EMPTY_INTERVAL
+    monkeypatch.setattr(certificates, "max_eig_sym", fixed_direction)
+    assert check_dcl(inst, [0]).reason == REASON_EMPTY_INTERVAL
     assert len(calls) == 1
+
+
+def test_root_interval_hand_values():
+    # lam^2 - 3 lam + 2 = (lam - 1)(lam - 2)
+    assert root_interval(1.0, 2.0, 3.0) == pytest.approx((1.0, 2.0))
+    assert root_interval(0.0, 2.0, 4.0) == (0.5, np.inf)  # b/lam <= c
+    assert root_interval(2.0, 0.0, 4.0) == (0.0, 2.0)  # a lam <= c
+    assert root_interval(1.0, 1.0, 2.0) == (1.0, 1.0)  # double root
+    assert root_interval(1.0, 1.0, 1.9) == (np.inf, 0.0)  # negative discriminant
+    assert root_interval(1.0, 1.0, 0.0) == (np.inf, 0.0)
+    assert root_interval(np.inf, 1.0, 2.0) == (0.0, np.inf)  # overflowed: no cut
+    # no cancellation in the small root when 4ab << c^2
+    lo, hi = root_interval(1.0, 1e-20, 1.0)
+    assert lo == pytest.approx(1e-20, rel=1e-12) and hi == pytest.approx(1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31), st.floats(min_value=0.05, max_value=3.0))
+def test_certifying_thresholds_lie_in_every_root_interval(seed, amplitude):
+    # g_v(lam) = v^T S(lam) v bounds the margin below for any v, so every
+    # certifying lam lies in {g_v <= 0}; along the axes e_i these root
+    # intervals are the per-column bounds that make up the bracket
+    rng = np.random.default_rng(seed)
+    inst, sup = planted_instance(rng, p=int(rng.integers(4, 9)), amplitude=amplitude)
+    ctx = SupportContext(inst, sup)
+    if ctx.zero_score_in_support:
+        return
+    ell, up = ctx.bracket()
+    axes = np.array([root_interval(*ctx.rayleigh(e)) for e in np.eye(inst.p)])
+    assert axes[:, 0].max() == pytest.approx(ell, rel=1e-12, abs=0.0)
+    assert axes[:, 1].min() == pytest.approx(up, rel=1e-12)
+    if ell >= up:
+        return
+    lams = np.linspace(ell, up, 402)[1:-1]
+    # certifying with room to spare for the roundoff of the eigensolver
+    certifying = lams[ctx.margins(lams) < -1e-9]
+    for _ in range(10):
+        v = rng.standard_normal(inst.p)
+        lo, hi = root_interval(*ctx.rayleigh(v / np.linalg.norm(v)))
+        assert ((lo <= certifying) & (certifying <= hi)).all()
+
+
+def test_p256_trials_need_few_eigensolves(eig_calls):
+    # the arithmetic-midpoint bisection with tangent cuts made 28 top-eigenpair
+    # solves on these 15 trials; alpha=1 is interval-empty, alpha 3 and 4 exact
+    cfg = EnsembleConfig(p_list=[256], trials=5, alpha_grid=[1.0, 3.0, 4.0], rho_multipliers=[2.0])
+    for alpha, exact in zip(cfg.alpha_grid, (False, True, True)):
+        for trial in range(cfg.trials):
+            inst, _, sup = generate_instance(cfg, 256, alpha, 2.0, trial)
+            out = check_dcl(inst, sup)
+            assert out.exact == exact
+            if exact:
+                assert verify_dcl_certificate(inst, out.certificate) <= certificates.COND_TOL
+            else:
+                assert out.reason == REASON_EMPTY_INTERVAL
+    assert len(eig_calls) <= 12
+
+
+def test_cholesky_certifies_first_query_without_eigensolve(eig_calls):
+    # scores that do not separate, certified at the first (geometric) query
+    cfg = EnsembleConfig(p_list=[64], trials=1, alpha_grid=[3.0], rho_multipliers=[2.0])
+    inst, _, sup = generate_instance(cfg, 64, 3.0, 2.0, 0)
+    assert not check_pwg(inst, sup).exact
+    out = check_dcl(inst, sup)
+    assert out.exact and not eig_calls
+    ell, up = SupportContext(inst, sup).bracket()
+    assert out.certificate.lam == np.sqrt(ell) * np.sqrt(up)
+    assert verify_dcl_certificate(inst, out.certificate) <= certificates.COND_TOL
 
 
 def test_bisection_matches_grid_scan_small():

@@ -146,6 +146,19 @@ def test_oracle_budget_exceeded(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_oracle_ill_conditioned_kernel_exits_1(tmp_path, capsys):
+    # pwg_value's kernel Cholesky fails here; it used to escape as LinAlgError
+    rng = np.random.default_rng(9)
+    scale = rng.uniform(-8.0, 8.0)
+    rho = 10.0 ** rng.uniform(-12.0, 12.0)
+    inst = ProblemInstance(X=rng.standard_normal((8, 6)) * 10.0**scale,
+                           y=rng.standard_normal(8), rho=rho, k=2)
+    path = tmp_path / "ill.json"
+    save_instance(path, inst)
+    assert main(["oracle", str(path)]) == 1
+    assert "error: the kernel I + X D(z) X^T/rho is too ill-conditioned" in capsys.readouterr().err
+
+
 def sweep_config(tmp_path, **overrides):
     doc = {
         "p_list": [9],

@@ -1,4 +1,6 @@
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,3 +225,16 @@ def test_recovery_rate_grows_with_alpha():
     curves = aggregate_curves(cfg, records)
     (_, _, dcl_low, _), (_, _, dcl_high, _) = curves[0].points
     assert dcl_high >= dcl_low
+
+
+def test_decision_grid_matches_pinned_digest(capsys):
+    # the decision-identity gate of scripts/decision_grid.py on one seed (1368
+    # trials); CI runs seeds 100-105 against the digest of all 8208
+    main = runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "decision_grid.py"))["main"]
+    sha = "f1c30ca2dd4b6937cf9f30691979752875034e1c5eea9c1e7d1eb9c3cf0de54d"
+    assert main(["--seeds", "100", "--expect", sha]) == 0
+    out = capsys.readouterr().out
+    assert "p=16: exact 385, interval-empty 71\n" in out
+    assert "p=32: exact 402, interval-empty 54\n" in out
+    assert "p=64: exact 406, interval-empty 50\n" in out
+    assert "trials 1368, unverified 0\n" in out

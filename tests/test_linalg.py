@@ -13,6 +13,7 @@ from sparsecert import (
     ridge_value_kernel,
     smw_residuals,
 )
+from sparsecert.linalg import is_pos_def
 
 I2 = np.eye(2)
 
@@ -160,6 +161,29 @@ def test_max_eig_sym_accepts_roundoff_asymmetry():
     A = np.array([[2.0, 1.0], [1.0 + 1e-13, -1.0]])
     lam, _ = max_eig_sym(A)
     assert lam == pytest.approx(max_eig_sym(0.5 * (A + A.T))[0], rel=1e-12)
+
+
+def test_is_pos_def_examples():
+    assert is_pos_def(np.eye(3))
+    assert not is_pos_def(np.diag([1.0, 0.0]))  # semidefinite is not definite
+    assert not is_pos_def(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            is_pos_def(np.array([[1.0, 0.0], [0.0, bad]]))
+        with pytest.raises(ValueError):
+            max_eig_sym(np.array([[1.0, 0.0], [0.0, bad]]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**31))
+def test_is_pos_def_agrees_with_the_spectrum(dim, seed):
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((dim, dim))
+    A = B @ B.T - rng.uniform(0.0, 2.0) * np.eye(dim)
+    A = 0.5 * (A + A.T)
+    low = float(np.linalg.eigvalsh(A)[0])
+    if abs(low) > 1e-8 * (1.0 + np.abs(A).max()):
+        assert is_pos_def(A) == (low > 0.0)
 
 
 @settings(max_examples=60, deadline=None)

@@ -129,6 +129,8 @@ def test_projection_examples():
     assert project_capped_simplex(np.array([0.6, 0.6]), 1) == pytest.approx(
         [0.5, 0.5], abs=1e-9
     )
+    # v_i - 1 rounds to v_i above 2^53; this used to return all zeros
+    assert np.array_equal(project_capped_simplex([1e17, 1e17 + 64, 3.0], 1), [0.0, 1.0, 0.0])
 
 
 def _project_bisection(v, k):
@@ -181,6 +183,11 @@ def test_projection_matches_bisection(v, k):
     ),
     st.integers(min_value=1, max_value=8),
 )
+@example(np.array([1e17, 1e17 + 64, 3.0]), 1)
+@example(np.array([1e17, 3.0, 2.5]), 2)
+@example(np.array([3e18, 1e18, 2.5, 2.0]), 3)
+@example(np.array([1e18, -1e18, 0.5, 0.7]), 1)
+@example(np.array([-1e18, 0.5, 0.7, 0.9]), 1)
 def test_projection_feasible_and_optimal(v, k):
     z = project_capped_simplex(v, k)
     assert (z >= -1e-12).all() and (z <= 1.0 + 1e-12).all()
@@ -298,6 +305,18 @@ def test_pwg_value_converged_step_exits(monkeypatch):
                     calls.clear()
                     res = pwg_value(inst)
                     assert len(calls) <= res.iterations + 30
+
+
+@pytest.mark.parametrize("seed", [9, 10, 17, 31])
+def test_pwg_value_ill_conditioned_kernel_is_a_value_error(seed):
+    # X D(z) X^T/rho swamps the identity, and the kernel's Cholesky fails
+    rng = np.random.default_rng(seed)
+    scale = rng.uniform(-8.0, 8.0)
+    rho = 10.0 ** rng.uniform(-12.0, 12.0)
+    inst = ProblemInstance(X=rng.standard_normal((8, 6)) * 10.0**scale,
+                           y=rng.standard_normal(8), rho=rho, k=2)
+    with pytest.raises(ValueError, match="ill-conditioned"):
+        pwg_value(inst)
 
 
 def test_monotone_descent_trace():
