@@ -30,8 +30,6 @@ from .linalg import (
     max_eig_sym,
     ridge_kernel_solve,
     ridge_restricted_solve,
-    ridge_value_kernel,
-    smw_residuals,
 )
 from .oracles import (
     BruteForceResult,
@@ -75,10 +73,8 @@ __all__ = [
     "pwg_witness_to_dcl",
     "ridge_kernel_solve",
     "ridge_restricted_solve",
-    "ridge_value_kernel",
     "run_sweep",
     "seed_derive",
-    "smw_residuals",
     "verify_dcl_certificate",
     "verify_kkt",
 ]

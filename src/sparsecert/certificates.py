@@ -18,14 +18,14 @@ the cardinality-constrained ridge problem at S:
   lam0 = min_{i in S} c_i^2 is at most 1, so the slack matrix is NSD by
   construction, and a threshold certificate always yields a dual one.
   Otherwise a safeguarded bisection searches an analytic bracket in log
-  space. Each query is certified by a Cholesky factorization of the negated
-  slack matrix when it succeeds, or else by a nonpositive top eigenvalue.
-  When neither does, the top eigenvector v gives a Rayleigh cut: for any v,
-  g_v(lam) = v^T S(lam) v = a*lam + b/lam - c bounds the margin below, so
-  every certifying threshold lies in the interval between the roots of g_v,
-  and the cut shrinks the bracket to it or proves it empty. Certificates
-  carry no eigenvalue; verify_dcl_certificate re-checks one densely and
-  returns the top eigenvalue of its slack matrix.
+  space. Each query decides on a t x t Schur complement of
+  X^T X/rho + I - D(lam), with no p x p matrix (`_schur_query`); when it
+  does not certify, it returns a vector v with g_v(lam) = v^T S(lam) v =
+  a*lam + b/lam - c > 0. g_v bounds the margin below for any v, so every
+  certifying threshold lies between its roots, and this Rayleigh cut
+  shrinks the bracket to them or proves it empty. Certificates carry no
+  eigenvalue; verify_dcl_certificate re-checks one densely and returns the
+  top eigenvalue of its slack matrix.
 
 `SupportContext` holds everything these tests compute for one (instance,
 support) pair (scores, duals, slack matrix, margin, subgradient, Rayleigh
@@ -48,8 +48,9 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
-from .linalg import correlation_scores, is_pos_def, max_eig_sym, ridge_restricted_solve
+from .linalg import correlation_scores, max_eig_sym, ridge_restricted_solve
 from .problem import ProblemInstance, normalize_support
 
 # NotCertified reasons
@@ -62,6 +63,7 @@ BISECTION_TOL = 1e-10  # relative bracket width at which the search gives up
 BISECTION_MAX_ITER = 200  # guard only: halving reaches BISECTION_TOL first
 
 COND_TOL = 1e-8  # slack allowed when re-verifying certificate conditions
+SCHUR_SPLIT = 0.5  # columns with 1 - d_i <= SCHUR_SPLIT form the Schur block
 
 
 @dataclass
@@ -158,7 +160,7 @@ class SupportContext:
     @cached_property
     def base(self) -> np.ndarray:
         """Negated PSD part of the slack matrix, -X^T X/rho - I_p, formed on
-        first use so that the threshold test never pays for it."""
+        first use: only the dense re-verification needs it, not the search."""
         gram = self.inst.X.T @ self.inst.X
         # symmetrized against BLAS noise
         return -0.5 * (gram + gram.T) / self.inst.rho - np.eye(self.inst.p)
@@ -274,6 +276,62 @@ def root_interval(a: float, b: float, c: float) -> tuple[float, float]:
     return b / q, (q / a if a > 0.0 else math.inf)
 
 
+def _cholesky(A: np.ndarray) -> Optional[np.ndarray]:
+    """Cholesky factor of a symmetric matrix by one LAPACK `potrf` (only its
+    lower triangle is the factor), or None when A is not positive definite.
+    A non-finite entry raises ValueError."""
+    if not np.isfinite(A).all():
+        raise ValueError("the Schur-complement query met a non-finite entry")
+    L, info = dpotrf(A, lower=1, clean=0)
+    return L if info == 0 else None
+
+
+def _schur_query(ctx: SupportContext, duals: np.ndarray) -> Optional[np.ndarray]:
+    """None when the slack matrix S at `duals` is NSD, else a vector v with
+    v^T S v > 0; neither S nor X^T X is formed.
+
+    With W = I - D(duals), S is NSD exactly when M = X^T X/rho + W is PSD.
+    M_cc > I/2 is positive definite on the columns c with w_i > SCHUR_SPLIT,
+    so M is PSD exactly when the Schur complement on the other t columns T,
+    Sch = W_T + X_T^T (rho I_n + X_c W_c^{-1} X_c^T)^{-1} X_T, is. With
+    G = X_c W_c^{-1/2} the inner inverse comes from a Cholesky factor of
+    rho I_n + G G^T or, when 0 < |c| < n (as `ridge_kernel_solve` picks),
+    of rho I + G^T G by Woodbury. t = 0, a Cholesky factor of Sch, or a
+    nonpositive top eigenvalue of -Sch (`max_eig_sym`) certifies; else its
+    eigenvector u lifts to v = (u, -M_cc^{-1} M_cT u), with
+    v^T S v = -u^T Sch u > 0. A failed inner factorization or a non-finite
+    entry raises ValueError.
+    """
+    X, rho = ctx.inst.X, ctx.inst.rho
+    w = 1.0 - duals
+    block = w <= SCHUR_SPLIT
+    if not block.any():
+        return None
+    XT = X[:, block]
+    root_wc = np.sqrt(w[~block])
+    G = X[:, ~block]
+    G /= root_wc
+    woodbury = 0 < G.shape[1] < ctx.inst.n
+    inner = G.T @ G if woodbury else G @ G.T
+    inner.flat[:: inner.shape[0] + 1] += rho
+    L = _cholesky(inner)
+    if L is None:
+        raise ValueError("the Schur-complement kernel is too ill-conditioned to factor")
+    F = dtrtrs(L, G.T @ XT if woodbury else XT, lower=1)[0]
+    sch = (XT.T @ XT - F.T @ F) / rho if woodbury else F.T @ F
+    sch.flat[:: sch.shape[0] + 1] += w[block]
+    if _cholesky(sch) is not None:
+        return None
+    top, u = max_eig_sym(-sch)
+    if top <= 0.0:
+        return None
+    lift = dtrtrs(L, F @ u, lower=1, trans=1)[0]
+    v = np.empty(ctx.inst.p)
+    v[block] = u
+    v[~block] = -(lift if woodbury else G.T @ lift) / root_wc
+    return v
+
+
 def _threshold_witness(ctx: SupportContext) -> Optional[PwgCertificate]:
     """The threshold certificate at ctx's support, or None when the scores
     do not separate. Ties fail (strictness required)."""
@@ -310,14 +368,14 @@ def check_dcl(inst: ProblemInstance, support: Sequence[int]) -> CertOutcome:
     c_i^2 with no eigenproblem. Otherwise a safeguarded bisection searches
     the analytic bracket [ell, up]. It queries the geometric midpoint
     lam_hat = sqrt(ell*up), since the duals scale as lam and 1/lam (the
-    arithmetic one while ell = 0). lam_hat is certified when the negated
-    slack matrix has a Cholesky factorization (`is_pos_def`, several times
-    cheaper than an eigensolve, and enough for most queries that certify),
-    and otherwise when the top eigenvalue from `max_eig_sym` is
-    nonpositive. Else its eigenvector u gives the Rayleigh lower bound g_u
-    (`SupportContext.rayleigh`), and the bracket shrinks to the root
-    interval {g_u <= 0} (`root_interval`), which holds every certifying
-    threshold, and to the side of lam_hat where the margin's subgradient
+    arithmetic one while ell = 0). Each query is decided by `_schur_query`
+    on a t x t Schur complement, the t columns whose dual is at least 1/2
+    (SCHUR_SPLIT), with no p x p matrix. It certifies lam_hat, or returns a
+    vector v, lifted from the complement's bottom eigenvector, with
+    g_v(lam_hat) > 0. The Rayleigh bound g_v (`SupportContext.rayleigh`,
+    recomputed from scratch, so the cut is sound for any v) shrinks the
+    bracket to the root interval {g_v <= 0} (`root_interval`), which holds
+    every certifying threshold, and to the side of lam_hat where the slope
     a - b/lam_hat^2 points down. The search stops as NotCertified with
     `interval-empty` when that leaves nothing, as it does when the analytic
     bracket itself is empty. It stops with `bisection-exhausted` when the
@@ -341,17 +399,14 @@ def check_dcl(inst: ProblemInstance, support: Sequence[int]) -> CertOutcome:
         # the duals scale as lam and 1/lam, so query the geometric midpoint
         lam_hat = math.sqrt(ell) * math.sqrt(up) if ell > 0.0 else 0.5 * (ell + up)
         cert = DclCertificate(support=ctx.support, lam=lam_hat, duals=ctx.duals(lam_hat))
-        slack = ctx.slack_matrix(cert.duals)
-        if is_pos_def(-slack):
+        v = _schur_query(ctx, cert.duals)
+        if v is None:
             return CertOutcome(cert)
-        margin, eigvec = max_eig_sym(slack)
-        if margin <= 0.0:
-            return CertOutcome(cert)
-        a, b, c = ctx.rayleigh(eigvec)
+        a, b, c = ctx.rayleigh(v)
         lo, hi = root_interval(a, b, c)
-        # the margin is positive at lam_hat, and certifying thresholds lie on
-        # the side where its subgradient a - b/lam_hat^2 points down; cutting
-        # there too keeps the search moving when roundoff blurs the roots
+        # g_v is positive at lam_hat, and certifying thresholds lie on the
+        # side where its slope a - b/lam_hat^2 points down; cutting there too
+        # keeps the search moving when roundoff blurs the roots
         if a * lam_hat > b / lam_hat:
             hi = min(hi, lam_hat)
         else:

@@ -72,15 +72,6 @@ def ridge_kernel_solve(inst: ProblemInstance, support: Sequence[int], v: np.ndar
     return scipy.linalg.cho_solve(cho, v)
 
 
-def ridge_value_kernel(inst: ProblemInstance, support: Sequence[int]) -> float:
-    """Restricted ridge optimum through the kernel identity 0.5*y^T K_S^{-1} y.
-
-    Agrees with ridge_restricted_solve(...).value; accepts the empty support,
-    where the value is 0.5*||y||^2.
-    """
-    return 0.5 * float(inst.y @ ridge_kernel_solve(inst, support, inst.y))
-
-
 def correlation_scores(inst: ProblemInstance, support: Sequence[int]) -> np.ndarray:
     """c_j = X_j^T K_S^{-1} y for every column j (support columns included)."""
     return inst.X.T @ ridge_kernel_solve(inst, support, inst.y)
@@ -101,37 +92,3 @@ def max_eig_sym(A: np.ndarray) -> tuple[float, np.ndarray]:
     top = A.shape[0] - 1
     w, V = scipy.linalg.eigh(A, subset_by_index=[top, top])
     return float(w[0]), V[:, 0]
-
-
-def is_pos_def(A: np.ndarray) -> bool:
-    """Whether a symmetric matrix is positive definite, by one LAPACK
-    Cholesky factorization (`potrf`), several times cheaper than the top
-    eigenpair. It reads one triangle only, so symmetry is not checked. A
-    non-finite entry raises ValueError."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
-        raise ValueError("matrix must be square and nonempty")
-    if not np.isfinite(A).all():
-        raise ValueError("array must not contain infs or NaNs")
-    # A.T is Fortran-ordered, so potrf factors a plain copy of it
-    return scipy.linalg.lapack.dpotrf(A.T, lower=1, clean=0)[1] == 0
-
-
-def smw_residuals(inst: ProblemInstance, support: Sequence[int]) -> tuple[float, float]:
-    """Residuals of the two Woodbury identities tying the restricted solve to
-    the kernel form:
-
-        X_j^T (X b* - y) = -X_j^T K_S^{-1} y   for every column j,
-        b*_S = (1/rho) X_S^T K_S^{-1} y.
-
-    Returns (max-abs residual of the first, inf-norm residual of the second);
-    both vanish in exact arithmetic.
-    """
-    sup = normalize_support(support, inst.p)
-    if not sup:
-        raise ValueError("residual check needs a nonempty support")
-    sol = ridge_restricted_solve(inst, sup)
-    smoothed = ridge_kernel_solve(inst, sup, inst.y)
-    r1 = float(np.abs(inst.X.T @ (inst.X @ sol.beta - inst.y) + inst.X.T @ smoothed).max())
-    r2 = float(np.abs(sol.beta[list(sup)] - inst.X[:, sup].T @ smoothed / inst.rho).max())
-    return r1, r2

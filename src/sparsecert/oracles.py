@@ -148,15 +148,6 @@ def relaxed_objective(inst: ProblemInstance, z: np.ndarray) -> float:
     return _relaxed_objective_and_scores(inst, z)[0]
 
 
-def relaxed_gradient(inst: ProblemInstance, z: np.ndarray) -> np.ndarray:
-    """dg/dz_j = -(X_j^T K(z)^{-1} y)^2 / (2 rho); always <= 0."""
-    z = np.asarray(z, dtype=float).reshape(-1)
-    if z.shape != (inst.p,):
-        raise ValueError(f"z has length {z.shape[0]}, expected p={inst.p}")
-    _, scores = _relaxed_objective_and_scores(inst, z)
-    return -(scores**2) / (2.0 * inst.rho)
-
-
 def _frank_wolfe_gap(grad: np.ndarray, z: np.ndarray, k: int) -> float:
     """max over feasible w of grad^T (z - w). Since grad <= 0, the best w
     puts 1 on the k most negative gradient coordinates. Nonnegative for

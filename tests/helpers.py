@@ -1,8 +1,10 @@
-"""Shared instance generators for the test suite."""
+"""Shared instance generators and reference identities for the test suite."""
 
 import numpy as np
 
-from sparsecert import ProblemInstance
+from sparsecert import ProblemInstance, ridge_kernel_solve, ridge_restricted_solve
+from sparsecert.oracles import _relaxed_objective_and_scores
+from sparsecert.problem import normalize_support
 
 
 def noise_instance(rng, n=None, p=None, k=None, rho=None):
@@ -42,3 +44,42 @@ def mixed_instance(rng, **kwargs):
 def random_support(rng, inst):
     size = int(rng.integers(1, inst.k + 1))
     return tuple(sorted(rng.choice(inst.p, size=size, replace=False).tolist()))
+
+
+def ridge_value_kernel(inst, support):
+    """Restricted ridge optimum through the kernel identity 0.5*y^T K_S^{-1} y.
+
+    Agrees with ridge_restricted_solve(...).value; accepts the empty support,
+    where the value is 0.5*||y||^2.
+    """
+    return 0.5 * float(inst.y @ ridge_kernel_solve(inst, support, inst.y))
+
+
+def smw_residuals(inst, support):
+    """Residuals of the two Woodbury identities tying the restricted solve to
+    the kernel form:
+
+        X_j^T (X b* - y) = -X_j^T K_S^{-1} y   for every column j,
+        b*_S = (1/rho) X_S^T K_S^{-1} y.
+
+    Returns (max-abs residual of the first, inf-norm residual of the second);
+    both vanish in exact arithmetic.
+    """
+    sup = normalize_support(support, inst.p)
+    if not sup:
+        raise ValueError("residual check needs a nonempty support")
+    sol = ridge_restricted_solve(inst, sup)
+    smoothed = ridge_kernel_solve(inst, sup, inst.y)
+    r1 = float(np.abs(inst.X.T @ (inst.X @ sol.beta - inst.y) + inst.X.T @ smoothed).max())
+    r2 = float(np.abs(sol.beta[list(sup)] - inst.X[:, sup].T @ smoothed / inst.rho).max())
+    return r1, r2
+
+
+def relaxed_gradient(inst, z):
+    """dg/dz_j = -(X_j^T K(z)^{-1} y)^2 / (2 rho) of the boolean relaxation's
+    objective; always <= 0."""
+    z = np.asarray(z, dtype=float).reshape(-1)
+    if z.shape != (inst.p,):
+        raise ValueError(f"z has length {z.shape[0]}, expected p={inst.p}")
+    _, scores = _relaxed_objective_and_scores(inst, z)
+    return -(scores**2) / (2.0 * inst.rho)

@@ -12,7 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import noise_instance, planted_instance
+from helpers import (
+    noise_instance,
+    planted_instance,
+    relaxed_gradient,
+    ridge_value_kernel,
+    smw_residuals,
+)
 from sparsecert import (
     EnsembleConfig,
     SupportContext,
@@ -23,13 +29,11 @@ from sparsecert import (
     pwg_value,
     pwg_witness_to_dcl,
     ridge_restricted_solve,
-    ridge_value_kernel,
-    smw_residuals,
     verify_kkt,
 )
 from sparsecert.cli import main
 from sparsecert.ensemble import aggregate_curves, run_sweep
-from sparsecert.oracles import project_capped_simplex, relaxed_gradient, relaxed_objective
+from sparsecert.oracles import project_capped_simplex, relaxed_objective
 
 ARTIFACT_DIR = Path(__file__).resolve().parent.parent / "test-artifacts"
 

@@ -1,9 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import mixed_instance, noise_instance, planted_instance, random_support
+from helpers import (
+    mixed_instance,
+    noise_instance,
+    planted_instance,
+    random_support,
+    ridge_value_kernel,
+)
 from sparsecert import (
     CertOutcome,
     ProblemInstance,
@@ -13,7 +21,6 @@ from sparsecert import (
     check_pwg,
     kkt_variables,
     pwg_witness_to_dcl,
-    ridge_value_kernel,
     verify_dcl_certificate,
     verify_kkt,
 )
@@ -39,7 +46,8 @@ def ident(y, k=1):
 
 @pytest.fixture
 def eig_calls(monkeypatch):
-    """The shapes of the matrices check_dcl hands to max_eig_sym, in order."""
+    """The shapes of the negated t x t Schur complements check_dcl hands to
+    max_eig_sym, in order."""
     calls = []
 
     def counting(A):
@@ -559,7 +567,9 @@ def test_crossing_cut_ends_search_within_three_evaluations(eig_calls):
 
 def test_negative_discriminant_proves_interval_empty(monkeypatch):
     # X v = 0 for v = (1.1, -1): c = ||v||^2 = 2.21 while 4ab = 5.856, so
-    # g_v > 0 at every threshold, although the bracket [0.137, 0.5] is not empty
+    # g_v > 0 at every threshold, although the bracket [0.137, 0.5] is not empty.
+    # Both duals exceed 1/2 at the first query, so the Schur block is all of
+    # {0, 1} (t = 2, c empty) and the eigenvector u lifts to v = u.
     inst = ProblemInstance(X=[[1.0, 1.1]], y=[1.0], rho=1.0, k=1)
     v = np.array([1.1, -1.0])
     ctx = SupportContext(inst, [0])
@@ -577,7 +587,7 @@ def test_negative_discriminant_proves_interval_empty(monkeypatch):
 
     monkeypatch.setattr(certificates, "max_eig_sym", fixed_direction)
     assert check_dcl(inst, [0]).reason == REASON_EMPTY_INTERVAL
-    assert len(calls) == 1
+    assert calls == [(2, 2)]
 
 
 def test_root_interval_hand_values():
@@ -634,6 +644,61 @@ def test_p256_trials_need_few_eigensolves(eig_calls):
             else:
                 assert out.reason == REASON_EMPTY_INTERVAL
     assert len(eig_calls) <= 12
+    # each eigensolve is on a t x t Schur block, never on a p x p matrix
+    assert all(rows == cols < 256 for rows, cols in eig_calls)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31),
+    st.booleans(),
+    st.floats(min_value=0.001, max_value=0.999),
+)
+def test_schur_query_agrees_with_dense_margin(seed, tall, frac):
+    # n > p >= |c| takes the |c| x |c| Woodbury form of the inner solve, and
+    # n <= 2 <= |c| the n x n form
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(4, 13))
+    n = int(rng.integers(p + 1, 2 * p + 2)) if tall else int(rng.integers(1, 3))
+    inst, sup = planted_instance(rng, n=n, p=p, amplitude=float(rng.uniform(0.05, 3.0)))
+    ctx = SupportContext(inst, sup)
+    assume(not ctx.zero_score_in_support)
+    ell, up = ctx.bracket()
+    assume(ell < up)
+    lam = ell + frac * (up - ell) if ell == 0.0 else ell ** (1.0 - frac) * up**frac
+    duals = ctx.duals(lam)
+    assume(tall or (duals < 1.0 - certificates.SCHUR_SPLIT).sum() >= n)
+    slack = ctx.slack_matrix(duals)
+    margin = float(np.linalg.eigvalsh(slack)[-1])
+    assume(abs(margin) > 1e-9 * np.abs(slack).max())
+    v = certificates._schur_query(ctx, duals)
+    assert (v is None) == (margin <= 0.0)
+    if v is not None:
+        # the lifted vector's Rayleigh cut excludes lam
+        a, b, c = ctx.rayleigh(v)
+        assert a * lam + b / lam - c > 0.0
+        lo, hi = root_interval(a, b, c)
+        assert not lo <= lam <= hi
+
+
+def test_search_forms_no_p_by_p_array(eig_calls, monkeypatch):
+    # one p x p float64 array at p=1024 is 8 MiB; the dense slack matrix is
+    # never built during the search
+    def dense(*args):
+        raise AssertionError("check_dcl formed the dense slack matrix")
+
+    monkeypatch.setattr(SupportContext, "slack_matrix", dense)
+    monkeypatch.setattr(SupportContext, "base", property(dense))
+    cfg = EnsembleConfig(p_list=[1024], trials=1, alpha_grid=[1.0], rho_multipliers=[2.0])
+    inst, _, sup = generate_instance(cfg, 1024, 1.0, 2.0, 0)
+    tracemalloc.start()
+    try:
+        out = check_dcl(inst, sup)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.reason == REASON_EMPTY_INTERVAL and eig_calls
+    assert peak < 1024 * 1024 * 8
 
 
 def test_cholesky_certifies_first_query_without_eigensolve(eig_calls):

@@ -7,7 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import mixed_instance, noise_instance, planted_instance
+from helpers import (
+    mixed_instance,
+    noise_instance,
+    planted_instance,
+    relaxed_gradient,
+    ridge_value_kernel,
+)
 from sparsecert import (
     ProblemInstance,
     brute_force_l0,
@@ -22,7 +28,6 @@ from sparsecert.oracles import (
     BRUTE_FORCE_CHUNK,
     MAX_COMBINATIONS,
     CombinationBudgetError,
-    relaxed_gradient,
     relaxed_objective,
 )
 
@@ -104,8 +109,6 @@ def test_brute_force_ties_across_chunks(monkeypatch):
 
 def test_brute_force_matches_exhaustive_over_all_sizes():
     # enumerating only size-k supports is enough: value is monotone in growth
-    from sparsecert import ridge_value_kernel
-
     rng = np.random.default_rng(3)
     for _ in range(30):
         inst = noise_instance(rng, n=6, p=7)
