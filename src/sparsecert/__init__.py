@@ -28,7 +28,6 @@ from .linalg import (
     RestrictedRidgeSolution,
     correlation_scores,
     max_eig_sym,
-    ridge_kernel_solve,
     ridge_restricted_solve,
 )
 from .oracles import (
@@ -71,7 +70,6 @@ __all__ = [
     "project_capped_simplex",
     "pwg_value",
     "pwg_witness_to_dcl",
-    "ridge_kernel_solve",
     "ridge_restricted_solve",
     "run_sweep",
     "seed_derive",

@@ -48,9 +48,15 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtrs
+from scipy.linalg.lapack import dtrtrs
 
-from .linalg import correlation_scores, max_eig_sym, ridge_restricted_solve
+from .linalg import (
+    cholesky,
+    correlation_scores,
+    kernel_factor,
+    max_eig_sym,
+    ridge_restricted_solve,
+)
 from .problem import ProblemInstance, normalize_support
 
 # NotCertified reasons
@@ -276,16 +282,6 @@ def root_interval(a: float, b: float, c: float) -> tuple[float, float]:
     return b / q, (q / a if a > 0.0 else math.inf)
 
 
-def _cholesky(A: np.ndarray) -> Optional[np.ndarray]:
-    """Cholesky factor of a symmetric matrix by one LAPACK `potrf` (only its
-    lower triangle is the factor), or None when A is not positive definite.
-    A non-finite entry raises ValueError."""
-    if not np.isfinite(A).all():
-        raise ValueError("the Schur-complement query met a non-finite entry")
-    L, info = dpotrf(A, lower=1, clean=0)
-    return L if info == 0 else None
-
-
 def _schur_query(ctx: SupportContext, duals: np.ndarray) -> Optional[np.ndarray]:
     """None when the slack matrix S at `duals` is NSD, else a vector v with
     v^T S v > 0; neither S nor X^T X is formed.
@@ -294,13 +290,12 @@ def _schur_query(ctx: SupportContext, duals: np.ndarray) -> Optional[np.ndarray]
     M_cc > I/2 is positive definite on the columns c with w_i > SCHUR_SPLIT,
     so M is PSD exactly when the Schur complement on the other t columns T,
     Sch = W_T + X_T^T (rho I_n + X_c W_c^{-1} X_c^T)^{-1} X_T, is. With
-    G = X_c W_c^{-1/2} the inner inverse comes from a Cholesky factor of
-    rho I_n + G G^T or, when 0 < |c| < n (as `ridge_kernel_solve` picks),
-    of rho I + G^T G by Woodbury. t = 0, a Cholesky factor of Sch, or a
-    nonpositive top eigenvalue of -Sch (`max_eig_sym`) certifies; else its
-    eigenvector u lifts to v = (u, -M_cc^{-1} M_cT u), with
-    v^T S v = -u^T Sch u > 0. A failed inner factorization or a non-finite
-    entry raises ValueError.
+    G = X_c W_c^{-1/2} the inner inverse comes from `kernel_factor(G, rho)`,
+    directly on its n x n side or by Woodbury on its |c| x |c| side. t = 0,
+    a Cholesky factor of Sch, or a nonpositive top eigenvalue of -Sch
+    (`max_eig_sym`) certifies; else its eigenvector u lifts to
+    v = (u, -M_cc^{-1} M_cT u), with v^T S v = -u^T Sch u > 0. A failed
+    inner factorization or a non-finite entry raises ValueError.
     """
     X, rho = ctx.inst.X, ctx.inst.rho
     w = 1.0 - duals
@@ -311,16 +306,11 @@ def _schur_query(ctx: SupportContext, duals: np.ndarray) -> Optional[np.ndarray]
     root_wc = np.sqrt(w[~block])
     G = X[:, ~block]
     G /= root_wc
-    woodbury = 0 < G.shape[1] < ctx.inst.n
-    inner = G.T @ G if woodbury else G @ G.T
-    inner.flat[:: inner.shape[0] + 1] += rho
-    L = _cholesky(inner)
-    if L is None:
-        raise ValueError("the Schur-complement kernel is too ill-conditioned to factor")
+    L, woodbury = kernel_factor(G, rho)
     F = dtrtrs(L, G.T @ XT if woodbury else XT, lower=1)[0]
     sch = (XT.T @ XT - F.T @ F) / rho if woodbury else F.T @ F
     sch.flat[:: sch.shape[0] + 1] += w[block]
-    if _cholesky(sch) is not None:
+    if cholesky(sch) is not None:
         return None
     top, u = max_eig_sym(-sch)
     if top <= 0.0:

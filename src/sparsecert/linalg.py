@@ -1,22 +1,27 @@
 """Dense kernels shared by the certificate checks and oracles.
 
-Everything is phrased around the n x n kernel matrix
+Both certificates rest on the ridge kernel of a support S,
 
-    K_S = I_n + (1/rho) * X_S X_S^T
+    K_S = I_n + (1/rho) * X_S X_S^T,
 
-whose inverse never gets formed: its action is computed through the
-|S|-dimensional Woodbury form when |S| < n. `K_S^{-1} y` equals the residual
-y - X b* of the ridge fit restricted to S, and the per-column correlation
-scores X_j^T K_S^{-1} y drive both certificates.
+and every factorization of such a kernel goes through `kernel_factor`, the
+one place that picks its side: for an n x m matrix G it factors the m x m
+Woodbury form rho I_m + G^T G when 0 < m < n, else rho I_n + G G^T (= rho
+K_S for G = X_S). The restricted ridge fit b*_S is read off either side
+(directly, or by the push-through identity b*_S = X_S^T (rho I_n +
+X_S X_S^T)^{-1} y), `K_S^{-1} y` is its residual y - X_S b*_S, and the
+per-column correlation scores X_j^T K_S^{-1} y drive both certificates.
+`cholesky` is the single LAPACK `potrf` call site.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .problem import ProblemInstance, normalize_support
 
@@ -29,13 +34,36 @@ class RestrictedRidgeSolution:
     value: float      # 0.5*||X beta - y||^2 + 0.5*rho*||beta||^2
 
 
-def _restricted_coeffs(inst: ProblemInstance, support: tuple[int, ...]) -> np.ndarray:
-    """Solve (rho I + X_S^T X_S) b_S = X_S^T y by Cholesky (SPD since rho > 0)."""
-    Xs = inst.X[:, support]
-    gram = Xs.T @ Xs + inst.rho * np.eye(len(support))
-    rhs = Xs.T @ inst.y
-    cho = scipy.linalg.cho_factor(gram, lower=True)
-    return scipy.linalg.cho_solve(cho, rhs)
+def cholesky(A: np.ndarray) -> Optional[np.ndarray]:
+    """Cholesky factor of a symmetric matrix by one LAPACK `potrf` (only its
+    lower triangle is the factor), or None when A is not positive definite.
+    A non-finite entry raises ValueError."""
+    if not np.isfinite(A).all():
+        raise ValueError("cannot factor a matrix with a non-finite entry")
+    L, info = dpotrf(A, lower=1, clean=0)
+    return L if info == 0 else None
+
+
+def kernel_factor(G: np.ndarray, rho: float) -> tuple[np.ndarray, bool]:
+    """(L, woodbury): the Cholesky factor L of rho I_m + G^T G when
+    woodbury, which is when 0 < m < n for the n x m matrix G, else of
+    rho I_n + G G^T. A factorization that fails raises ValueError."""
+    woodbury = 0 < G.shape[1] < G.shape[0]
+    kernel = G.T @ G if woodbury else G @ G.T
+    kernel.flat[:: kernel.shape[0] + 1] += rho
+    L = cholesky(kernel)
+    if L is None:
+        raise ValueError("the ridge kernel is too ill-conditioned to factor")
+    return L, woodbury
+
+
+def _restricted_coeffs(Xs: np.ndarray, y: np.ndarray, rho: float) -> np.ndarray:
+    """b*_S = (rho I + X_S^T X_S)^{-1} X_S^T y = X_S^T (rho I_n + X_S X_S^T)^{-1} y,
+    on whichever side `kernel_factor` picks; empty for the empty support."""
+    L, woodbury = kernel_factor(Xs, rho)
+    if woodbury:
+        return dpotrs(L, Xs.T @ y, lower=1)[0]
+    return Xs.T @ dpotrs(L, y, lower=1)[0]
 
 
 def ridge_restricted_solve(inst: ProblemInstance, support: Sequence[int]) -> RestrictedRidgeSolution:
@@ -44,37 +72,17 @@ def ridge_restricted_solve(inst: ProblemInstance, support: Sequence[int]) -> Res
     if not sup:
         raise ValueError("restricted ridge solve needs a nonempty support")
     beta = np.zeros(inst.p)
-    beta[list(sup)] = _restricted_coeffs(inst, sup)
+    beta[list(sup)] = _restricted_coeffs(inst.X[:, sup], inst.y, inst.rho)
     resid = inst.X @ beta - inst.y
     value = 0.5 * float(resid @ resid) + 0.5 * inst.rho * float(beta @ beta)
     return RestrictedRidgeSolution(beta=beta, value=value)
 
 
-def ridge_kernel_solve(inst: ProblemInstance, support: Sequence[int], v: np.ndarray) -> np.ndarray:
-    """Apply K_S^{-1} = (I + X_S X_S^T / rho)^{-1} to a length-n vector.
-
-    Uses the Woodbury identity w = v - X_S (rho I + X_S^T X_S)^{-1} X_S^T v
-    when |S| < n, a direct dense solve otherwise. Empty support gives w = v.
-    """
-    sup = normalize_support(support, inst.p)
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if v.shape != (inst.n,):
-        raise ValueError(f"vector has length {v.shape[0]}, expected n={inst.n}")
-    if not sup:
-        return v.copy()
-    Xs = inst.X[:, sup]
-    if len(sup) < inst.n:
-        gram = Xs.T @ Xs + inst.rho * np.eye(len(sup))
-        cho = scipy.linalg.cho_factor(gram, lower=True)
-        return v - Xs @ scipy.linalg.cho_solve(cho, Xs.T @ v)
-    kernel = np.eye(inst.n) + (Xs @ Xs.T) / inst.rho
-    cho = scipy.linalg.cho_factor(kernel, lower=True)
-    return scipy.linalg.cho_solve(cho, v)
-
-
 def correlation_scores(inst: ProblemInstance, support: Sequence[int]) -> np.ndarray:
-    """c_j = X_j^T K_S^{-1} y for every column j (support columns included)."""
-    return inst.X.T @ ridge_kernel_solve(inst, support, inst.y)
+    """c_j = X_j^T K_S^{-1} y = X_j^T (y - X_S b*_S) for every column j
+    (support columns included); X^T y for the empty support."""
+    Xs = inst.X[:, normalize_support(support, inst.p)]
+    return inst.X.T @ (inst.y - Xs @ _restricted_coeffs(Xs, inst.y, inst.rho))
 
 
 def max_eig_sym(A: np.ndarray) -> tuple[float, np.ndarray]:

@@ -19,12 +19,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrs
 
+from .linalg import cholesky
 from .problem import ProblemInstance, DEFAULT_REL_TOL
 
 MAX_COMBINATIONS = 10**6  # supports brute_force_l0 may enumerate
-BRUTE_FORCE_CHUNK = 4096  # supports per batched factorization in brute_force_l0
+BRUTE_FORCE_CHUNK = 4096  # supports per batched solve in brute_force_l0
 PWG_TOL = 1e-10  # pwg_value stops once no coordinate moves by more than this
 PWG_MAX_ITER = 5000
 
@@ -59,9 +60,9 @@ def brute_force_l0(inst: ProblemInstance) -> BruteForceResult:
     """Exact best-subset ridge value by enumerating all supports of size k.
 
     The Gram matrix X^T X + rho I is formed once; each chunk of at most
-    BRUTE_FORCE_CHUNK supports gathers its k x k blocks and runs one batched
-    Cholesky and solve, so memory stays bounded at any budget.
-    The value of a support is 0.5*(y^T y - ||L^{-1} X_S^T y||^2)."""
+    BRUTE_FORCE_CHUNK supports gathers its k x k blocks G_S and runs one
+    batched solve, so memory stays bounded at any budget.
+    The value of a support is 0.5*(y^T y - b^T G_S^{-1} b), b = X_S^T y."""
     total = math.comb(inst.p, inst.k)
     if total > MAX_COMBINATIONS:
         raise CombinationBudgetError(total, MAX_COMBINATIONS)
@@ -74,9 +75,9 @@ def brute_force_l0(inst: ProblemInstance) -> BruteForceResult:
     combos = itertools.combinations(range(inst.p), k)
     while chunk := list(itertools.islice(combos, BRUTE_FORCE_CHUNK)):
         idx = np.array(chunk, dtype=np.intp)
-        chol = np.linalg.cholesky(gram[idx[:, :, None], idx[:, None, :]])
-        w = np.linalg.solve(chol, xty[idx][:, :, None])[:, :, 0]
-        values = 0.5 * (yty - np.einsum("ij,ij->i", w, w))
+        b = xty[idx]
+        w = np.linalg.solve(gram[idx[:, :, None], idx[:, None, :]], b[:, :, None])[:, :, 0]
+        values = 0.5 * (yty - np.einsum("ij,ij->i", b, w))
         best = min(best, float(values.min()))
         bound = best + DEFAULT_REL_TOL * max(1.0, abs(best))
         ties = [(v, s) for v, s in ties if v <= bound]
@@ -130,13 +131,10 @@ def _relaxed_objective_and_scores(
     n = inst.n
     kernel = np.eye(n) + (inst.X * z) @ inst.X.T / inst.rho
     kernel = 0.5 * (kernel + kernel.T)
-    try:
-        cho = scipy.linalg.cho_factor(kernel, lower=True)
-    except np.linalg.LinAlgError as err:
-        raise ValueError(
-            f"the kernel I + X D(z) X^T/rho is too ill-conditioned to factor ({err})"
-        ) from None
-    ky = scipy.linalg.cho_solve(cho, inst.y)
+    L = cholesky(kernel)
+    if L is None:
+        raise ValueError("the kernel I + X D(z) X^T/rho is too ill-conditioned to factor")
+    ky = dpotrs(L, inst.y, lower=1)[0]
     return 0.5 * float(inst.y @ ky), inst.X.T @ ky
 
 

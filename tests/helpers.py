@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from sparsecert import ProblemInstance, ridge_kernel_solve, ridge_restricted_solve
+from sparsecert import ProblemInstance, ridge_restricted_solve
 from sparsecert.oracles import _relaxed_objective_and_scores
 from sparsecert.problem import normalize_support
 
@@ -46,13 +46,22 @@ def random_support(rng, inst):
     return tuple(sorted(rng.choice(inst.p, size=size, replace=False).tolist()))
 
 
+def dense_kernel_solve(inst, support, v):
+    """K_S^{-1} v = (I + X_S X_S^T / rho)^{-1} v by a dense n x n solve, the
+    reference the library's factored forms are checked against. The empty
+    support gives v."""
+    sup = normalize_support(support, inst.p)
+    Xs = inst.X[:, sup]
+    return np.linalg.solve(np.eye(inst.n) + Xs @ Xs.T / inst.rho, np.asarray(v, dtype=float))
+
+
 def ridge_value_kernel(inst, support):
     """Restricted ridge optimum through the kernel identity 0.5*y^T K_S^{-1} y.
 
     Agrees with ridge_restricted_solve(...).value; accepts the empty support,
     where the value is 0.5*||y||^2.
     """
-    return 0.5 * float(inst.y @ ridge_kernel_solve(inst, support, inst.y))
+    return 0.5 * float(inst.y @ dense_kernel_solve(inst, support, inst.y))
 
 
 def smw_residuals(inst, support):
@@ -69,7 +78,7 @@ def smw_residuals(inst, support):
     if not sup:
         raise ValueError("residual check needs a nonempty support")
     sol = ridge_restricted_solve(inst, sup)
-    smoothed = ridge_kernel_solve(inst, sup, inst.y)
+    smoothed = dense_kernel_solve(inst, sup, inst.y)
     r1 = float(np.abs(inst.X.T @ (inst.X @ sol.beta - inst.y) + inst.X.T @ smoothed).max())
     r2 = float(np.abs(sol.beta[list(sup)] - inst.X[:, sup].T @ smoothed / inst.rho).max())
     return r1, r2

@@ -41,6 +41,16 @@ def test_check_uses_file_support(identity_instance, capsys):
     assert "support: [0]" in capsys.readouterr().out
 
 
+def test_check_empty_support_exits_1(identity_instance, tmp_path, capsys):
+    # the scores of the empty support are X^T y; the checks then refuse it
+    assert main(["check", str(identity_instance), "--support", ""]) == 1
+    assert "error: certificate checks need a nonempty support" in capsys.readouterr().err
+    path = tmp_path / "empty_support.json"
+    path.write_text(json.dumps({**IDENTITY_DOC, "support": []}), encoding="utf-8")
+    assert main(["check", str(path)]) == 1
+    assert "error: certificate checks need a nonempty support" in capsys.readouterr().err
+
+
 def test_check_wrong_support_exits_2(identity_instance, capsys):
     code = main(["check", str(identity_instance), "--support", "1"])
     out = capsys.readouterr().out

@@ -3,14 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import mixed_instance, random_support, ridge_value_kernel, smw_residuals
+from helpers import (
+    dense_kernel_solve,
+    mixed_instance,
+    random_support,
+    ridge_value_kernel,
+    smw_residuals,
+)
 from sparsecert import (
     ProblemInstance,
     correlation_scores,
     max_eig_sym,
-    ridge_kernel_solve,
     ridge_restricted_solve,
 )
+from sparsecert.linalg import kernel_factor
 
 I2 = np.eye(2)
 
@@ -55,11 +61,25 @@ def test_kernel_value_examples():
 
 
 def test_kernel_solve_examples():
+    # K_S^{-1} y is the residual of the restricted fit; scores are X^T of it
+    # and b*_S = X_S^T K_S^{-1} y / rho, each against the dense solve
     inst = ProblemInstance(X=I2, y=[1.0, 0.0], rho=1.0, k=1)
-    assert np.allclose(ridge_kernel_solve(inst, [], [1.0, 0.0]), [1.0, 0.0])
-    assert np.allclose(ridge_kernel_solve(inst, [0], [1.0, 0.0]), [0.5, 0.0])
+    assert np.allclose(dense_kernel_solve(inst, [], inst.y), [1.0, 0.0])
+    assert np.allclose(correlation_scores(inst, []), [1.0, 0.0])
+    assert np.allclose(dense_kernel_solve(inst, [0], inst.y), [0.5, 0.0])
+    assert np.allclose(correlation_scores(inst, [0]), [0.5, 0.0])
+    assert np.allclose(ridge_restricted_solve(inst, [0]).beta, [0.5, 0.0])
     inst2 = ProblemInstance(X=[[1.0]], y=[2.0], rho=1.0, k=1)
-    assert np.allclose(ridge_kernel_solve(inst2, [0], [2.0]), [1.0])
+    assert np.allclose(dense_kernel_solve(inst2, [0], inst2.y), [1.0])
+    assert np.allclose(correlation_scores(inst2, [0]), [1.0])
+    assert np.allclose(ridge_restricted_solve(inst2, [0]).beta, [1.0])
+
+
+def test_empty_support_scores_are_exactly_xty():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        inst = mixed_instance(rng)
+        assert np.array_equal(correlation_scores(inst, ()), inst.X.T @ inst.y)
 
 
 def test_correlation_scores_examples():
@@ -101,16 +121,60 @@ def test_value_monotone_in_support_growth():
         assert ridge_value_kernel(inst, big) <= ridge_value_kernel(inst, small) + 1e-9
 
 
+def _assert_matches_dense(inst, sup, rtol=1e-9):
+    """Residual y - X_S b*_S, scores and b*_S against the dense n x n solve."""
+    dense = dense_kernel_solve(inst, sup, inst.y)
+    beta = ridge_restricted_solve(inst, sup).beta
+    resid = inst.y - inst.X[:, list(sup)] @ beta[list(sup)]
+    assert np.allclose(resid, dense, rtol=rtol, atol=rtol * (1 + np.abs(dense).max()))
+    scores = inst.X.T @ dense
+    assert np.allclose(correlation_scores(inst, sup), scores,
+                       rtol=rtol, atol=rtol * (1 + np.abs(scores).max()))
+    coeffs = inst.X[:, list(sup)].T @ dense / inst.rho
+    assert np.allclose(beta[list(sup)], coeffs, rtol=rtol, atol=rtol * (1 + np.abs(coeffs).max()))
+
+
 def test_kernel_solve_matches_dense_solve():
     rng = np.random.default_rng(13)
     for _ in range(200):
         inst = mixed_instance(rng)
         sup = random_support(rng, inst)
         v = rng.standard_normal(inst.n)
-        Xs = inst.X[:, sup]
-        dense = np.linalg.solve(np.eye(inst.n) + Xs @ Xs.T / inst.rho, v)
-        fast = ridge_kernel_solve(inst, sup, v)
-        assert np.allclose(fast, dense, rtol=1e-9, atol=1e-9 * (1 + np.abs(dense).max()))
+        _assert_matches_dense(ProblemInstance(X=inst.X, y=v, rho=inst.rho, k=inst.k), sup)
+
+
+def test_support_larger_than_n_matches_dense_solve():
+    # |S| >= n takes the n x n side of kernel_factor
+    rng = np.random.default_rng(19)
+    for _ in range(200):
+        n = int(rng.integers(1, 6))
+        p = int(rng.integers(n + 1, 13))
+        inst = mixed_instance(rng, n=n, p=p, k=int(rng.integers(n, p + 1)))
+        size = int(rng.integers(n, inst.k + 1))
+        sup = tuple(sorted(rng.choice(p, size=size, replace=False).tolist()))
+        _assert_matches_dense(inst, sup)
+
+
+@pytest.mark.parametrize("n, m, woodbury", [(4, 0, False), (4, 2, True), (4, 4, False), (4, 6, False)])
+def test_kernel_factor_side_and_factor(n, m, woodbury):
+    rng = np.random.default_rng(n + m)
+    G = rng.standard_normal((n, m))
+    rho = 0.7
+    L, side = kernel_factor(G, rho)
+    assert side is woodbury
+    kernel = G.T @ G + rho * np.eye(m) if woodbury else G @ G.T + rho * np.eye(n)
+    assert np.allclose(np.tril(L), np.linalg.cholesky(kernel), rtol=1e-12, atol=1e-12)
+
+
+def test_kernel_factor_rejects_what_it_cannot_factor():
+    for bad in (np.nan, np.inf):
+        G = np.ones((3, 2))
+        G[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            kernel_factor(G, 1.0)
+    # rank one plus rho below roundoff: the n x n side is singular in floating point
+    with pytest.raises(ValueError, match="ill-conditioned"):
+        kernel_factor(np.ones((2, 3)), 1e-300)
 
 
 def test_smw_residuals_hand_example():
