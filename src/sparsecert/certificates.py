@@ -27,9 +27,9 @@ the cardinality-constrained ridge problem at S:
   eigenvalue; verify_dcl_certificate re-checks one densely and returns the
   top eigenvalue of its slack matrix.
 
-`SupportContext` holds everything these tests compute for one (instance,
-support) pair (scores, duals, slack matrix, margin, subgradient, Rayleigh
-coefficients, bracket), and each certificate test builds exactly one.
+`SupportContext` holds what these tests read for one (instance, support)
+pair (scores, masks, duals, Rayleigh coefficients, bracket), and each
+certificate test builds exactly one.
 
 A dual-certificate search that fails says why: `interval-empty` means no
 threshold can certify, proved either by the analytic bracket or by a
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -137,18 +136,16 @@ def _checked_support(inst: ProblemInstance, support: Sequence[int]) -> tuple[int
 
 
 class SupportContext:
-    """Everything the certificate tests compute for one (instance, support)
-    pair: the correlation scores, the canonical duals and slack matrix at any
-    threshold, its top eigenvalue (the margin), a subgradient of the margin,
-    the Rayleigh lower bound on it along any vector, and the analytic bracket
-    of certifying thresholds.
+    """What the certificate tests read for one (instance, support) pair: the
+    correlation scores and support masks, the canonical duals at a
+    threshold, the Rayleigh bound along a vector and the analytic bracket.
+    No member forms a p x p array.
 
-    The support is validated on construction. Every method that takes a
-    threshold raises ValueError on one that is not a positive finite real,
-    and those methods, `rayleigh` and `bracket` raise it when a support
-    column has a zero correlation score, for which the canonical duals are
-    undefined; `zero_score_in_support` is computed once, so a caller can test
-    it first.
+    The support is validated on construction. `duals` raises ValueError on
+    a threshold that is not a positive finite real, and `duals`, `rayleigh`
+    and `bracket` raise it when a support column has a zero correlation
+    score, for which the canonical duals are undefined; a caller can test
+    `zero_score_in_support` first.
     """
 
     def __init__(self, inst: ProblemInstance, support: Sequence[int]):
@@ -163,55 +160,20 @@ class SupportContext:
         self.sq_out = self.sq[self.out_mask]
         self.zero_score_in_support = bool((self.sq_in == 0.0).any())
 
-    @cached_property
-    def base(self) -> np.ndarray:
-        """Negated PSD part of the slack matrix, -X^T X/rho - I_p, formed on
-        first use: only the dense re-verification needs it, not the search."""
-        gram = self.inst.X.T @ self.inst.X
-        # symmetrized against BLAS noise
-        return -0.5 * (gram + gram.T) / self.inst.rho - np.eye(self.inst.p)
-
-    def all_scores_zero(self) -> bool:
-        return bool((self.sq == 0.0).all())
-
-    def _thresholds(self, lam) -> np.ndarray:
-        if self.zero_score_in_support:
-            raise ValueError("support contains a zero correlation score")
-        lam = np.asarray(lam, dtype=float)
-        if not (np.isfinite(lam) & (lam > 0.0)).all():
-            raise ValueError(f"thresholds must be positive reals, got {lam}")
-        return lam
-
-    def duals(self, lam) -> np.ndarray:
+    def duals(self, lam: float) -> np.ndarray:
         """Canonical duals lam/c_i^2 on the support and c_i^2/lam off it: the
         pointwise-smallest duals satisfying the certificate's side
         conditions, so the slack matrix at them decides whether `lam`
-        certifies. A scalar `lam` gives shape (p,), an array of m
-        thresholds gives (m, p)."""
-        lam = self._thresholds(lam)[..., None]
-        d = np.empty(lam.shape[:-1] + (self.inst.p,))
-        d[..., self.in_mask] = lam / self.sq_in
-        d[..., self.out_mask] = self.sq_out / lam
+        certifies."""
+        if self.zero_score_in_support:
+            raise ValueError("support contains a zero correlation score")
+        lam = float(lam)
+        if not (math.isfinite(lam) and lam > 0.0):
+            raise ValueError(f"thresholds must be positive reals, got {lam}")
+        d = np.empty(self.inst.p)
+        d[self.in_mask] = lam / self.sq_in
+        d[self.out_mask] = self.sq_out / lam
         return d
-
-    def slack_matrix(self, duals: np.ndarray) -> np.ndarray:
-        """diag(duals) - X^T X/rho - I_p for one dual vector (p,) or a stack
-        of them (m, p)."""
-        duals = np.asarray(duals, dtype=float)
-        A = np.broadcast_to(self.base, duals.shape[:-1] + self.base.shape).copy()
-        diag = np.arange(self.inst.p)
-        A[..., diag, diag] += duals
-        return A
-
-    def margin(self, lam: float) -> tuple[float, np.ndarray]:
-        """Top eigenvalue and a unit eigenvector of the slack matrix at the
-        canonical duals for `lam`. A nonpositive margin certifies exactness."""
-        return max_eig_sym(self.slack_matrix(self.duals(float(lam))))
-
-    def margins(self, lams: np.ndarray) -> np.ndarray:
-        """Margins at an array of thresholds, one batched eigenvalue solve."""
-        lams = np.asarray(lams, dtype=float).reshape(-1)
-        return np.linalg.eigvalsh(self.slack_matrix(self.duals(lams)))[:, -1]
 
     def rayleigh(self, v: np.ndarray) -> tuple[float, float, float]:
         """Coefficients of the Rayleigh value of the slack matrix along v,
@@ -233,18 +195,6 @@ class SupportContext:
         Xv = self.inst.X @ v
         return a, b, float(Xv @ Xv) / self.inst.rho + float(v2.sum())
 
-    def subgradient(self, lam: float, eigvec: np.ndarray) -> float:
-        """Subgradient of the margin at `lam` built from a top eigenvector u,
-        the slope of g_u there:
-
-            h = sum_{i in S} u_i^2 / c_i^2 - (1/lam^2) sum_{i not in S} c_i^2 u_i^2.
-        """
-        lam = float(self._thresholds(float(lam)))
-        a, b, _ = self.rayleigh(eigvec)
-        # divide twice: lam**2 raises OverflowError above lam ~ 1e154 and
-        # underflows to a zero divisor below lam ~ 1e-162
-        return a - b / lam / lam
-
     def bracket(self) -> tuple[float, float]:
         """Bracket [ell, up] that must contain any threshold with negative
         margin, read off the slack matrix's diagonal:
@@ -252,17 +202,25 @@ class SupportContext:
             ell = max_{i not in S} c_i^2 / (||X_i||^2/rho + 1),
             up  = min_{i in S}  c_i^2 * (||X_i||^2/rho + 1).
 
-        Returned as-is even when ell >= up (caller reports the empty interval).
+        Returned as-is even when ell >= up (caller reports the empty interval);
+        ValueError when a weight or `up` would overflow.
         """
         if self.zero_score_in_support:
             raise ValueError("support contains a zero correlation score")
-        X = self.inst.X
-        weight = np.einsum("ij,ij->j", X, X) / self.inst.rho + 1.0
-        up = float((self.sq_in * weight[self.in_mask]).min())
-        if self.out_mask.any():
-            ell = float((self.sq_out / weight[self.out_mask]).max())
-        else:
-            ell = 0.0
+        X, rho = self.inst.X, self.inst.rho
+        log_big = math.log(np.finfo(float).max)
+        norms = np.einsum("ij,ij->j", X, X)
+        # tested before forming: a Python float quotient overflows to inf silently
+        if not math.log(float(norms.max()) / rho + 1.0) < log_big:
+            raise ValueError("the dual bracket is not representable: ||X_i||^2/rho overflows")
+        weight = norms / rho + 1.0
+        w_in = weight[self.in_mask]
+        # a product past the largest float cannot be the minimum unless all are
+        fits = np.log(self.sq_in) + np.log(w_in) < log_big
+        if not fits.any():
+            raise ValueError("the dual bracket is not representable: its upper end overflows")
+        up = float((self.sq_in[fits] * w_in[fits]).min())
+        ell = float((self.sq_out / weight[self.out_mask]).max(initial=0.0))
         return ell, up
 
 
@@ -373,7 +331,7 @@ def check_dcl(inst: ProblemInstance, support: Sequence[int]) -> CertOutcome:
     after BISECTION_MAX_ITER evaluations.
     """
     ctx = SupportContext(inst, support)
-    if ctx.all_scores_zero():
+    if not ctx.sq.any():
         return CertOutcome(DclCertificate(support=ctx.support, lam=0.0, duals=np.zeros(inst.p)))
     if ctx.zero_score_in_support:
         return CertOutcome(reason=REASON_ZERO_SCORE)
@@ -424,8 +382,12 @@ def verify_dcl_certificate(inst: ProblemInstance, cert: DclCertificate) -> float
         raise CertificateConsistencyError("non-finite dual variables")
     if not (lam >= 0.0 and (d >= 0.0).all()):
         raise CertificateConsistencyError("negative dual variables")
-    # PSD side: X^T X/rho + I - D(d) >= 0  <=>  top eig of slack matrix <= 0
-    top = float(np.linalg.eigvalsh(ctx.slack_matrix(d))[-1])
+    # PSD side: X^T X/rho + I - D(d) >= 0 <=> the slack matrix, symmetrized
+    # against BLAS noise, has top eigenvalue <= 0
+    gram = inst.X.T @ inst.X
+    slack = -0.5 * (gram + gram.T) / inst.rho - np.eye(inst.p)
+    slack.flat[:: inst.p + 1] += d
+    top = float(np.linalg.eigvalsh(slack)[-1])
     if not (np.isfinite(top) and top <= COND_TOL):
         raise CertificateConsistencyError(f"slack matrix not NSD: top eigenvalue {top:g}")
     gap_in = np.abs(lam - d[ctx.in_mask] * ctx.sq_in)
@@ -508,7 +470,7 @@ def verify_kkt(
 
     # lambda_min of [[lam, t_i], [t_i, d_i]] in closed form
     half_tr = 0.5 * (lam + d)
-    radius = np.sqrt((0.5 * (lam - d)) ** 2 + t**2)
+    radius = np.hypot(0.5 * (lam - d), t)
     psd_small = float(np.maximum(0.0, radius - half_tr).max())
 
     comp_big = abs(tau + 2.0 * float((-xty - t) @ beta) + float(beta @ (Q @ beta)))

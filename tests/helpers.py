@@ -3,6 +3,7 @@
 import numpy as np
 
 from sparsecert import ProblemInstance, ridge_restricted_solve
+from sparsecert.linalg import max_eig_sym
 from sparsecert.oracles import _relaxed_objective_and_scores
 from sparsecert.problem import normalize_support
 
@@ -92,3 +93,29 @@ def relaxed_gradient(inst, z):
         raise ValueError(f"z has length {z.shape[0]}, expected p={inst.p}")
     _, scores = _relaxed_objective_and_scores(inst, z)
     return -(scores**2) / (2.0 * inst.rho)
+
+
+def slack_matrices(ctx, lams):
+    """The dense slack matrices diag(d(lam)) - X^T X/rho - I_p of a
+    SupportContext at the canonical duals of each threshold in `lams`, as an
+    (m, p, p) stack, with the arithmetic of verify_dcl_certificate. The
+    search never forms them; they are the tests' reference."""
+    lams = np.asarray(lams, dtype=float).reshape(-1, 1)
+    gram = ctx.inst.X.T @ ctx.inst.X
+    base = -0.5 * (gram + gram.T) / ctx.inst.rho - np.eye(ctx.inst.p)
+    slack = np.broadcast_to(base, (lams.shape[0],) + base.shape).copy()
+    diag = np.arange(ctx.inst.p)
+    slack[:, diag[ctx.in_mask], diag[ctx.in_mask]] += lams / ctx.sq_in
+    slack[:, diag[ctx.out_mask], diag[ctx.out_mask]] += ctx.sq_out / lams
+    return slack
+
+
+def dense_margin(ctx, lam):
+    """Top eigenvalue (the margin) and a unit eigenvector of the slack matrix
+    at one threshold; a nonpositive margin certifies."""
+    return max_eig_sym(slack_matrices(ctx, [lam])[0])
+
+
+def dense_margins(ctx, lams):
+    """Margins at an array of thresholds, one batched eigenvalue solve."""
+    return np.linalg.eigvalsh(slack_matrices(ctx, lams))[:, -1]

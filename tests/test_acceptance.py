@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from helpers import (
+    dense_margin,
+    dense_margins,
     noise_instance,
     planted_instance,
     relaxed_gradient,
@@ -123,7 +125,7 @@ def test_criterion_3_bisection_vs_grid():
         lams = np.linspace(ell, up, 10_000)
         if lams[0] <= 0.0:
             lams[0] = 0.5 * lams[1]
-        grid_min = float(ctx.margins(lams).min())
+        grid_min = float(dense_margins(ctx, lams).min())
         if -1e-6 < grid_min < 1e-6:
             borderline += 1
             continue
@@ -204,16 +206,18 @@ def test_criterion_5_convexity_and_subgradient():
             l1, l2, l3 = np.sort(rng.uniform(lo, hi, size=3))
             if l1 == l2 or l2 == l3:
                 continue
-            f1 = ctx.margin(l1)[0]
-            f2 = ctx.margin(l2)[0]
-            f3 = ctx.margin(l3)[0]
+            f1 = dense_margin(ctx, l1)[0]
+            f2 = dense_margin(ctx, l2)[0]
+            f3 = dense_margin(ctx, l3)[0]
             t = (l3 - l2) / (l3 - l1)
             assert f2 <= t * f1 + (1.0 - t) * f3 + 1e-9
         for _ in range(25):
             lam_hat, lam = rng.uniform(lo, hi, size=2)
-            f_hat, eigvec = ctx.margin(lam_hat)
-            h = ctx.subgradient(lam_hat, eigvec)
-            assert ctx.margin(lam)[0] >= f_hat + h * (lam - lam_hat) - 1e-9
+            f_hat, eigvec = dense_margin(ctx, lam_hat)
+            # the slope of g_u at lam_hat is a subgradient of the margin there
+            a, b, _ = ctx.rayleigh(eigvec)
+            h = a - b / lam_hat / lam_hat
+            assert dense_margin(ctx, lam)[0] >= f_hat + h * (lam - lam_hat) - 1e-9
         instances += 1
     print("PASS criterion 5: convexity and subgradient inequalities on 100 instances x 50 points")
 

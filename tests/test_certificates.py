@@ -6,11 +6,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    dense_margin,
+    dense_margins,
     mixed_instance,
     noise_instance,
     planted_instance,
     random_support,
     ridge_value_kernel,
+    slack_matrices,
 )
 from sparsecert import (
     CertOutcome,
@@ -100,10 +103,10 @@ def test_pwg_rejects_empty_and_oversized_support():
 
 def test_psd_margin_diagonal_cases():
     ctx = SupportContext(ident([1.0, 0.0]), [0])
-    f, u = ctx.margin(0.25)
+    f, u = dense_margin(ctx, 0.25)
     assert f == pytest.approx(-1.0)
     assert np.allclose(np.abs(u), [1.0, 0.0])
-    f, u = ctx.margin(0.75)
+    f, u = dense_margin(ctx, 0.75)
     assert f == pytest.approx(1.0)
     assert np.allclose(np.abs(u), [1.0, 0.0])
 
@@ -116,75 +119,24 @@ def test_psd_margin_full_support_orthonormal_columns():
     scores = q.T @ np.linalg.solve(np.eye(6) + q @ q.T, inst.y)
     lam = 0.37
     expected = lam * (scores**-2).max() - 2.0
-    f, _ = SupportContext(inst, [0, 1, 2]).margin(lam)
+    f, _ = dense_margin(SupportContext(inst, [0, 1, 2]), lam)
     assert f == pytest.approx(expected, rel=1e-9)
 
 
 def test_psd_margin_rejects_bad_threshold():
     ctx = SupportContext(ident([1.0, 0.0]), [0])
     for bad in (0.0, -1.0, np.nan, np.inf):
-        for call in (ctx.margin, ctx.duals, ctx.margins):
-            with pytest.raises(ValueError, match="positive"):
-                call(bad)
-        # one bad entry spoils the whole array
-        for call in (ctx.duals, ctx.margins):
-            with pytest.raises(ValueError, match="positive"):
-                call(np.array([0.25, bad]))
+        with pytest.raises(ValueError, match="positive"):
+            ctx.duals(bad)
 
 
 def test_psd_margin_rejects_zero_score_in_support():
     ctx = SupportContext(ident([1.0, 0.0]), [1])
     assert ctx.zero_score_in_support
-    for call in (ctx.margin, ctx.duals, ctx.margins):
-        with pytest.raises(ValueError, match="zero correlation score"):
-            call(0.5)
-    for call in (ctx.duals, ctx.margins, ctx.rayleigh):
-        with pytest.raises(ValueError, match="zero correlation score"):
-            call(np.array([0.25, 0.5]))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=2**31))
-def test_batched_margins_match_scalar_margins(seed):
-    rng = np.random.default_rng(seed)
-    inst, sup = planted_instance(rng)
-    ctx = SupportContext(inst, sup)
-    if ctx.zero_score_in_support:
-        return
-    _, up = ctx.bracket()
-    lams = up * rng.uniform(1e-3, 3.0, size=7)
-    scalar = np.array([ctx.margin(lam)[0] for lam in lams])
-    # eigenvalues carry roundoff relative to the matrix norm, not to each value
-    scale = np.abs(ctx.slack_matrix(ctx.duals(lams))).max(axis=(1, 2))
-    assert np.all(np.abs(ctx.margins(lams) - scalar) <= 1e-12 * scale)
-    assert np.array_equal(ctx.duals(lams), [ctx.duals(lam) for lam in lams])
-
-
-def test_subgradient_hand_values():
-    ctx = SupportContext(ident([1.0, 0.0]), [0])
-    _, u = ctx.margin(0.75)
-    assert ctx.subgradient(0.75, u) == pytest.approx(4.0)
-    ctx2 = SupportContext(ident([1.0, 1.0]), [0])
-    lam = 0.05  # small: top eigenvector is the off-support axis
-    _, u2 = ctx2.margin(lam)
-    assert np.allclose(np.abs(u2), [0.0, 1.0])
-    h = ctx2.subgradient(lam, u2)
-    assert h == pytest.approx(-1.0 / lam**2)
-
-
-def test_subgradient_zero_when_eigvec_on_zero_scores():
-    ctx = SupportContext(ident([1.0, 0.0]), [0])
-    h = ctx.subgradient(0.5, np.array([0.0, 1.0]))
-    assert h == 0.0
-
-
-def test_subgradient_at_extreme_thresholds_does_not_raise():
-    # lam**2 overflows (OverflowError) above ~1e154 and underflows to a zero
-    # divisor (ZeroDivisionError) below ~1e-162
-    ctx = SupportContext(ident([1.0, 1.0]), [0])
-    u = np.array([0.0, 1.0])
-    assert ctx.subgradient(1e200, u) == 0.0
-    assert ctx.subgradient(1e-200, u) == -np.inf
+    with pytest.raises(ValueError, match="zero correlation score"):
+        ctx.duals(0.5)
+    with pytest.raises(ValueError, match="zero correlation score"):
+        ctx.rayleigh(np.array([0.25, 0.5]))
 
 
 # ---------------------------------------------------------------------- bracket
@@ -213,12 +165,12 @@ def test_bracket_contains_negative_margin_points():
         if ell >= up:
             continue
         lams = np.linspace(ell if ell > 0 else (up - ell) * 1e-9, up, 50)
-        margins = ctx.margins(lams)
+        margins = dense_margins(ctx, lams)
         # negative margin should never appear outside [ell, up]
         outside = np.concatenate(
             [np.linspace(max(up * 1.0001, up + 1e-12), up * 3.0, 20)]
         )
-        out_marg = ctx.margins(outside)
+        out_marg = dense_margins(ctx, outside)
         assert (out_marg >= -1e-10).all()
         checked += 1
         del margins
@@ -292,6 +244,30 @@ def test_dcl_extreme_scales_give_outcome_or_value_error(seed, log_rho, log_scale
     except ValueError:
         return
     assert isinstance(out, CertOutcome)
+
+
+def test_dcl_overflowed_bracket_is_value_error():
+    # c_i^2 * (||X_i||^2/rho + 1) overflows to up = inf here, and the width
+    # test inf - ell <= BISECTION_TOL * inf used to return interval-empty
+    # with no proof
+    rng = np.random.default_rng(0)
+    X = 1e100 * rng.standard_normal((8, 6))
+    inst = ProblemInstance(X=X, y=rng.standard_normal(8), rho=1.0, k=2)
+    with pytest.raises(ValueError, match="not representable"):
+        check_dcl(inst, (0, 1))
+    with pytest.raises(ValueError, match="not representable"):
+        SupportContext(inst, (0, 1)).bracket()
+    # the weights ||X_i||^2/rho themselves overflow
+    tiny = ProblemInstance(X=X * 1e-100, y=inst.y, rho=1e-310, k=2)
+    with pytest.raises(ValueError, match="not representable"):
+        SupportContext(tiny, (0, 1)).bracket()
+
+
+def test_bracket_minimum_ignores_a_product_that_overflows():
+    # c_0^2 * (||X_0||^2/rho + 1) is about 1e310, but up is the minimum and
+    # column 1's product is 1
+    inst = ProblemInstance(X=np.diag([1e147, 1.0]), y=[1e10, 1.0], rho=1e290, k=2)
+    assert SupportContext(inst, (0, 1)).bracket() == (0.0, 1.0)
 
 
 def test_dcl_invalid_supports():
@@ -524,16 +500,18 @@ def test_margin_convexity_and_subgradient_random():
             l1, l2, l3 = np.sort(rng.uniform(lo, hi, size=3))
             if l1 == l2 or l2 == l3:
                 continue
-            f1 = ctx.margin(l1)[0]
-            f2 = ctx.margin(l2)[0]
-            f3 = ctx.margin(l3)[0]
+            f1 = dense_margin(ctx, l1)[0]
+            f2 = dense_margin(ctx, l2)[0]
+            f3 = dense_margin(ctx, l3)[0]
             t = (l3 - l2) / (l3 - l1)
             assert f2 <= t * f1 + (1 - t) * f3 + 1e-9
         for _ in range(20):
             lam_hat, lam = rng.uniform(lo, hi, size=2)
-            f_hat, u = ctx.margin(lam_hat)
-            h = ctx.subgradient(lam_hat, u)
-            f_other = ctx.margin(lam)[0]
+            f_hat, u = dense_margin(ctx, lam_hat)
+            # the slope of g_u at lam_hat is a subgradient of the margin there
+            a, b, _ = ctx.rayleigh(u)
+            h = a - b / lam_hat / lam_hat
+            f_other = dense_margin(ctx, lam)[0]
             assert f_other >= f_hat + h * (lam - lam_hat) - 1e-9
         tested += 1
 
@@ -553,7 +531,7 @@ def test_cut_proved_empty_interval_has_positive_margin(seed, amplitude):
     if ell >= up or up - ell <= BISECTION_TOL * max(1.0, up):
         return
     lams = np.linspace(ell, up, 1002)[1:-1]
-    assert (ctx.margins(lams) > 0.0).all()
+    assert (dense_margins(ctx, lams) > 0.0).all()
 
 
 def test_crossing_cut_ends_search_within_three_evaluations(eig_calls):
@@ -623,7 +601,7 @@ def test_certifying_thresholds_lie_in_every_root_interval(seed, amplitude):
         return
     lams = np.linspace(ell, up, 402)[1:-1]
     # certifying with room to spare for the roundoff of the eigensolver
-    certifying = lams[ctx.margins(lams) < -1e-9]
+    certifying = lams[dense_margins(ctx, lams) < -1e-9]
     for _ in range(10):
         v = rng.standard_normal(inst.p)
         lo, hi = root_interval(*ctx.rayleigh(v / np.linalg.norm(v)))
@@ -668,7 +646,7 @@ def test_schur_query_agrees_with_dense_margin(seed, tall, frac):
     lam = ell + frac * (up - ell) if ell == 0.0 else ell ** (1.0 - frac) * up**frac
     duals = ctx.duals(lam)
     assume(tall or (duals < 1.0 - certificates.SCHUR_SPLIT).sum() >= n)
-    slack = ctx.slack_matrix(duals)
+    slack = slack_matrices(ctx, [lam])[0]
     margin = float(np.linalg.eigvalsh(slack)[-1])
     assume(abs(margin) > 1e-9 * np.abs(slack).max())
     v = certificates._schur_query(ctx, duals)
@@ -681,14 +659,9 @@ def test_schur_query_agrees_with_dense_margin(seed, tall, frac):
         assert not lo <= lam <= hi
 
 
-def test_search_forms_no_p_by_p_array(eig_calls, monkeypatch):
+def test_search_forms_no_p_by_p_array(eig_calls):
     # one p x p float64 array at p=1024 is 8 MiB; the dense slack matrix is
     # never built during the search
-    def dense(*args):
-        raise AssertionError("check_dcl formed the dense slack matrix")
-
-    monkeypatch.setattr(SupportContext, "slack_matrix", dense)
-    monkeypatch.setattr(SupportContext, "base", property(dense))
     cfg = EnsembleConfig(p_list=[1024], trials=1, alpha_grid=[1.0], rho_multipliers=[2.0])
     inst, _, sup = generate_instance(cfg, 1024, 1.0, 2.0, 0)
     tracemalloc.start()
@@ -734,7 +707,30 @@ def test_bisection_matches_grid_scan_small():
             continue
         lams = np.linspace(ell, up, 2000)
         lams[lams <= 0] = (up - ell) * 1e-9
-        grid_min = float(ctx.margins(lams).min())
+        grid_min = float(dense_margins(ctx, lams).min())
         if abs(grid_min) > 1e-6:
             assert out.exact == (grid_min <= 0.0)
         tested += 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31), st.floats(min_value=0.05, max_value=3.0))
+def test_decisions_invariant_under_column_permutation_and_sign_flips(seed, amplitude):
+    # X -> X P D with P a permutation and D = diag(+-1) maps the problem onto
+    # itself: column j of the new design is column perm[j] of the old one
+    rng = np.random.default_rng(seed)
+    inst, sup = planted_instance(rng, amplitude=amplitude)
+    perm = rng.permutation(inst.p)
+    signs = rng.choice([-1.0, 1.0], size=inst.p)
+    moved = ProblemInstance(X=inst.X[:, perm] * signs, y=inst.y, rho=inst.rho, k=inst.k)
+    where = np.argsort(perm)  # old column index -> new column index
+
+    def relabel(support):
+        return tuple(sorted(int(where[j]) for j in support))
+
+    assert check_pwg(moved, relabel(sup)).exact == check_pwg(inst, sup).exact
+    before, after = check_dcl(inst, sup), check_dcl(moved, relabel(sup))
+    assert (after.exact, after.reason) == (before.exact, before.reason)
+    best, best_moved = brute_force_l0(inst), brute_force_l0(moved)
+    assert best_moved.value == pytest.approx(best.value, rel=1e-12, abs=0.0)
+    assert sorted(best_moved.argmin_supports) == sorted(map(relabel, best.argmin_supports))
