@@ -28,8 +28,9 @@ the cardinality-constrained ridge problem at S:
   top eigenvalue of its slack matrix.
 
 `SupportContext` holds what these tests read for one (instance, support)
-pair (scores, masks, duals, Rayleigh coefficients, bracket), and each
-certificate test builds exactly one.
+pair (scores, masks, duals, Rayleigh coefficients, bracket). Each
+certificate test builds exactly one, and `sparsecert check` runs both on
+one context.
 
 A dual-certificate search that fails says why: `interval-empty` means no
 threshold can certify, proved either by the analytic bracket or by a
@@ -303,7 +304,12 @@ def _witness_transfer(ctx: SupportContext) -> DclCertificate:
 def check_pwg(inst: ProblemInstance, support: Sequence[int]) -> CertOutcome:
     """Threshold test: exact iff off-support scores sit strictly below every
     on-support score in absolute value. Ties fail (strictness required)."""
-    cert = _threshold_witness(SupportContext(inst, support))
+    return _pwg_outcome(SupportContext(inst, support))
+
+
+def _pwg_outcome(ctx: SupportContext) -> CertOutcome:
+    """check_pwg on a context that is already built."""
+    cert = _threshold_witness(ctx)
     return CertOutcome(cert) if cert is not None else CertOutcome(reason=REASON_SEPARATION)
 
 
@@ -330,9 +336,13 @@ def check_dcl(inst: ProblemInstance, support: Sequence[int]) -> CertOutcome:
     bracket width drops below BISECTION_TOL*max(1, up) or, as a guard,
     after BISECTION_MAX_ITER evaluations.
     """
-    ctx = SupportContext(inst, support)
+    return _dcl_outcome(SupportContext(inst, support))
+
+
+def _dcl_outcome(ctx: SupportContext) -> CertOutcome:
+    """check_dcl on a context that is already built."""
     if not ctx.sq.any():
-        return CertOutcome(DclCertificate(support=ctx.support, lam=0.0, duals=np.zeros(inst.p)))
+        return CertOutcome(DclCertificate(support=ctx.support, lam=0.0, duals=np.zeros(ctx.inst.p)))
     if ctx.zero_score_in_support:
         return CertOutcome(reason=REASON_ZERO_SCORE)
     if _threshold_witness(ctx) is not None:

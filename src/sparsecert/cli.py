@@ -26,14 +26,14 @@ from pathlib import Path
 from . import fileio
 from .certificates import (
     CertificateConsistencyError,
-    check_dcl,
-    check_pwg,
+    SupportContext,
+    _dcl_outcome,
+    _pwg_outcome,
     kkt_variables,
     verify_dcl_certificate,
     verify_kkt,
 )
 from .ensemble import aggregate_curves, run_sweep
-from .linalg import correlation_scores
 from .oracles import brute_force_l0, pwg_value
 from .problem import normalize_support
 from .rng import SEED_DERIVE_REFERENCE, SplitMix64, seed_derive
@@ -53,11 +53,12 @@ def cmd_check(args) -> int:
     if indices is None:
         raise ValueError("no support given: pass --support or add one to the file")
     support = normalize_support(indices, inst.p)
-    scores = correlation_scores(inst, support)
+    # one context (one score computation) serves both tests
+    ctx = SupportContext(inst, support)
     print(f"instance: n={inst.n} p={inst.p} rho={fileio.fmt_real(inst.rho)} k={inst.k}")
     print(f"support: {list(support)}")
-    print("correlation scores: [" + ", ".join(fileio.fmt_real(c) for c in scores) + "]")
-    pwg = check_pwg(inst, support)
+    print("correlation scores: [" + ", ".join(fileio.fmt_real(c) for c in ctx.scores) + "]")
+    pwg = _pwg_outcome(ctx)
     if pwg.exact:
         cert = pwg.certificate
         print(
@@ -66,7 +67,7 @@ def cmd_check(args) -> int:
         )
     else:
         print(f"pwg: not-certified ({pwg.reason})")
-    dcl = check_dcl(inst, support)
+    dcl = _dcl_outcome(ctx)
     if not dcl.exact:
         print(f"dcl: not-certified ({dcl.reason})")
         return 2

@@ -14,7 +14,6 @@ optimum with a Frank-Wolfe gap estimate.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,7 +24,7 @@ from .linalg import cholesky
 from .problem import ProblemInstance, DEFAULT_REL_TOL
 
 MAX_COMBINATIONS = 10**6  # supports brute_force_l0 may enumerate
-BRUTE_FORCE_CHUNK = 4096  # supports per batched solve in brute_force_l0
+BRUTE_FORCE_CHUNK = 4096  # supports per batched factorization in brute_force_l0
 PWG_TOL = 1e-10  # pwg_value stops once no coordinate moves by more than this
 PWG_MAX_ITER = 5000
 
@@ -56,32 +55,79 @@ class PwgValueResult:
     trace: list[float]  # objective at z0 and after every accepted step or snap
 
 
+def _lex_supports(p: int, k: int, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of the lexicographic list of size-k subsets of
+    range(p), one support per column of a (k, stop - start) index array.
+
+    For entry j, offset[a] counts the (k-j)-subsets of range(p) before the
+    first one that starts at a. The entry follows from its rank among the
+    (k-j)-subsets of range(prev + 1, p), prev being entry j-1. Those are the
+    suffix of the (k-j)-subsets of range(p) after offset[prev + 1] rows, so
+    adding that offset gives the rank in the whole list, whose first entry
+    one binary search over offset finds."""
+    rank = np.arange(start, stop)
+    rows = np.empty((k, stop - start), dtype=np.intp)
+    for j in range(k):
+        offset = np.cumsum([0] + [math.comb(p - 1 - a, k - j - 1) for a in range(p)])
+        if j:
+            rank += offset[rows[j - 1] + 1]
+        rows[j] = np.searchsorted(offset[1:], rank, side="right")
+        rank -= offset[rows[j]]
+    return rows
+
+
+def _fits(gram: np.ndarray, xty: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """b^T G_S^{-1} b, b = X_S^T y, for the support in every column of rows,
+    by one k-step LDL^T factorization G_S = L D L^T vectorized over them:
+    with L z = b, b^T G_S^{-1} b = sum_j z_j^2/D_j. Each step is a handful
+    of numpy calls on whole rows, none per support, and no square root is
+    taken. A pivot D_j that is not positive and finite raises ValueError."""
+    k = rows.shape[0]
+    # the lower triangle by columns: cols[j][i - j] holds G_S[i, j], i >= j
+    cols = [gram[rows[j:], rows[j]] for j in range(k)]
+    z = xty[rows]
+    fit = np.zeros(rows.shape[1])
+    for j, col in enumerate(cols):
+        d = col[0]
+        if not (d.min() > 0.0 and d.max() < math.inf):
+            raise ValueError("a k x k Gram block X_S^T X_S + rho I is too ill-conditioned to factor")
+        ell = col[1:] / d  # L[j+1:, j]
+        z[j + 1 :] -= ell * z[j]
+        for i in range(j + 1, k):  # Schur complement update of the trailing columns
+            cols[i] -= ell[i - j - 1 :] * col[i - j]
+        fit += z[j] * z[j] / d
+    return fit
+
+
 def brute_force_l0(inst: ProblemInstance) -> BruteForceResult:
     """Exact best-subset ridge value by enumerating all supports of size k.
 
-    The Gram matrix X^T X + rho I is formed once; each chunk of at most
-    BRUTE_FORCE_CHUNK supports gathers its k x k blocks G_S and runs one
-    batched solve, so memory stays bounded at any budget.
-    The value of a support is 0.5*(y^T y - b^T G_S^{-1} b), b = X_S^T y."""
+    The value of a support is 0.5*(y^T y - b^T G_S^{-1} b), with
+    G_S = X_S^T X_S + rho I and b = X_S^T y; X^T X + rho I and X^T y are
+    formed once. Supports are visited in lexicographic order in chunks of
+    at most BRUTE_FORCE_CHUNK, each an integer index array unranked from
+    its row numbers (`_lex_supports`), with no Python object per support.
+    A chunk gathers the lower triangles of its k x k blocks G_S and factors
+    them all in one LDL^T pass vectorized over the chunk (`_fits`), so a
+    chunk costs O(k^2) numpy calls and O(k^2) floats per support, whatever
+    C(p, k) is. A Gram block that fails to factor raises ValueError."""
     total = math.comb(inst.p, inst.k)
     if total > MAX_COMBINATIONS:
         raise CombinationBudgetError(total, MAX_COMBINATIONS)
-    X, y, k = inst.X, inst.y, inst.k
+    X, y = inst.X, inst.y
     gram = X.T @ X + inst.rho * np.eye(inst.p)
     xty = X.T @ y
     yty = float(y @ y)
     best = math.inf
     ties: list[tuple[float, tuple[int, ...]]] = []
-    combos = itertools.combinations(range(inst.p), k)
-    while chunk := list(itertools.islice(combos, BRUTE_FORCE_CHUNK)):
-        idx = np.array(chunk, dtype=np.intp)
-        b = xty[idx]
-        w = np.linalg.solve(gram[idx[:, :, None], idx[:, None, :]], b[:, :, None])[:, :, 0]
-        values = 0.5 * (yty - np.einsum("ij,ij->i", b, w))
+    for start in range(0, total, BRUTE_FORCE_CHUNK):
+        rows = _lex_supports(inst.p, inst.k, start, min(start + BRUTE_FORCE_CHUNK, total))
+        values = 0.5 * (yty - _fits(gram, xty, rows))
         best = min(best, float(values.min()))
         bound = best + DEFAULT_REL_TOL * max(1.0, abs(best))
         ties = [(v, s) for v, s in ties if v <= bound]
-        ties += [(float(values[i]), chunk[i]) for i in np.flatnonzero(values <= bound)]
+        hit = np.flatnonzero(values <= bound)
+        ties += zip(values[hit].tolist(), map(tuple, rows[:, hit].T.tolist()))
     # ties within DEFAULT_REL_TOL of the minimum, in lexicographic order
     return BruteForceResult(value=best, argmin_supports=[s for _, s in ties])
 

@@ -7,6 +7,8 @@ sorted tuples of column indices, validated by `normalize_support`.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,10 +39,23 @@ class ProblemInstance:
             raise ValueError("X must have at least one row and one column")
         if self.y.shape != (n,):
             raise ValueError(f"y has length {self.y.shape[0]}, expected {n}")
-        if not np.isfinite(self.X).all():
+        # numpy's max and min propagate a NaN, so these also test finiteness
+        x_big = max(float(self.X.max()), -float(self.X.min()))
+        if not math.isfinite(x_big):
             raise ValueError("X contains NaN/Inf entries")
-        if not np.isfinite(self.y).all():
+        y_big = max(float(self.y.max()), -float(self.y.min()))
+        if not math.isfinite(y_big):
             raise ValueError("y contains NaN/Inf entries")
+        # every entry of X^T X, X X^T, X^T y and y^T y is at most ||[X y]||_F^2;
+        # it must stay below a quarter of the largest float, with room for sums
+        # of such entries. Tested in log space before any product is formed;
+        # the bound n (p + 1) big^2 clears ordinary data with no further pass.
+        big = max(x_big, y_big)
+        log_room = math.log(sys.float_info.max / 4.0)
+        if big > 0.0 and 2.0 * math.log(big) + math.log(n * (p + 1)) >= log_room:
+            sq = float(np.sum((self.X / big) ** 2) + np.sum((self.y / big) ** 2))
+            if 2.0 * math.log(big) + math.log(sq) >= log_room:
+                raise ValueError("X and y are too large: their Gram products X^T X and X^T y would overflow")
         if not np.isfinite(self.rho) or self.rho <= 0.0:
             raise ValueError("rho must be a positive finite real")
         if not 1 <= self.k <= p:

@@ -23,6 +23,7 @@ from sparsecert import (
     check_dcl,
     check_pwg,
     kkt_variables,
+    pwg_value,
     pwg_witness_to_dcl,
     verify_dcl_certificate,
     verify_kkt,
@@ -261,6 +262,26 @@ def test_dcl_overflowed_bracket_is_value_error():
     tiny = ProblemInstance(X=X * 1e-100, y=inst.y, rho=1e-310, k=2)
     with pytest.raises(ValueError, match="not representable"):
         SupportContext(tiny, (0, 1)).bracket()
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e160])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda inst: check_pwg(inst, (0, 1)),
+        lambda inst: check_dcl(inst, (0, 1)),
+        brute_force_l0,
+        pwg_value,
+    ],
+    ids=["check_pwg", "check_dcl", "brute_force_l0", "pwg_value"],
+)
+def test_gram_overflow_is_value_error(entry, scale):
+    # ||X_i||^2 is about 8 * scale^2, past the largest float: each entry point
+    # used to stop on an overflow in its first Gram product
+    rng = np.random.default_rng(0)
+    X = scale * rng.standard_normal((8, 6))
+    with pytest.raises(ValueError, match="would overflow"):
+        entry(ProblemInstance(X=X, y=rng.standard_normal(8), rho=1.0, k=2))
 
 
 def test_bracket_minimum_ignores_a_product_that_overflows():

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsecert import ProblemInstance, cli, verify_kkt
+from sparsecert import ProblemInstance, certificates, cli, verify_kkt
 from sparsecert.cli import main
 from sparsecert.fileio import save_instance
 
@@ -42,7 +42,7 @@ def test_check_uses_file_support(identity_instance, capsys):
 
 
 def test_check_empty_support_exits_1(identity_instance, tmp_path, capsys):
-    # the scores of the empty support are X^T y; the checks then refuse it
+    # the support is refused before any score is computed or printed
     assert main(["check", str(identity_instance), "--support", ""]) == 1
     assert "error: certificate checks need a nonempty support" in capsys.readouterr().err
     path = tmp_path / "empty_support.json"
@@ -109,6 +109,27 @@ def test_check_prints_reverified_psd_margin(identity_instance, capsys):
     # the slack matrix at lam = 0.25 is diag(1, 0) - 2 I, top eigenvalue -1
     assert main(["check", str(identity_instance), "--support", "0"]) == 0
     assert "psd_margin=-1.0" in capsys.readouterr().out
+
+
+def test_check_computes_the_scores_once_for_both_tests(identity_instance, capsys, monkeypatch):
+    # one context serves both tests; verify_dcl_certificate builds its own
+    calls = []
+    for mod in (certificates, cli):
+        if hasattr(mod, "correlation_scores"):
+            inner = getattr(mod, "correlation_scores")
+            monkeypatch.setattr(
+                mod, "correlation_scores", lambda *a, f=inner: calls.append(1) or f(*a)
+            )
+    assert main(["check", str(identity_instance), "--support", "0"]) == 0
+    assert len(calls) == 2
+    assert capsys.readouterr().out == (
+        "instance: n=2 p=2 rho=1.0 k=1\n"
+        "support: [0]\n"
+        "correlation scores: [0.5000000000000001, 0.0]\n"
+        "pwg: exact  min_in=0.5000000000000001 max_out=0.0\n"
+        "dcl: exact  lambda=0.2500000000000001 psd_margin=-1.0\n"
+        "kkt residuals: psd_full=0.000e+00 psd_pairs=1.110e-16 complementarity=0.000e+00\n"
+    )
 
 
 def test_check_truncated_json_exits_1(tmp_path, capsys):

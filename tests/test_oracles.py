@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,56 @@ def test_brute_force_ties_across_chunks(monkeypatch):
     X = np.tile(np.array([[1.0], [2.0], [0.5]]), (1, 8))
     res = brute_force_l0(ProblemInstance(X=X, y=[1.0, 0.0, 2.0], rho=1.0, k=2))
     assert res.argmin_supports == list(itertools.combinations(range(8), 2))
+
+
+@st.composite
+def _brute_force_cases(draw):
+    """Small Gaussian instances over n < k, k = 1, k = p - 1, k = p and
+    columns copied from other columns."""
+    p = draw(st.integers(min_value=1, max_value=8))
+    k = draw(st.one_of(st.sampled_from([1, max(p - 1, 1), p]), st.integers(min_value=1, max_value=p)))
+    n = draw(st.integers(min_value=1, max_value=8))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    X = rng.standard_normal((n, p))
+    for dst, src in draw(st.lists(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)), max_size=3)):
+        X[:, dst] = X[:, src]
+    rho = 10.0 ** draw(st.floats(min_value=-1.0, max_value=1.0))
+    return ProblemInstance(X=X, y=rng.standard_normal(n), rho=rho, k=k)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+@settings(max_examples=150, deadline=None)
+@given(_brute_force_cases())
+def test_brute_force_matches_loop_property(chunk, inst):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "BRUTE_FORCE_CHUNK", chunk)
+        res = brute_force_l0(inst)
+    best, argmins = _brute_force_loop(inst)
+    assert res.argmin_supports == argmins
+    assert abs(res.value - best) <= 1e-12 * max(1.0, abs(best))
+    assert all(type(i) is int for s in res.argmin_supports for i in s)
+
+
+def test_brute_force_singular_gram_block_is_value_error():
+    # columns 0 and 1 coincide and rho = 1e-8 is lost against their 5e16
+    # Gram entries, so the block of support (0, 1) has an exact zero pivot
+    X = 1e8 * np.array([[1.0, 1.0, 0.3], [2.0, 2.0, -1.0], [0.5, 0.5, 2.0]])
+    inst = ProblemInstance(X=X, y=[1.0, 0.0, 2.0], rho=1e-8, k=2)
+    with pytest.raises(ValueError, match="too ill-conditioned to factor"):
+        brute_force_l0(inst)
+
+
+def test_brute_force_memory_does_not_grow_with_supports():
+    # C(26, 6) = 230230 supports; one chunk's lower triangles take 0.7 MiB
+    rng = np.random.default_rng(5)
+    inst = noise_instance(rng, n=20, p=26, k=6, rho=3.0)
+    tracemalloc.start()
+    try:
+        brute_force_l0(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_brute_force_matches_exhaustive_over_all_sizes():
