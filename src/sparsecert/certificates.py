@@ -28,9 +28,12 @@ the cardinality-constrained ridge problem at S:
   top eigenvalue of its slack matrix.
 
 `SupportContext` holds what these tests read for one (instance, support)
-pair (scores, masks, duals, Rayleigh coefficients, bracket). Each
-certificate test builds exactly one, and `sparsecert check` runs both on
-one context.
+pair (scores, masks, duals, Rayleigh coefficients, bracket). Both tests take
+either a support, for which they build one, or a context built for the same
+instance, whose scores they reuse: a sweep trial and `sparsecert check`
+build one context and run both tests on it. `verify_dcl_certificate` always
+builds its own from the certificate's support, so re-verification shares no
+state with the search.
 
 A dual-certificate search that fails says why: `interval-empty` means no
 threshold can certify, proved either by the analytic bracket or by a
@@ -301,19 +304,27 @@ def _witness_transfer(ctx: SupportContext) -> DclCertificate:
     return DclCertificate(support=ctx.support, lam=lam, duals=ctx.duals(lam))
 
 
-def check_pwg(inst: ProblemInstance, support: Sequence[int]) -> CertOutcome:
+def _context(inst: ProblemInstance, support: Sequence[int] | SupportContext) -> SupportContext:
+    """`support` itself when it is a context built for `inst` (the same
+    object), else a new context; a context built for another instance is a
+    ValueError."""
+    if not isinstance(support, SupportContext):
+        return SupportContext(inst, support)
+    if support.inst is not inst:
+        raise ValueError("the support context was built for another instance")
+    return support
+
+
+def check_pwg(inst: ProblemInstance, support: Sequence[int] | SupportContext) -> CertOutcome:
     """Threshold test: exact iff off-support scores sit strictly below every
-    on-support score in absolute value. Ties fail (strictness required)."""
-    return _pwg_outcome(SupportContext(inst, support))
-
-
-def _pwg_outcome(ctx: SupportContext) -> CertOutcome:
-    """check_pwg on a context that is already built."""
-    cert = _threshold_witness(ctx)
+    on-support score in absolute value. Ties fail (strictness required).
+    `support` may be a SupportContext built for `inst`, whose scores are
+    reused."""
+    cert = _threshold_witness(_context(inst, support))
     return CertOutcome(cert) if cert is not None else CertOutcome(reason=REASON_SEPARATION)
 
 
-def check_dcl(inst: ProblemInstance, support: Sequence[int]) -> CertOutcome:
+def check_dcl(inst: ProblemInstance, support: Sequence[int] | SupportContext) -> CertOutcome:
     """Dual-certificate search.
 
     The all-scores-zero degenerate case is exact with the zero certificate,
@@ -334,13 +345,10 @@ def check_dcl(inst: ProblemInstance, support: Sequence[int]) -> CertOutcome:
     `interval-empty` when that leaves nothing, as it does when the analytic
     bracket itself is empty. It stops with `bisection-exhausted` when the
     bracket width drops below BISECTION_TOL*max(1, up) or, as a guard,
-    after BISECTION_MAX_ITER evaluations.
+    after BISECTION_MAX_ITER evaluations. `support` may be a SupportContext
+    built for `inst`, whose scores are reused.
     """
-    return _dcl_outcome(SupportContext(inst, support))
-
-
-def _dcl_outcome(ctx: SupportContext) -> CertOutcome:
-    """check_dcl on a context that is already built."""
+    ctx = _context(inst, support)
     if not ctx.sq.any():
         return CertOutcome(DclCertificate(support=ctx.support, lam=0.0, duals=np.zeros(ctx.inst.p)))
     if ctx.zero_score_in_support:

@@ -27,8 +27,8 @@ from . import fileio
 from .certificates import (
     CertificateConsistencyError,
     SupportContext,
-    _dcl_outcome,
-    _pwg_outcome,
+    check_dcl,
+    check_pwg,
     kkt_variables,
     verify_dcl_certificate,
     verify_kkt,
@@ -58,7 +58,7 @@ def cmd_check(args) -> int:
     print(f"instance: n={inst.n} p={inst.p} rho={fileio.fmt_real(inst.rho)} k={inst.k}")
     print(f"support: {list(support)}")
     print("correlation scores: [" + ", ".join(fileio.fmt_real(c) for c in ctx.scores) + "]")
-    pwg = _pwg_outcome(ctx)
+    pwg = check_pwg(inst, ctx)
     if pwg.exact:
         cert = pwg.certificate
         print(
@@ -67,7 +67,7 @@ def cmd_check(args) -> int:
         )
     else:
         print(f"pwg: not-certified ({pwg.reason})")
-    dcl = _dcl_outcome(ctx)
+    dcl = check_dcl(inst, ctx)
     if not dcl.exact:
         print(f"dcl: not-certified ({dcl.reason})")
         return 2

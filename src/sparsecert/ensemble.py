@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certificates import check_dcl, check_pwg
+from .certificates import SupportContext, check_dcl, check_pwg
 from .problem import ProblemInstance
 from .rng import SplitMix64, seed_derive
 
@@ -153,14 +153,14 @@ def generate_instance(
 def evaluate_trial(
     inst: ProblemInstance, support_true: tuple[int, ...]
 ) -> tuple[bool, bool]:
-    """Does each relaxation certify exactness at the planted support?"""
+    """Does each relaxation certify exactness at the planted support? Both
+    tests run on one SupportContext, so the scores are computed once."""
     if len(support_true) != inst.k:
         raise ValueError(
             f"true support has size {len(support_true)}, expected k={inst.k}"
         )
-    pwg = check_pwg(inst, support_true).exact
-    dcl = check_dcl(inst, support_true).exact
-    return pwg, dcl
+    ctx = SupportContext(inst, support_true)
+    return check_pwg(inst, ctx).exact, check_dcl(inst, ctx).exact
 
 
 def _run_cell(args: tuple) -> list[TrialRecord]:

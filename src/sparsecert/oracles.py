@@ -168,6 +168,17 @@ def project_capped_simplex(v: np.ndarray, k: int) -> np.ndarray:
     return np.clip(v - theta, 0.0, 1.0)
 
 
+def _check_kernel_scale(inst: ProblemInstance) -> None:
+    """ValueError when I + X D(z) X^T/rho may not be representable for some
+    z in [0, 1]^p. Every entry of X D(z) X^T/rho is at most max_a ||x_a||^2/rho
+    in absolute value (x_a the rows of X), so that bound, with room for the
+    kernel's symmetrization, is tested once before any kernel is formed: as
+    a Python float, whose quotient overflows to inf silently."""
+    rows = np.einsum("ij,ij->i", inst.X, inst.X)
+    if not math.log(float(rows.max()) / inst.rho + 1.0) < math.log(np.finfo(float).max / 2.0):
+        raise ValueError("the kernel I + X D(z) X^T/rho is not representable: ||x_a||^2/rho overflows")
+
+
 def _relaxed_objective_and_scores(
     inst: ProblemInstance, z: np.ndarray
 ) -> tuple[float, np.ndarray]:
@@ -189,6 +200,7 @@ def relaxed_objective(inst: ProblemInstance, z: np.ndarray) -> float:
     z = np.asarray(z, dtype=float).reshape(-1)
     if z.shape != (inst.p,):
         raise ValueError(f"z has length {z.shape[0]}, expected p={inst.p}")
+    _check_kernel_scale(inst)
     return _relaxed_objective_and_scores(inst, z)[0]
 
 
@@ -212,8 +224,11 @@ def pwg_value(inst: ProblemInstance) -> PwgValueResult:
     sliver of first-order error. Stops at PWG_MAX_ITER or as soon as a
     projected trial step would move no coordinate by more than PWG_TOL:
     that step is not evaluated (at that size the Armijo test only sees
-    roundoff), and z is the last accepted iterate.
+    roundoff), and z is the last accepted iterate. A kernel whose scale
+    is not representable (`_check_kernel_scale`) or that cannot be factored
+    raises ValueError.
     """
+    _check_kernel_scale(inst)
     p, k = inst.p, inst.k
     z = np.full(p, k / p)
     val, scores = _relaxed_objective_and_scores(inst, z)

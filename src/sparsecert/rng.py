@@ -14,7 +14,14 @@ reproduce the exact same instances:
   uniforms u1 then q uniforms u2 and interleaves
       sqrt(-2 ln u1) cos(2 pi u2), sqrt(-2 ln u1) sin(2 pi u2),
   truncating the last value when m is odd;
-* integers below m: ((bits >> 11) * m) >> 53, one draw each.
+* integers below m: ((bits >> 11) * m) >> 53, one draw each;
+* k-subsets of range(p): partial Fisher-Yates on [0, ..., p-1], the i-th
+  of k draws swapping entry i with entry i + (integer below p - i),
+  returned sorted;
+* signs: +1.0 when the top bit of a draw is 0, else -1.0, one draw each.
+
+Every request takes its draws as one vectorized block of consecutive
+outputs, which is the same stream as drawing them one at a time.
 
 Per-trial seeds come from `seed_derive`, which folds the cell coordinates
 into the master seed through the same finalizer, one field at a time.
@@ -28,6 +35,7 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_S11, _S27, _S30, _S31, _S63 = (np.uint64(b) for b in (11, 27, 30, 31, 63))
 
 
 def _mix(z: int) -> int:
@@ -35,14 +43,6 @@ def _mix(z: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK
     return z ^ (z >> 31)
-
-
-def _mix_array(z: np.ndarray) -> np.ndarray:
-    z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(_MIX1)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
 
 
 def seed_derive(
@@ -68,51 +68,52 @@ class SplitMix64:
         return _mix(self._state)
 
     def _block(self, m: int) -> np.ndarray:
-        counters = np.arange(1, m + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-        out = _mix_array(np.uint64(self._state) + counters)
+        """The next m outputs as uint64, mixed in place."""
+        z = np.arange(1, m + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self._state)
+        t = z >> _S30
+        z ^= t
+        z *= np.uint64(_MIX1)
+        np.right_shift(z, _S27, out=t)
+        z ^= t
+        z *= np.uint64(_MIX2)
+        np.right_shift(z, _S31, out=t)
+        z ^= t
         self._state = (self._state + _GAMMA * m) & _MASK
-        return out
-
-    def uniforms(self, m: int) -> np.ndarray:
-        """m doubles in (0, 1]."""
-        bits = self._block(m)
-        return ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+        return z
 
     def normals(self, m: int) -> np.ndarray:
-        """m standard normals via Box-Muller."""
-        if m == 0:
-            return np.empty(0)
+        """m standard normals via Box-Muller, from one block of 2q draws."""
         q = (m + 1) // 2
-        u1 = self.uniforms(q)
-        u2 = self.uniforms(q)
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
+        bits = self._block(2 * q)
+        bits >>= _S11
+        u = bits.astype(np.float64)
+        u += 1.0
+        u *= 2.0**-53
+        r, theta = u[:q], u[q:]  # views: u1 becomes r, u2 becomes theta
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        theta *= 2.0 * np.pi
         out = np.empty(2 * q)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
+        np.multiply(r, np.cos(theta), out=out[0::2])
+        np.multiply(r, np.sin(theta), out=out[1::2])
         return out[:m]
-
-    def below(self, m: int) -> int:
-        """Integer in [0, m) (bias < m / 2^53, negligible for sampling)."""
-        if m <= 0:
-            raise ValueError("m must be positive")
-        return ((self.next_u64() >> 11) * m) >> 53
 
     def subset(self, p: int, k: int) -> tuple[int, ...]:
         """Uniform k-subset of range(p) by partial Fisher-Yates, sorted."""
         if not 0 <= k <= p:
             raise ValueError(f"cannot draw {k} of {p} items")
         pool = list(range(p))
-        for i in range(k):
-            j = i + self.below(p - i)
+        for i, bits in enumerate(self._block(k).tolist()):
+            j = i + (((bits >> 11) * (p - i)) >> 53)
             pool[i], pool[j] = pool[j], pool[i]
         return tuple(sorted(pool[:k]))
 
     def signs(self, m: int) -> np.ndarray:
         """m values in {+1.0, -1.0}, equiprobable (top output bit)."""
-        return np.array(
-            [1.0 if (self.next_u64() >> 63) == 0 else -1.0 for _ in range(m)]
-        )
+        return np.where(self._block(m) >> _S63 == 0, 1.0, -1.0)
 
 
 # frozen regression constant: seed_derive(0, 0, 0, 0, 0)

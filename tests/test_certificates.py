@@ -38,7 +38,7 @@ from sparsecert.certificates import (
     DclCertificate,
     root_interval,
 )
-from sparsecert.ensemble import EnsembleConfig, generate_instance
+from sparsecert.ensemble import EnsembleConfig, evaluate_trial, generate_instance
 from sparsecert.linalg import max_eig_sym
 
 I2 = np.eye(2)
@@ -755,3 +755,74 @@ def test_decisions_invariant_under_column_permutation_and_sign_flips(seed, ampli
     best, best_moved = brute_force_l0(inst), brute_force_l0(moved)
     assert best_moved.value == pytest.approx(best.value, rel=1e-12, abs=0.0)
     assert sorted(best_moved.argmin_supports) == sorted(map(relabel, best.argmin_supports))
+
+
+# ------------------------------------------------------------ shared contexts
+
+
+def _counting_scores(monkeypatch):
+    """Calls of correlation_scores as SupportContext looks it up."""
+    calls = []
+    real = certificates.correlation_scores
+    monkeypatch.setattr(certificates, "correlation_scores", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def _decision(out):
+    cert = out.certificate
+    if cert is None:
+        return out.reason
+    if isinstance(cert, DclCertificate):
+        return cert.support, cert.lam, np.asarray(cert.duals).tobytes()
+    return cert.support, cert.min_in, cert.max_out
+
+
+def test_shared_context_gives_the_same_decisions():
+    cfg = EnsembleConfig(p_list=[16, 64], trials=1, rho_multipliers=[2.0, 8.0], master_seed=11)
+    exact = 0
+    for p in cfg.p_list:
+        for alpha in cfg.alpha_grid:
+            for mult in cfg.rho_multipliers:
+                inst, _, sup = generate_instance(cfg, p, alpha, mult, 0)
+                ctx = SupportContext(inst, sup)
+                for check in (check_pwg, check_dcl):
+                    shared = check(inst, ctx)
+                    assert _decision(shared) == _decision(check(inst, sup))
+                exact += shared.exact
+    assert 0 < exact < 2 * 19 * 2  # both outcomes occur on the grid
+
+
+def test_context_of_another_instance_is_a_value_error():
+    inst = ident([1.0, 0.0])
+    twin = ident([1.0, 0.0])  # equal data, another object
+    ctx = SupportContext(twin, [0])
+    for check in (check_pwg, check_dcl):
+        with pytest.raises(ValueError, match="another instance"):
+            check(inst, ctx)
+        assert check(twin, ctx).exact
+
+
+def test_evaluate_trial_computes_the_scores_once(monkeypatch):
+    calls = _counting_scores(monkeypatch)
+    cfg = EnsembleConfig(p_list=[64], trials=1)
+    for alpha in (1.0, 3.0):
+        inst, _, sup = generate_instance(cfg, 64, alpha, 2.0, 0)
+        calls.clear()
+        evaluate_trial(inst, sup)
+        assert len(calls) == 1
+
+
+def test_verification_recomputes_scores_of_a_shared_context(monkeypatch):
+    cfg = EnsembleConfig(p_list=[64], trials=1)
+    inst, _, sup = generate_instance(cfg, 64, 3.0, 2.0, 0)
+    ctx = SupportContext(inst, sup)
+    out = check_dcl(inst, ctx)
+    assert out.exact
+    top = verify_dcl_certificate(inst, out.certificate)
+    # spoiling the shared context cannot reach the verifier, which builds
+    # its own from the certificate's support
+    ctx.sq_in[:] = np.inf
+    ctx.sq_out[:] = 0.0
+    calls = _counting_scores(monkeypatch)
+    assert verify_dcl_certificate(inst, out.certificate) == top
+    assert len(calls) == 1

@@ -373,6 +373,18 @@ def test_pwg_value_ill_conditioned_kernel_is_a_value_error(seed):
         pwg_value(inst)
 
 
+@pytest.mark.parametrize("rho", [1e-310, 1e-320])
+def test_tiny_rho_kernel_scale_is_a_value_error(rho):
+    # ||x_a||^2/rho overflows: the scale test raises before X D(z) X^T/rho is
+    # formed, where the division used to stop on an overflow warning
+    rng = np.random.default_rng(0)
+    inst = ProblemInstance(X=rng.standard_normal((8, 6)), y=rng.standard_normal(8), rho=rho, k=2)
+    with pytest.raises(ValueError, match="not representable"):
+        pwg_value(inst)
+    with pytest.raises(ValueError, match="not representable"):
+        relaxed_objective(inst, np.full(6, 1.0 / 3.0))
+
+
 def test_monotone_descent_trace():
     rng = np.random.default_rng(17)
     for _ in range(30):
