@@ -5,7 +5,6 @@ Subcommands:
   oracle   brute-force optimum and continuous-relaxation value
   sweep    Gaussian-ensemble recovery sweep -> CSV (+ .agg.csv companion)
   plot     aggregate CSV -> SVG rate-vs-alpha chart
-  selftest frozen RNG regression constants
 
 Exit codes: check returns 0 when the dual certificate exists and re-verifies
 from scratch (an NSD slack matrix, whose top eigenvalue it prints as
@@ -36,7 +35,6 @@ from .certificates import (
 from .ensemble import aggregate_curves, run_sweep
 from .oracles import brute_force_l0, pwg_value
 from .problem import normalize_support
-from .rng import SEED_DERIVE_REFERENCE, SplitMix64, seed_derive
 from .svgplot import render_recovery_svg
 
 
@@ -136,20 +134,6 @@ def cmd_plot(args) -> int:
     return 0
 
 
-def cmd_selftest(args) -> int:
-    ref = seed_derive(0, 0, 0, 0, 0)
-    print(f"seed_derive(0,0,0,0,0) = {ref:#018x}")
-    ok = ref == SEED_DERIVE_REFERENCE
-    gen = SplitMix64(ref)
-    probe = [gen.next_u64() for _ in range(3)]
-    print("stream probe:", " ".join(f"{v:#018x}" for v in probe))
-    if not ok:
-        print("ERROR: seed derivation drifted from the frozen reference", file=sys.stderr)
-        return 1
-    print("selftest ok")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sparsecert",
@@ -176,9 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("agg_csv", help="aggregate CSV path")
     p_plot.add_argument("output", help="output SVG path")
     p_plot.set_defaults(func=cmd_plot)
-
-    p_self = sub.add_parser("selftest", help="verify frozen RNG reference values")
-    p_self.set_defaults(func=cmd_selftest)
     return parser
 
 

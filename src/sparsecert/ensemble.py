@@ -15,15 +15,13 @@ sweeps produce identical records.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .certificates import SupportContext, check_dcl, check_pwg
-from .problem import ProblemInstance
+from .problem import ProblemInstance, _is_number
 from .rng import SplitMix64, seed_derive
 
 DEFAULT_ALPHA_GRID = [1.0 + 0.5 * i for i in range(19)]  # 1, 1.5, ..., 10
@@ -32,23 +30,24 @@ DEFAULT_NOISE_STD = 0.5
 
 
 def _grid(values, name: str, kind: type) -> list:
-    """A config grid as a list of `kind` (int or float). Anything but a
-    nonempty list of finite real numbers that `kind` keeps unchanged is
-    rejected: booleans, strings, null, inf, NaN, and 16.5 as an int."""
+    """A config grid as a list of distinct `kind`s (int or float): a nonempty
+    list whose entries pass `_is_number`."""
     if not isinstance(values, list) or not values:
         raise ValueError(f"{name} must be a nonempty list")
     for v in values:
-        if (
-            isinstance(v, bool)
-            or not isinstance(v, numbers.Real)
-            or not (abs(v) <= sys.float_info.max and kind(v) == v)
-        ):
+        if not _is_number(v, kind):
             raise ValueError(f"{name} entries must be finite {kind.__name__}s, got {v!r}")
+    if len(set(values)) != len(values):
+        raise ValueError(f"{name} entries must be distinct")
     return [kind(v) for v in values]
 
 
 @dataclass
 class EnsembleConfig:
+    """A sweep grid and its trial budget. Every field is checked here, for
+    configs built in Python and loaded from JSON alike; integer fields also
+    take integral floats such as 16.0, and no field takes a boolean."""
+
     p_list: list[int]
     trials: int
     alpha_grid: list[float] = field(default_factory=lambda: list(DEFAULT_ALPHA_GRID))
@@ -62,32 +61,20 @@ class EnsembleConfig:
         self.p_list = _grid(self.p_list, "p_list", int)
         self.alpha_grid = _grid(self.alpha_grid, "alpha_grid", float)
         self.rho_multipliers = _grid(self.rho_multipliers, "rho_multipliers", float)
-        if len(set(self.p_list)) != len(self.p_list):
-            raise ValueError("p_list entries must be distinct")
-        if len(set(self.alpha_grid)) != len(self.alpha_grid):
-            raise ValueError("alpha_grid entries must be distinct")
-        if len(set(self.rho_multipliers)) != len(self.rho_multipliers):
-            raise ValueError("rho_multipliers entries must be distinct")
-        for p in self.p_list:
-            if p < 4:
-                raise ValueError(f"p={p} too small (need p >= 4 so that k < p - 1)")
-        for a in self.alpha_grid:
-            if a <= 0:
-                raise ValueError("alpha values must be positive")
-        for r in self.rho_multipliers:
-            if r <= 0:
-                raise ValueError("rho multipliers must be positive")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
+        if min(self.p_list) < 4:
+            raise ValueError(f"p_list entry {min(self.p_list)} is too small (need p >= 4 so that k < p - 1)")
+        if min(self.alpha_grid) <= 0:
+            raise ValueError("alpha_grid entries must be positive")
+        if min(self.rho_multipliers) <= 0:
+            raise ValueError("rho_multipliers entries must be positive")
+        if not (_is_number(self.trials, int) and self.trials >= 1):
+            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
+        if not (_is_number(self.gamma, float) and self.gamma >= 0):
+            raise ValueError(f"gamma must be a finite real >= 0, got {self.gamma!r}")
         # seed_derive reads the seed mod 2^64: a wider one would alias another
-        if (
-            isinstance(self.master_seed, bool)
-            or not isinstance(self.master_seed, numbers.Integral)
-            or not 0 <= self.master_seed < 2**64
-        ):
+        if not (_is_number(self.master_seed, int) and 0 <= self.master_seed < 2**64):
             raise ValueError(f"master_seed must be an integer in [0, 2^64), got {self.master_seed!r}")
+        self.trials, self.gamma, self.master_seed = int(self.trials), float(self.gamma), int(self.master_seed)
 
 
 @dataclass

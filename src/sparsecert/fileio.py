@@ -7,26 +7,19 @@ digits), booleans are 0/1, and row order follows the configured grid order.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 
 from .ensemble import EnsembleConfig, RecoveryCurve, TrialRecord
-from .problem import ProblemInstance, normalize_support
+from .problem import ProblemInstance, _is_number, normalize_support
 
 SWEEP_HEADER = "p,k,n,alpha,rho_multiplier,rho,trial,seed,pwg_exact,dcl_exact"
 AGG_HEADER = "p,alpha,rho_multiplier,pwg_rate,dcl_rate,trials"
 
 _INSTANCE_KEYS = {"n", "p", "rho", "k", "X", "y", "support"}
-_CONFIG_KEYS = {
-    "p_list",
-    "trials",
-    "alpha_grid",
-    "rho_multipliers",
-    "gamma",
-    "master_seed",
-}
 
 
 def fmt_real(x: float) -> str:
@@ -34,18 +27,10 @@ def fmt_real(x: float) -> str:
     return repr(float(x))
 
 
-def _require_int(doc: dict, key: str) -> int:
-    v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or int(v) != v:
-        raise ValueError(f"key {key!r} must be an integer")
-    return int(v)
-
-
-def _require_real(doc: dict, key: str) -> float:
-    v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValueError(f"key {key!r} must be a number")
-    return float(v)
+def _require_number(doc: dict, key: str, kind: type):
+    if not _is_number(doc[key], kind):
+        raise ValueError(f"key {key!r} must be a finite {'integer' if kind is int else 'number'}")
+    return kind(doc[key])
 
 
 def _require_real_list(doc: dict, key: str, length: int) -> np.ndarray:
@@ -72,10 +57,8 @@ def load_instance(path) -> tuple[ProblemInstance, tuple[int, ...] | None]:
     for key in ("n", "p", "rho", "k", "X", "y"):
         if key not in doc:
             raise ValueError(f"missing key {key!r} in instance file")
-    n = _require_int(doc, "n")
-    p = _require_int(doc, "p")
-    rho = _require_real(doc, "rho")
-    k = _require_int(doc, "k")
+    n, p, k = (_require_number(doc, key, int) for key in ("n", "p", "k"))
+    rho = _require_number(doc, "rho", float)
     X = _require_real_list(doc, "X", n * p).reshape(n, p)
     y = _require_real_list(doc, "y", n)
     inst = ProblemInstance(X=X, y=y, rho=rho, k=k)
@@ -105,30 +88,22 @@ def save_instance(path, inst: ProblemInstance, support=None) -> None:
 
 
 def load_ensemble_config(path) -> EnsembleConfig:
-    """Strict config parse (JSON mirror of EnsembleConfig, defaults applied)."""
+    """Strict config parse: a JSON object whose keys are EnsembleConfig's
+    fields, the required ones present. The fields check their own values."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("config file must be a JSON object")
-    unknown = set(doc) - _CONFIG_KEYS
-    if unknown:
-        raise ValueError(f"unknown key {sorted(unknown)[0]!r} in config file")
-    for key in ("p_list", "trials"):
-        if key not in doc:
-            raise ValueError(f"missing key {key!r} in config file")
-    kwargs: dict = {
-        "p_list": doc["p_list"],
-        "trials": _require_int(doc, "trials"),
+    fields = dataclasses.fields(EnsembleConfig)
+    required = {
+        f.name for f in fields
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
     }
-    if "alpha_grid" in doc:
-        kwargs["alpha_grid"] = doc["alpha_grid"]
-    if "rho_multipliers" in doc:
-        kwargs["rho_multipliers"] = doc["rho_multipliers"]
-    if "gamma" in doc:
-        kwargs["gamma"] = _require_real(doc, "gamma")
-    if "master_seed" in doc:
-        kwargs["master_seed"] = _require_int(doc, "master_seed")
-    return EnsembleConfig(**kwargs)
+    problems = [f"unknown key {key!r}" for key in sorted(set(doc) - {f.name for f in fields})]
+    problems += [f"missing key {key!r}" for key in sorted(required - set(doc))]
+    if problems:
+        raise ValueError(", ".join(problems) + " in config file")
+    return EnsembleConfig(**doc)
 
 
 def write_sweep_csv(path, records: list[TrialRecord]) -> None:

@@ -95,7 +95,7 @@ def _fits(gram: np.ndarray, xty: np.ndarray, rows: np.ndarray) -> np.ndarray:
         z[j + 1 :] -= ell * z[j]
         for i in range(j + 1, k):  # Schur complement update of the trailing columns
             cols[i] -= ell[i - j - 1 :] * col[i - j]
-        fit += z[j] * z[j] / d
+        fit += z[j] * (z[j] / d)  # dividing first keeps z_j^2 from overflowing
     return fit
 
 
@@ -232,7 +232,7 @@ def pwg_value(inst: ProblemInstance) -> PwgValueResult:
     p, k = inst.p, inst.k
     z = np.full(p, k / p)
     val, scores = _relaxed_objective_and_scores(inst, z)
-    grad = -(scores**2) / (2.0 * inst.rho)
+    grad = -scores * (scores / (2.0 * inst.rho))
     trace = [val]
     step = 1.0
     iterations = 0
@@ -252,7 +252,7 @@ def pwg_value(inst: ProblemInstance) -> PwgValueResult:
             trial_step *= 0.5
         if not moved:
             break
-        grad_new = -(scores_new**2) / (2.0 * inst.rho)
+        grad_new = -scores_new * (scores_new / (2.0 * inst.rho))
         # BB1 step for the next iteration, clamped to a sane range
         dg = grad_new - grad
         num = float(delta @ delta)
@@ -267,7 +267,7 @@ def pwg_value(inst: ProblemInstance) -> PwgValueResult:
     val_bin, scores_bin = _relaxed_objective_and_scores(inst, z_bin)
     if val_bin < val:
         z, val = z_bin, val_bin
-        grad = -(scores_bin**2) / (2.0 * inst.rho)
+        grad = -scores_bin * (scores_bin / (2.0 * inst.rho))
         trace.append(val)
     gap = _frank_wolfe_gap(grad, z, k)
     return PwgValueResult(

@@ -8,6 +8,7 @@ sorted tuples of column indices, validated by `normalize_support`.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -16,6 +17,18 @@ import numpy as np
 
 # Shared relative tolerance for oracle/certificate agreement checks.
 DEFAULT_REL_TOL = 1e-9
+
+
+def _is_number(v, kind: type) -> bool:
+    """Is v a finite real number that `kind` (int or float) keeps unchanged?
+    False for booleans, strings, None, inf, NaN, integers past the largest
+    float, and 16.5 as an int."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return False
+    try:
+        return math.isfinite(v) and kind(v) == v
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 @dataclass
@@ -30,8 +43,6 @@ class ProblemInstance:
     def __post_init__(self) -> None:
         self.X = np.asarray(self.X, dtype=float)
         self.y = np.asarray(self.y, dtype=float).reshape(-1)
-        self.rho = float(self.rho)
-        self.k = int(self.k)
         if self.X.ndim != 2:
             raise ValueError("X must be a 2-d matrix")
         n, p = self.X.shape
@@ -56,10 +67,11 @@ class ProblemInstance:
             sq = float(np.sum((self.X / big) ** 2) + np.sum((self.y / big) ** 2))
             if 2.0 * math.log(big) + math.log(sq) >= log_room:
                 raise ValueError("X and y are too large: their Gram products X^T X and X^T y would overflow")
-        if not np.isfinite(self.rho) or self.rho <= 0.0:
-            raise ValueError("rho must be a positive finite real")
-        if not 1 <= self.k <= p:
-            raise ValueError(f"k={self.k} outside [1, p={p}]")
+        if not (_is_number(self.rho, float) and self.rho > 0.0):
+            raise ValueError(f"rho must be a positive finite real, got {self.rho!r}")
+        if not (_is_number(self.k, int) and 1 <= self.k <= p):
+            raise ValueError(f"k must be an integer in [1, p={p}], got {self.k!r}")
+        self.rho, self.k = float(self.rho), int(self.k)
 
     @property
     def n(self) -> int:
@@ -76,12 +88,9 @@ def normalize_support(indices: Sequence[int], p: int) -> tuple[int, ...]:
     operations that require nonempty supports check separately."""
     out = []
     for i in indices:
-        try:
-            j = int(i)
-        except (TypeError, ValueError, OverflowError):  # None, lists, NaN, inf
-            j = None
-        if j is None or j != i or isinstance(i, (bool, np.bool_)):
+        if not _is_number(i, int):
             raise ValueError(f"support index {i!r} is not an integer")
+        j = int(i)
         if not 0 <= j < p:
             raise ValueError(f"support index {j} outside [0, {p})")
         out.append(j)

@@ -114,7 +114,3 @@ class SplitMix64:
     def signs(self, m: int) -> np.ndarray:
         """m values in {+1.0, -1.0}, equiprobable (top output bit)."""
         return np.where(self._block(m) >> _S63 == 0, 1.0, -1.0)
-
-
-# frozen regression constant: seed_derive(0, 0, 0, 0, 0)
-SEED_DERIVE_REFERENCE = 0x2130748AAAC80268

@@ -287,6 +287,12 @@ def test_sweep_bad_config_exits_1(tmp_path, capsys):
         {"master_seed": 2**64},
         {"master_seed": -(2**64)},
         {"master_seed": 1e300},
+        {"master_seed": 42.5},
+        {"trials": 2.5},
+        {"trials": True},
+        {"trials": float("inf")},
+        {"gamma": "0.5"},
+        {"gamma": float("nan")},
     ],
 )
 def test_sweep_malformed_grid_exits_1(tmp_path, capsys, grid):
@@ -312,10 +318,3 @@ def test_plot_identical_bytes(tmp_path):
     assert main(["plot", agg, str(s1)]) == 0
     assert main(["plot", agg, str(s2)]) == 0
     assert s1.read_bytes() == s2.read_bytes()
-
-
-def test_selftest(capsys):
-    assert main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "seed_derive(0,0,0,0,0) = 0x2130748aaac80268" in out
-    assert "selftest ok" in out

@@ -16,7 +16,7 @@ from sparsecert import (
     seed_derive,
 )
 from sparsecert.ensemble import aggregate_curves, sample_size_for, sparsity_for
-from sparsecert.rng import SEED_DERIVE_REFERENCE, SplitMix64
+from sparsecert.rng import SplitMix64
 
 
 def small_config(**overrides):
@@ -36,7 +36,7 @@ def small_config(**overrides):
 
 
 def test_seed_derive_reference_frozen():
-    assert seed_derive(0, 0, 0, 0, 0) == SEED_DERIVE_REFERENCE
+    assert seed_derive(0, 0, 0, 0, 0) == 0x2130748AAAC80268
 
 
 def test_seed_derive_rejects_negative_fields():
@@ -147,10 +147,24 @@ def test_config_validation():
         dict(master_seed=-1),
         dict(master_seed=1e300),
         dict(master_seed=True),
+        # these were taken as given, or failed later with a TypeError
+        dict(trials=2.5),
+        dict(trials=True),
+        dict(trials="2"),
+        dict(gamma="0.5"),
+        dict(gamma=True),
+        dict(gamma=float("nan")),
+        dict(gamma=float("inf")),
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^" + next(iter(bad))):
             small_config(**bad)
     assert small_config(master_seed=2**64 - 1).master_seed == 2**64 - 1
+
+
+def test_config_integral_float_trials_runs_a_sweep():
+    cfg = small_config(trials=2.0, gamma=1)
+    assert (type(cfg.trials), type(cfg.gamma)) == (int, float)
+    assert run_sweep(cfg, workers=1) == run_sweep(small_config(trials=2, gamma=1.0), workers=1)
 
 
 # -------------------------------------------------------------------- trials

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sparsecert import EnsembleConfig, run_sweep
+from sparsecert import EnsembleConfig, ProblemInstance, run_sweep
 from sparsecert.ensemble import aggregate_curves
 from sparsecert.fileio import (
     AGG_HEADER,
@@ -71,6 +71,28 @@ def test_instance_rejects_missing_key(tmp_path):
         load_instance(path)
 
 
+@pytest.mark.parametrize("key", ["n", "p", "k", "rho"])
+def test_instance_rejects_non_finite_scalars(tmp_path, key):
+    # an infinite count used to escape as an OverflowError from int()
+    path = write_json(tmp_path / "bad.json", dict(IDENTITY_DOC, **{key: float("inf")}))
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        load_instance(path)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("k", 2.5), ("k", True), ("k", "2"), ("rho", "1"), ("rho", True)]
+)
+def test_instance_refuses_to_coerce_k_and_rho(field, value):
+    # each used to be read as an integer k or a float rho
+    with pytest.raises(ValueError, match="^" + field):
+        ProblemInstance(**{"X": np.eye(3), "y": np.ones(3), "rho": 1.0, "k": 2, field: value})
+
+
+def test_instance_takes_numpy_scalars():
+    inst = ProblemInstance(X=np.eye(3), y=np.ones(3), rho=np.float32(2.0), k=np.int64(2))
+    assert (type(inst.rho), type(inst.k), inst.rho, inst.k) == (float, int, 2.0, 2)
+
+
 def test_instance_rejects_non_integer_counts(tmp_path):
     doc = dict(IDENTITY_DOC, k=1.5)
     path = write_json(tmp_path / "bad.json", doc)
@@ -96,6 +118,20 @@ def test_config_parse_defaults_and_strictness(tmp_path):
         bad = write_json(tmp_path / "bad.json", {"p_list": [9], "trials": 2, key: value})
         with pytest.raises(ValueError, match=key):
             load_ensemble_config(bad)
+
+
+def test_config_integral_floats_load_as_integers(tmp_path):
+    path = write_json(tmp_path / "cfg.json", {"p_list": [9], "trials": 2.0, "master_seed": 42.0})
+    cfg = load_ensemble_config(path)
+    assert cfg == EnsembleConfig(p_list=[9], trials=2, master_seed=42)
+    assert cfg == EnsembleConfig(p_list=[9], trials=2.0, master_seed=42.0)
+    assert (type(cfg.trials), type(cfg.master_seed)) == (int, int)
+
+
+def test_config_names_missing_and_unknown_keys_together(tmp_path):
+    path = write_json(tmp_path / "bad.json", {"p_list": [9], "seed": 3})
+    with pytest.raises(ValueError, match="unknown key 'seed', missing key 'trials'"):
+        load_ensemble_config(path)
 
 
 def small_sweep():

@@ -302,6 +302,20 @@ def test_pwg_value_below_brute_force():
         assert res.value <= best + 1e-7
 
 
+def test_oracles_divide_scores_before_squaring():
+    # X^T y is about 1e158 here: its square overflowed in brute_force_l0's
+    # fit and pwg_value's gradient before the division by G_S or 2 rho. The
+    # value is 1e184 times that of the instance scaled by 1e-66 in X, 1e-92
+    # in y and 1e-132 in rho
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((5, 5))
+    y = rng.standard_normal(5)
+    big = ProblemInstance(X=1e66 * X, y=1e92 * y, rho=1e249, k=2)
+    ref = 1e184 * brute_force_l0(ProblemInstance(X=X, y=y, rho=1e117, k=2)).value
+    assert brute_force_l0(big).value == pytest.approx(ref, rel=1e-9)
+    assert pwg_value(big).value == pytest.approx(ref, rel=1e-9)
+
+
 def test_pwg_value_tight_when_certified():
     rng = np.random.default_rng(11)
     hits = 0
