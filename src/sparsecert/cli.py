@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -114,8 +113,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = fileio.load_ensemble_config(args.config)
-    workers = args.workers if args.workers is not None else os.cpu_count() or 1
-    records = run_sweep(cfg, workers=workers)
+    records = run_sweep(cfg, workers=args.workers)
     fileio.write_sweep_csv(args.output, records)
     curves = aggregate_curves(cfg, records)
     agg_path = str(args.output) + ".agg.csv"

@@ -8,13 +8,16 @@ certifies exactness at the true support:
     k = ceil(sqrt(p)),  n = ceil(alpha * k * ln(p - k)),
     rho = rho_multiplier * sqrt(n),  y = X beta* + noise_std * eps.
 
-Trials are seeded independently through `seed_derive`, so parallel and serial
-sweeps produce identical records.
+Trials are seeded independently through `seed_derive`, so a sweep's records
+do not depend on how its trials are shared out: `run_sweep` gives each of its
+w processes (the caller and w - 1 forked children) one strided slice of the
+record-order trial list, and reassembles the records in that order.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -150,12 +153,13 @@ def evaluate_trial(
     return check_pwg(inst, ctx).exact, check_dcl(inst, ctx).exact
 
 
-def _run_cell(args: tuple) -> list[TrialRecord]:
-    cfg, p, alpha, rho_multiplier = args
-    alpha_index = cfg.alpha_grid.index(alpha)
-    rho_index = cfg.rho_multipliers.index(rho_multiplier)
+def _run_trials(cfg: EnsembleConfig, keys: list[tuple]) -> list[TrialRecord]:
+    """The records of `keys`, each (p, alpha, rho_multiplier, trial), in order.
+    generate_instance and evaluate_trial are looked up here at call time."""
     records = []
-    for trial_index in range(cfg.trials):
+    for p, alpha, rho_multiplier, trial_index in keys:
+        alpha_index = cfg.alpha_grid.index(alpha)
+        rho_index = cfg.rho_multipliers.index(rho_multiplier)
         seed = seed_derive(cfg.master_seed, p, alpha_index, rho_index, trial_index)
         inst, _, support = generate_instance(cfg, p, alpha, rho_multiplier, trial_index)
         pwg_exact, dcl_exact = evaluate_trial(inst, support)
@@ -177,22 +181,31 @@ def _run_cell(args: tuple) -> list[TrialRecord]:
 
 
 def run_sweep(cfg: EnsembleConfig, workers: int | None = None) -> list[TrialRecord]:
-    """All trial records in deterministic cell order (p, alpha, rho multiplier,
-    trial). The record stream is identical for any worker count."""
-    cells = [
-        (cfg, p, alpha, mult)
+    """All trial records in order (p, alpha, rho multiplier, trial), identical
+    for any worker count. `workers` counts the processes that run trials, the
+    caller included (None: os.cpu_count(), at most one per trial). Process i of
+    w runs the strided slice keys[i::w] of the record-order keys, so each slice
+    holds the same mix of cells; w - 1 forked children run the first slices
+    and the caller the last, smallest one."""
+    if workers is not None and not (_is_number(workers, int) and workers >= 1):
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    keys = [
+        (p, alpha, mult, trial)
         for p in cfg.p_list
         for alpha in cfg.alpha_grid
         for mult in cfg.rho_multipliers
+        for trial in range(cfg.trials)
     ]
-    if workers is not None and workers < 1:
-        raise ValueError("workers must be >= 1")
-    if workers == 1 or len(cells) == 1:
-        results = [_run_cell(cell) for cell in cells]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell, cells))
-    return [rec for cell_records in results for rec in cell_records]
+    w = min(int(workers or os.cpu_count() or 1), len(keys))
+    if w == 1:
+        return _run_trials(cfg, keys)
+    records: list = [None] * len(keys)
+    with ProcessPoolExecutor(max_workers=w - 1) as pool:
+        futures = [pool.submit(_run_trials, cfg, keys[i::w]) for i in range(w - 1)]
+        records[w - 1 :: w] = _run_trials(cfg, keys[w - 1 :: w])
+        for i, future in enumerate(futures):
+            records[i::w] = future.result()
+    return records
 
 
 def aggregate_curves(cfg: EnsembleConfig, records: list[TrialRecord]) -> list[RecoveryCurve]:

@@ -261,11 +261,12 @@ def test_sweep_matches_pinned_benchmark_digests(tmp_path, key):
     )
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(PINNED_SWEEPS[key]), encoding="utf-8")
-    out = tmp_path / "sweep.csv"
-    assert main(["sweep", str(cfg), str(out), "--workers", "1"]) == 0
     digest = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest(out) == refs[key]["trial_csv_sha256"]
-    assert digest(tmp_path / "sweep.csv.agg.csv") == refs[key]["agg_csv_sha256"]
+    for workers in ("1", "3"):
+        out = tmp_path / f"sweep-{workers}.csv"
+        assert main(["sweep", str(cfg), str(out), "--workers", workers]) == 0
+        assert digest(out) == refs[key]["trial_csv_sha256"]
+        assert digest(tmp_path / f"sweep-{workers}.csv.agg.csv") == refs[key]["agg_csv_sha256"]
 
 
 def test_sweep_bad_config_exits_1(tmp_path, capsys):
@@ -273,6 +274,11 @@ def test_sweep_bad_config_exits_1(tmp_path, capsys):
     bad.write_text(json.dumps({"p_list": [9]}), encoding="utf-8")
     assert main(["sweep", str(bad), str(tmp_path / "x.csv")]) == 1
     assert "trials" in capsys.readouterr().err
+
+
+def test_sweep_zero_workers_exits_1(tmp_path, capsys):
+    assert main(["sweep", str(sweep_config(tmp_path)), str(tmp_path / "x.csv"), "--workers", "0"]) == 1
+    assert "workers must be an integer >= 1, got 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+import os
 import runpy
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from sparsecert import (
     run_sweep,
     seed_derive,
 )
+from sparsecert import ensemble
 from sparsecert.ensemble import aggregate_curves, sample_size_for, sparsity_for
 from sparsecert.rng import SplitMix64
 
@@ -193,10 +195,12 @@ def test_evaluate_trial_requires_full_support():
 # --------------------------------------------------------------------- sweeps
 
 
-def test_sweep_deterministic_and_dominance():
+@pytest.mark.parametrize("workers", [1, 2, 3, 4, 7])
+def test_sweep_deterministic_and_dominance(workers):
+    # 6 trials: 4 workers do not divide them and 7 exceed them
     cfg = small_config()
     records1 = run_sweep(cfg, workers=1)
-    records2 = run_sweep(cfg, workers=2)
+    records2 = run_sweep(cfg, workers=workers)
     assert records1 == records2
     assert len(records1) == 2 * 3
     for rec in records1:
@@ -210,6 +214,48 @@ def test_sweep_deterministic_and_dominance():
             cfg.rho_multipliers.index(rec.rho_multiplier),
             rec.trial_index,
         )
+
+
+@pytest.mark.parametrize("workers", [2.5, "2", True, 0, -1])
+def test_sweep_rejects_bad_worker_counts(workers):
+    with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+        run_sweep(small_config(), workers=workers)
+
+
+def test_one_cell_sweep_runs_in_the_caller_and_a_child(monkeypatch, tmp_path):
+    # forked children inherit the patched module global
+    log = tmp_path / "pids"
+
+    def logged(inst, support):
+        with log.open("a") as out:
+            out.write(f"{os.getpid()}\n")
+        return evaluate_trial(inst, support)
+
+    cfg = small_config(alpha_grid=[2.0], trials=4)
+    monkeypatch.setattr(ensemble, "evaluate_trial", logged)
+    records = run_sweep(cfg, workers=2)
+    pids = log.read_text().split()
+    assert len(pids) == 4 and len(set(pids)) == 2 and str(os.getpid()) in pids
+    assert records == run_sweep(cfg, workers=1)
+
+
+def test_serial_sweep_looks_up_each_trial_step_once_per_trial(monkeypatch):
+    # the benchmark's tracer wraps these module globals to find trial starts
+    calls = {"generate_instance": 0, "evaluate_trial": 0}
+
+    def counted(name):
+        original = getattr(ensemble, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(ensemble, name, counted(name))
+    assert len(run_sweep(small_config(), workers=1)) == 6
+    assert calls == {"generate_instance": 6, "evaluate_trial": 6}
 
 
 def test_aggregate_rates():
