@@ -12,7 +12,7 @@ from pathlib import Path
 
 from sparsecert import EnsembleConfig
 from sparsecert.ensemble import aggregate_curves, run_sweep
-from sparsecert.fileio import read_agg_csv, write_agg_csv, write_sweep_csv
+from sparsecert.fileio import write_agg_csv, write_sweep_csv
 from sparsecert.svgplot import render_recovery_svg
 
 
@@ -41,10 +41,9 @@ def main() -> int:
     records = run_sweep(cfg, workers=args.workers)
     sweep_csv = args.out / "sweep.csv"
     write_sweep_csv(sweep_csv, records)
-    curves = aggregate_curves(cfg, records)
+    rows = aggregate_curves(cfg, records)
     agg_csv = args.out / "sweep.agg.csv"
-    write_agg_csv(agg_csv, curves)
-    rows = read_agg_csv(agg_csv)
+    write_agg_csv(agg_csv, rows)
 
     for mult in cfg.rho_multipliers:
         subset = [r for r in rows if r["rho_multiplier"] == mult]

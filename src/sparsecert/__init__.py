@@ -17,7 +17,6 @@ from .certificates import (
 )
 from .ensemble import (
     EnsembleConfig,
-    RecoveryCurve,
     TrialRecord,
     aggregate_curves,
     evaluate_trial,
@@ -51,7 +50,6 @@ __all__ = [
     "PwgCertificate",
     "BruteForceResult",
     "PwgValueResult",
-    "RecoveryCurve",
     "RestrictedRidgeSolution",
     "SplitMix64",
     "SupportContext",

@@ -115,18 +115,14 @@ def cmd_sweep(args) -> int:
     cfg = fileio.load_ensemble_config(args.config)
     records = run_sweep(cfg, workers=args.workers)
     fileio.write_sweep_csv(args.output, records)
-    curves = aggregate_curves(cfg, records)
     agg_path = str(args.output) + ".agg.csv"
-    fileio.write_agg_csv(agg_path, curves)
+    fileio.write_agg_csv(agg_path, aggregate_curves(cfg, records))
     print(f"wrote {len(records)} trials to {args.output} and rates to {agg_path}")
     return 0
 
 
 def cmd_plot(args) -> int:
-    rows = fileio.read_agg_csv(args.agg_csv)
-    if not rows:
-        raise ValueError("aggregate CSV contains no data rows")
-    svg = render_recovery_svg(rows)
+    svg = render_recovery_svg(fileio.read_agg_csv(args.agg_csv))
     Path(args.output).write_bytes(svg.encode("utf-8"))
     print(f"wrote {args.output}")
     return 0

@@ -94,13 +94,6 @@ class TrialRecord:
     dcl_exact: bool
 
 
-@dataclass
-class RecoveryCurve:
-    p: int
-    rho_multiplier: float
-    points: list[tuple[float, float, float, int]]  # (alpha, pwg_rate, dcl_rate, trials)
-
-
 def sparsity_for(p: int) -> int:
     return math.ceil(math.sqrt(p))
 
@@ -208,21 +201,23 @@ def run_sweep(cfg: EnsembleConfig, workers: int | None = None) -> list[TrialReco
     return records
 
 
-def aggregate_curves(cfg: EnsembleConfig, records: list[TrialRecord]) -> list[RecoveryCurve]:
-    """Recovery rates per (p, rho multiplier) across the alpha grid."""
+def aggregate_curves(cfg: EnsembleConfig, records: list[TrialRecord]) -> list[dict]:
+    """The aggregate CSV's rows: the recovery rates of each (p, rho multiplier,
+    alpha) cell that has records, in that order, keyed as the CSV's columns."""
     by_cell: dict[tuple[int, float, float], list[TrialRecord]] = {}
     for rec in records:
         by_cell.setdefault((rec.p, rec.alpha, rec.rho_multiplier), []).append(rec)
-    curves = []
-    for p in cfg.p_list:
-        for mult in cfg.rho_multipliers:
-            points = []
-            for alpha in cfg.alpha_grid:
-                cell = by_cell.get((p, alpha, mult), [])
-                if not cell:
-                    continue
-                pwg_rate = sum(r.pwg_exact for r in cell) / len(cell)
-                dcl_rate = sum(r.dcl_exact for r in cell) / len(cell)
-                points.append((alpha, pwg_rate, dcl_rate, len(cell)))
-            curves.append(RecoveryCurve(p=p, rho_multiplier=mult, points=points))
-    return curves
+    return [
+        {
+            "p": p,
+            "alpha": alpha,
+            "rho_multiplier": mult,
+            "pwg_rate": sum(r.pwg_exact for r in cell) / len(cell),
+            "dcl_rate": sum(r.dcl_exact for r in cell) / len(cell),
+            "trials": len(cell),
+        }
+        for p in cfg.p_list
+        for mult in cfg.rho_multipliers
+        for alpha in cfg.alpha_grid
+        if (cell := by_cell.get((p, alpha, mult)))
+    ]

@@ -6,6 +6,7 @@ p=64 recovery sweep and dominates the runtime (tens of seconds on a laptop).
 
 import json
 import math
+import operator
 import time
 from pathlib import Path
 
@@ -240,24 +241,26 @@ def test_criterion_6_headline_recovery_sweep():
         master_seed=64,
     )
     records = run_sweep(cfg, workers=None)
-    curves = {c.rho_multiplier: c for c in aggregate_curves(cfg, records)}
+    rows = aggregate_curves(cfg, records)
+    point = operator.itemgetter("alpha", "pwg_rate", "dcl_rate", "trials")
+    curves = {m: [point(r) for r in rows if r["rho_multiplier"] == m] for m in cfg.rho_multipliers}
     for mult, curve in curves.items():
-        for alpha, pwg_rate, dcl_rate, trials in curve.points:
+        for alpha, pwg_rate, dcl_rate, trials in curve:
             assert trials == 200
             assert dcl_rate >= pwg_rate, f"rate order violated at alpha={alpha}, rho={mult}"
     strict_improvement = []
     for mult, curve in curves.items():
-        dcl_first = first_alpha_reaching(curve.points, 2)
-        pwg_first = first_alpha_reaching(curve.points, 1)
+        dcl_first = first_alpha_reaching(curve, 2)
+        pwg_first = first_alpha_reaching(curve, 1)
         strict_improvement.append(dcl_first < pwg_first)
     assert any(strict_improvement), "dual certificate never reaches 0.9 strictly earlier"
 
     # soft check: dual certificate should be less sensitive to rho
     dcl_spread = max(
-        abs(a[2] - b[2]) for a, b in zip(curves[2.0].points, curves[8.0].points)
+        abs(a[2] - b[2]) for a, b in zip(curves[2.0], curves[8.0])
     )
     pwg_spread = max(
-        abs(a[1] - b[1]) for a, b in zip(curves[2.0].points, curves[8.0].points)
+        abs(a[1] - b[1]) for a, b in zip(curves[2.0], curves[8.0])
     )
     if dcl_spread > pwg_spread:
         ARTIFACT_DIR.mkdir(exist_ok=True)

@@ -261,14 +261,13 @@ def test_serial_sweep_looks_up_each_trial_step_once_per_trial(monkeypatch):
 def test_aggregate_rates():
     cfg = small_config()
     records = run_sweep(cfg, workers=1)
-    curves = aggregate_curves(cfg, records)
-    assert len(curves) == 1
-    curve = curves[0]
-    assert curve.p == 9 and curve.rho_multiplier == 2.0
-    assert [pt[0] for pt in curve.points] == [1.0, 2.0]
-    for _, pwg_rate, dcl_rate, trials in curve.points:
-        assert trials == 3
-        assert 0.0 <= pwg_rate <= dcl_rate <= 1.0
+    rows = aggregate_curves(cfg, records)
+    assert len({(r["p"], r["rho_multiplier"]) for r in rows}) == 1
+    assert rows[0]["p"] == 9 and rows[0]["rho_multiplier"] == 2.0
+    assert [r["alpha"] for r in rows] == [1.0, 2.0]
+    for r in rows:
+        assert r["trials"] == 3
+        assert 0.0 <= r["pwg_rate"] <= r["dcl_rate"] <= 1.0
 
 
 def test_recovery_rate_grows_with_alpha():
@@ -282,8 +281,7 @@ def test_recovery_rate_grows_with_alpha():
         master_seed=7,
     )
     records = run_sweep(cfg, workers=None)
-    curves = aggregate_curves(cfg, records)
-    (_, _, dcl_low, _), (_, _, dcl_high, _) = curves[0].points
+    dcl_low, dcl_high = (r["dcl_rate"] for r in aggregate_curves(cfg, records))
     assert dcl_high >= dcl_low
 
 

@@ -93,6 +93,14 @@ def test_instance_takes_numpy_scalars():
     assert (type(inst.rho), type(inst.k), inst.rho, inst.k) == (float, int, 2.0, 2)
 
 
+def test_instance_rejects_integers_past_the_float_range(tmp_path):
+    # such an entry used to escape as numpy's OverflowError
+    for key, values in (("X", [10**400, 0, 0, 1]), ("y", [1, -(10**400)])):
+        path = write_json(tmp_path / "bad.json", dict(IDENTITY_DOC, **{key: values}))
+        with pytest.raises(ValueError, match=f"key '{key}'"):
+            load_instance(path)
+
+
 def test_instance_rejects_non_integer_counts(tmp_path):
     doc = dict(IDENTITY_DOC, k=1.5)
     path = write_json(tmp_path / "bad.json", doc)
@@ -134,9 +142,9 @@ def test_config_names_missing_and_unknown_keys_together(tmp_path):
         load_ensemble_config(path)
 
 
-def small_sweep():
+def small_sweep(trials=2):
     cfg = EnsembleConfig(
-        p_list=[9], trials=2, alpha_grid=[1.0, 2.0], rho_multipliers=[2.0],
+        p_list=[9], trials=trials, alpha_grid=[1.0, 2.0], rho_multipliers=[2.0],
         gamma=0.5, master_seed=42,
     )
     records = run_sweep(cfg, workers=1)
@@ -169,15 +177,14 @@ def test_sweep_csv_deterministic(tmp_path):
 
 
 def test_agg_round_trip(tmp_path):
-    cfg, records = small_sweep()
-    curves = aggregate_curves(cfg, records)
+    cfg, records = small_sweep(trials=3)
+    rows = aggregate_curves(cfg, records)
+    assert 2 / 3 in {r["dcl_rate"] for r in rows}  # a rate with no short decimal
     path = tmp_path / "agg.csv"
-    write_agg_csv(path, curves)
+    write_agg_csv(path, rows)
     text = path.read_text(encoding="utf-8")
     assert text.startswith(AGG_HEADER + "\n")
-    rows = read_agg_csv(path)
-    assert len(rows) == 2
-    assert rows[0]["p"] == 9 and rows[0]["alpha"] == 1.0 and rows[0]["trials"] == 2
+    assert read_agg_csv(path) == aggregate_curves(cfg, records)
 
 
 def test_svg_deterministic_and_structural(tmp_path):
