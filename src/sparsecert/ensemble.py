@@ -10,15 +10,19 @@ certifies exactness at the true support:
 
 Trials are seeded independently through `seed_derive`, so a sweep's records
 do not depend on how its trials are shared out: `run_sweep` gives each of its
-w processes (the caller and w - 1 forked children) one strided slice of the
-record-order trial list, and reassembles the records in that order.
+w processes one strided slice of the record-order trial list, and reassembles
+the records in that order. The caller runs slice 0 itself; each of w - 1
+children made with `os.fork` runs one other slice and sends its records back
+over a pipe. A child's exception is raised again in the caller, and a child
+that dies without a result is a `ChildProcessError`.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,15 +177,38 @@ def _run_trials(cfg: EnsembleConfig, keys: list[tuple]) -> list[TrialRecord]:
     return records
 
 
+def _child(cfg: EnsembleConfig, keys: list[tuple], result_fd: int) -> None:
+    """In a forked child: write the pickled (True, records) or (False, exception)
+    to `result_fd` and end the process, never returning into the caller's stack."""
+    try:
+        try:
+            result = (True, _run_trials(cfg, keys))
+        except Exception as exc:
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:  # the caller could not rebuild it
+                exc = RuntimeError(repr(exc))
+            result = (False, exc)
+        with os.fdopen(result_fd, "wb") as out:
+            out.write(pickle.dumps(result))
+        os._exit(0)
+    finally:
+        os._exit(1)
+
+
 def run_sweep(cfg: EnsembleConfig, workers: int | None = None) -> list[TrialRecord]:
     """All trial records in order (p, alpha, rho multiplier, trial), identical
     for any worker count. `workers` counts the processes that run trials, the
-    caller included (None: os.cpu_count(), at most one per trial). Process i of
-    w runs the strided slice keys[i::w] of the record-order keys, so each slice
-    holds the same mix of cells; w - 1 forked children run the first slices
-    and the caller the last, smallest one."""
+    caller included (None: the CPUs this process may run on, at most one per
+    trial). Process i of w runs the strided slice keys[i::w], so each slice
+    holds the same mix of cells: the caller runs slice 0, the largest, and
+    w - 1 forked children the rest, each sending its records back over a pipe.
+    A child's exception is raised here, a child that ends without a result is
+    a ChildProcessError, and no child outlives the call."""
     if workers is not None and not (_is_number(workers, int) and workers >= 1):
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    if workers is None:
+        workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     keys = [
         (p, alpha, mult, trial)
         for p in cfg.p_list
@@ -189,15 +216,37 @@ def run_sweep(cfg: EnsembleConfig, workers: int | None = None) -> list[TrialReco
         for mult in cfg.rho_multipliers
         for trial in range(cfg.trials)
     ]
-    w = min(int(workers or os.cpu_count() or 1), len(keys))
+    w = min(int(workers), len(keys))
     if w == 1:
         return _run_trials(cfg, keys)
     records: list = [None] * len(keys)
-    with ProcessPoolExecutor(max_workers=w - 1) as pool:
-        futures = [pool.submit(_run_trials, cfg, keys[i::w]) for i in range(w - 1)]
-        records[w - 1 :: w] = _run_trials(cfg, keys[w - 1 :: w])
-        for i, future in enumerate(futures):
-            records[i::w] = future.result()
+    pipes = {}  # the read end of each child's result pipe, by pid
+    try:
+        for i in range(1, w):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(cfg, keys[i::w], write_fd)
+            os.close(write_fd)
+            pipes[pid] = os.fdopen(read_fd, "rb")
+        records[::w] = _run_trials(cfg, keys[::w])
+        # every pipe to EOF before any reap: a result can outgrow the pipe buffer
+        results = [pipe.read() for pipe in pipes.values()]
+    except BaseException:
+        for pid in pipes:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pipe in pipes.values():
+            pipe.close()
+        statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pipes]
+    for i, (pid, status, data) in enumerate(zip(pipes, statuses, results), 1):
+        if status != 0:
+            raise ChildProcessError(f"sweep worker pid {pid} ended with exit status {status} and no result")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        records[i::w] = value
     return records
 
 

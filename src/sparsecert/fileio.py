@@ -139,7 +139,8 @@ def write_agg_csv(path, rows: list[dict]) -> None:
 
 
 def read_agg_csv(path) -> list[dict]:
-    """The aggregate CSV's rows, typed and keyed as `aggregate_curves` gives them."""
+    """The aggregate CSV's rows, typed and keyed as `aggregate_curves` gives
+    them. Every rate must be a real in [0, 1] and every trial count at least 1."""
     text = Path(path).read_bytes().decode("utf-8")
     lines = [ln for ln in text.split("\n") if ln]
     if not lines or lines[0] != AGG_HEADER:
@@ -149,5 +150,9 @@ def read_agg_csv(path) -> list[dict]:
         parts = ln.split(",")
         if len(parts) != len(AGG_COLUMNS):
             raise ValueError(f"malformed aggregate CSV row: {ln!r}")
-        rows.append({name: parse(part) for (name, parse), part in zip(AGG_COLUMNS.items(), parts)})
+        row = {name: parse(part) for (name, parse), part in zip(AGG_COLUMNS.items(), parts)}
+        # the comparisons are false for nan, and inf is outside [0, 1]
+        if not (0.0 <= row["pwg_rate"] <= 1.0 and 0.0 <= row["dcl_rate"] <= 1.0 and row["trials"] >= 1):
+            raise ValueError(f"aggregate CSV row {ln!r} needs rates in [0, 1] and trials >= 1")
+        rows.append(row)
     return rows

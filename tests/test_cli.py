@@ -1,11 +1,12 @@
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sparsecert import ProblemInstance, certificates, cli, verify_kkt
+from sparsecert import ProblemInstance, certificates, cli, ensemble, verify_kkt
 from sparsecert.cli import main
 from sparsecert.fileio import save_instance
 
@@ -267,6 +268,21 @@ def test_sweep_matches_pinned_benchmark_digests(tmp_path, key):
         assert main(["sweep", str(cfg), str(out), "--workers", workers]) == 0
         assert digest(out) == refs[key]["trial_csv_sha256"]
         assert digest(tmp_path / f"sweep-{workers}.csv.agg.csv") == refs[key]["agg_csv_sha256"]
+
+
+def test_sweep_dead_worker_exits_1(tmp_path, capsys, monkeypatch):
+    caller, evaluate = os.getpid(), ensemble.evaluate_trial
+
+    def dying(inst, support):
+        if os.getpid() != caller:
+            os._exit(3)
+        return evaluate(inst, support)
+
+    monkeypatch.setattr(ensemble, "evaluate_trial", dying)
+    assert main(["sweep", str(sweep_config(tmp_path)), str(tmp_path / "x.csv"), "--workers", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep worker pid ") and "exit status 3 and no result" in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_sweep_bad_config_exits_1(tmp_path, capsys):

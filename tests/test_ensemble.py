@@ -1,6 +1,8 @@
 import math
 import os
+import pickle
 import runpy
+import time
 from pathlib import Path
 
 import numpy as np
@@ -222,21 +224,114 @@ def test_sweep_rejects_bad_worker_counts(workers):
         run_sweep(small_config(), workers=workers)
 
 
-def test_one_cell_sweep_runs_in_the_caller_and_a_child(monkeypatch, tmp_path):
-    # forked children inherit the patched module global
-    log = tmp_path / "pids"
+def log_trial_pids(monkeypatch, log):
+    """Make ensemble.evaluate_trial append the pid that runs it to `log`;
+    forked children inherit the patched module global."""
 
     def logged(inst, support):
         with log.open("a") as out:
             out.write(f"{os.getpid()}\n")
         return evaluate_trial(inst, support)
 
-    cfg = small_config(alpha_grid=[2.0], trials=4)
     monkeypatch.setattr(ensemble, "evaluate_trial", logged)
+
+
+def test_one_cell_sweep_runs_in_the_caller_and_a_child(monkeypatch, tmp_path):
+    log_trial_pids(monkeypatch, tmp_path / "pids")
+    cfg = small_config(alpha_grid=[2.0], trials=4)
     records = run_sweep(cfg, workers=2)
-    pids = log.read_text().split()
+    pids = (tmp_path / "pids").read_text().split()
     assert len(pids) == 4 and len(set(pids)) == 2 and str(os.getpid()) in pids
     assert records == run_sweep(cfg, workers=1)
+
+
+def patch_trial(monkeypatch, in_child=None, in_caller=None):
+    """Make ensemble.evaluate_trial run `in_child` first in forked children
+    and `in_caller` first in the calling process."""
+    caller = os.getpid()
+
+    def patched(inst, support):
+        action = in_caller if os.getpid() == caller else in_child
+        if action:
+            action()
+        return evaluate_trial(inst, support)
+
+    monkeypatch.setattr(ensemble, "evaluate_trial", patched)
+
+
+def raiser(exc):
+    def action():
+        raise exc
+
+    return action
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_child_exception_is_raised_in_the_caller(monkeypatch):
+    patch_trial(monkeypatch, in_child=raiser(ValueError("bad trial in a child")))
+    with pytest.raises(ValueError, match="^bad trial in a child$"):
+        run_sweep(small_config(), workers=2)
+    assert_no_child_left()
+
+
+def test_unpicklable_child_exception_arrives_as_runtime_error(monkeypatch):
+    patch_trial(monkeypatch, in_child=raiser(ValueError(lambda: None)))
+    with pytest.raises(RuntimeError, match="ValueError"):
+        run_sweep(small_config(), workers=3)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "action, status",
+    [(lambda: os._exit(3), 3), (raiser(KeyboardInterrupt()), 1)],
+    ids=["exit-3", "keyboard-interrupt"],
+)
+def test_child_without_a_result_is_a_child_process_error(monkeypatch, action, status):
+    # an interrupted child ends in os._exit instead of unwinding into the caller's stack
+    patch_trial(monkeypatch, in_child=action)
+    with pytest.raises(ChildProcessError, match=rf"pid \d+ ended with exit status {status} and no result"):
+        run_sweep(small_config(), workers=3)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("exc", [ValueError, KeyboardInterrupt])
+def test_caller_exception_kills_and_reaps_every_child(monkeypatch, exc):
+    # the children would take 30 s a trial: they are killed, not waited for
+    patch_trial(monkeypatch, in_child=lambda: time.sleep(30), in_caller=raiser(exc("caller")))
+    start = time.perf_counter()
+    with pytest.raises(exc, match="caller"):
+        run_sweep(small_config(), workers=3)
+    assert time.perf_counter() - start < 15
+    assert_no_child_left()
+
+
+def test_child_result_larger_than_a_pipe_buffer():
+    # read before reap: a child blocked on a full pipe never exits
+    cfg = EnsembleConfig(p_list=[9], trials=20)
+    serial = run_sweep(cfg, workers=1)
+    assert len(pickle.dumps((True, serial[1::2]))) > 65536
+    assert run_sweep(cfg, workers=2) == serial
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "affinity, cpus, processes",
+    [({0}, 8, 1), ({0, 1}, 8, 2), (None, 3, 3)],
+    ids=["one-cpu-of-8", "two-cpus-of-8", "no-affinity-call"],
+)
+def test_default_workers_are_the_cpus_this_process_may_use(monkeypatch, tmp_path, affinity, cpus, processes):
+    log_trial_pids(monkeypatch, tmp_path / "pids")
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(affinity))
+    assert len(run_sweep(small_config(), workers=None)) == 6
+    assert len(set((tmp_path / "pids").read_text().split())) == processes
 
 
 def test_serial_sweep_looks_up_each_trial_step_once_per_trial(monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sparsecert import EnsembleConfig, ProblemInstance, run_sweep
+from sparsecert.cli import main
 from sparsecert.ensemble import aggregate_curves
 from sparsecert.fileio import (
     AGG_HEADER,
@@ -185,6 +186,21 @@ def test_agg_round_trip(tmp_path):
     text = path.read_text(encoding="utf-8")
     assert text.startswith(AGG_HEADER + "\n")
     assert read_agg_csv(path) == aggregate_curves(cfg, records)
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["9,1.0,2.0,nan,0.5,2", "9,1.0,2.0,0.5,inf,2", "9,1.0,2.0,1.5,1.0,2",
+     "9,1.0,2.0,0.0,-0.25,2", "9,1.0,2.0,0.5,0.5,0"],
+)
+def test_agg_csv_rejects_rates_outside_the_unit_interval_and_empty_cells(tmp_path, capsys, row):
+    path = tmp_path / "agg.csv"
+    path.write_text(f"{AGG_HEADER}\n9,2.0,2.0,0.5,1.0,2\n{row}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"aggregate CSV row {row!r}"):
+        read_agg_csv(path)
+    assert main(["plot", str(path), str(tmp_path / "x.svg")]) == 1
+    assert capsys.readouterr().err.startswith("error: aggregate CSV row")
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_svg_deterministic_and_structural(tmp_path):
