@@ -34,7 +34,15 @@ def main() -> int:
     )
     inst, _, support = generate_instance(cfg, 16, 6.0, 2.0, 0)
     save_instance(args.out / "gaussian16.json", inst, support=support)
-    print(f"wrote {args.out / 'identity2.json'} and {args.out / 'gaussian16.json'}")
+
+    # rho = 1e-30 puts the scores of (0, 1) at roundoff level: check_dcl
+    # finds a threshold there, but the verifier rejects it (check exits 2);
+    # the brute-force argmin is (3, 4)
+    rng = np.random.default_rng(0)
+    tiny = ProblemInstance(X=rng.standard_normal((12, 8)), y=rng.standard_normal(12), rho=1e-30, k=2)
+    save_instance(args.out / "tiny_rho.json", tiny, support=(0, 1))
+    names = ", ".join(str(args.out / name) for name in ("identity2.json", "gaussian16.json", "tiny_rho.json"))
+    print(f"wrote {names}")
     return 0
 
 

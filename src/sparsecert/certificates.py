@@ -25,7 +25,7 @@ the cardinality-constrained ridge problem at S:
   certifying threshold lies between its roots, and this Rayleigh cut
   shrinks the bracket to them or proves it empty. Certificates carry no
   eigenvalue; verify_dcl_certificate re-checks one densely and returns the
-  top eigenvalue of its slack matrix.
+  top eigenvalue of its slack matrix and its relative duality gap.
 
 `SupportContext` holds what these tests read for one (instance, support)
 pair (scores, masks, duals, Rayleigh coefficients, bracket). Both tests take
@@ -40,8 +40,9 @@ threshold can certify, proved either by the analytic bracket or by a
 Rayleigh cut; `bisection-exhausted` means the bracket shrank below the
 tolerance without a proof either way.
 
-Every dual certificate can be cross-checked against the KKT system of the
-lifted program (verify_kkt).
+`verify_dcl_certificate` is the one verifier: besides the slack matrix it
+checks the lifted program's duality gap at b*_S in O(np). verify_kkt, the
+full KKT system, is the dense reference it is tested against.
 """
 
 from __future__ import annotations
@@ -91,9 +92,9 @@ class DclCertificate:
 
     `lam` is the dual threshold and `duals` the nonnegative diagonal dual
     vector; a valid certificate makes diag(duals) - X^T X/rho - I_p negative
-    semidefinite (up to roundoff), which `verify_dcl_certificate` checks. The
-    degenerate case where every correlation score vanishes is certified by
-    lam = 0, duals = 0.
+    semidefinite and closes the lifted duality gap (up to roundoff), which
+    `verify_dcl_certificate` checks. The degenerate case where every
+    correlation score vanishes is certified by lam = 0, duals = 0.
     """
 
     support: tuple[int, ...]
@@ -130,12 +131,13 @@ class CertificateConsistencyError(RuntimeError):
 
 
 def _checked_support(inst: ProblemInstance, support: Sequence[int]) -> tuple[int, ...]:
-    """The normalized support, which must be nonempty and at most k long."""
+    """The normalized support, of exactly k columns: a smaller one leaves a
+    duality gap of lam_raw*(k - |S|)/2, so no certificate could verify."""
     sup = normalize_support(support, inst.p)
     if not sup:
         raise ValueError("certificate checks need a nonempty support")
-    if len(sup) > inst.k:
-        raise ValueError(f"support size {len(sup)} exceeds cardinality budget k={inst.k}")
+    if len(sup) != inst.k:
+        raise ValueError(f"support size {len(sup)} differs from the cardinality budget k={inst.k}")
     return sup
 
 
@@ -145,7 +147,8 @@ class SupportContext:
     threshold, the Rayleigh bound along a vector and the analytic bracket.
     No member forms a p x p array.
 
-    The support is validated on construction. `duals` raises ValueError on
+    The support is validated on construction, and scores whose squares
+    would overflow are a ValueError there. `duals` raises ValueError on
     a threshold that is not a positive finite real, and `duals`, `rayleigh`
     and `bracket` raise it when a support column has a zero correlation
     score, for which the canonical duals are undefined; a caller can test
@@ -156,6 +159,9 @@ class SupportContext:
         self.inst = inst
         self.support = _checked_support(inst, support)
         self.scores = correlation_scores(inst, self.support)
+        # tested before squaring, which would overflow to inf with a warning
+        if not float(np.abs(self.scores).max()) < math.sqrt(np.finfo(float).max):
+            raise ValueError("the correlation scores are too large to square")
         self.sq = self.scores**2
         self.in_mask = np.zeros(inst.p, dtype=bool)
         self.in_mask[list(self.support)] = True
@@ -344,7 +350,7 @@ def check_dcl(inst: ProblemInstance, support: Sequence[int] | SupportContext) ->
     a - b/lam_hat^2 points down. The search stops as NotCertified with
     `interval-empty` when that leaves nothing, as it does when the analytic
     bracket itself is empty. It stops with `bisection-exhausted` when the
-    bracket width drops below BISECTION_TOL*max(1, up) or, as a guard,
+    bracket width drops below BISECTION_TOL*up or, as a guard,
     after BISECTION_MAX_ITER evaluations. `support` may be a SupportContext
     built for `inst`, whose scores are reused.
     """
@@ -358,7 +364,7 @@ def check_dcl(inst: ProblemInstance, support: Sequence[int] | SupportContext) ->
 
     ell, up = ctx.bracket()
     # a bracket narrower than the stopping width has no searchable interior
-    if ell >= up or up - ell <= BISECTION_TOL * max(1.0, up):
+    if ell >= up or up - ell <= BISECTION_TOL * up:
         return CertOutcome(reason=REASON_EMPTY_INTERVAL)
 
     for _ in range(BISECTION_MAX_ITER):
@@ -380,17 +386,22 @@ def check_dcl(inst: ProblemInstance, support: Sequence[int] | SupportContext) ->
         ell, up = max(ell, lo), min(up, hi)
         if ell >= up:
             return CertOutcome(reason=REASON_EMPTY_INTERVAL)
-        if up - ell <= BISECTION_TOL * max(1.0, up):
+        if up - ell <= BISECTION_TOL * up:
             return CertOutcome(reason=REASON_EXHAUSTED)
     return CertOutcome(reason=REASON_EXHAUSTED)
 
 
-def verify_dcl_certificate(inst: ProblemInstance, cert: DclCertificate) -> float:
+def verify_dcl_certificate(inst: ProblemInstance, cert: DclCertificate) -> tuple[float, float]:
     """Re-check a dual certificate from scratch (independent of how it was
-    found): duals finite and nonnegative, slack matrix negative semidefinite,
-    equality on the support, inequality off it. Every condition is written
-    so that a NaN fails it. Returns the top eigenvalue of the slack matrix
-    (at most COND_TOL); raises CertificateConsistencyError."""
+    found): duals finite and nonnegative, equality on the support and
+    inequality off it to COND_TOL*lam, duality gap closed, slack matrix
+    NSD. With the restricted fit b, its value P and the raw duals
+    d_raw = rho*duals, lam_raw = lam/rho (`kkt_variables`), the lifted dual
+    value is D = y^T y/2 - (||X b||^2 + rho ||b||^2 - sum_i d_raw_i b_i^2)/2
+    - lam_raw*k/2, and |P - D| <= COND_TOL*max(1, |P|) is required. A NaN
+    fails every condition. Returns (top, gap): the slack matrix's top
+    eigenvalue (at most COND_TOL) and (P - D)/max(1, |P|); raises
+    CertificateConsistencyError."""
     ctx = SupportContext(inst, cert.support)
     d = np.asarray(cert.duals, dtype=float).reshape(-1)
     lam = float(cert.lam)
@@ -400,25 +411,31 @@ def verify_dcl_certificate(inst: ProblemInstance, cert: DclCertificate) -> float
         raise CertificateConsistencyError("non-finite dual variables")
     if not (lam >= 0.0 and (d >= 0.0).all()):
         raise CertificateConsistencyError("negative dual variables")
-    # PSD side: X^T X/rho + I - D(d) >= 0 <=> the slack matrix, symmetrized
-    # against BLAS noise, has top eigenvalue <= 0
-    gram = inst.X.T @ inst.X
-    slack = -0.5 * (gram + gram.T) / inst.rho - np.eye(inst.p)
-    slack.flat[:: inst.p + 1] += d
+    gap_in = np.abs(lam - d[ctx.in_mask] * ctx.sq_in)
+    if not float(gap_in.max()) <= COND_TOL * lam:
+        raise CertificateConsistencyError(f"support equality violated by {float(gap_in.max()):g}")
+    slack_out = lam * d[ctx.out_mask] - ctx.sq_out
+    if slack_out.size and not float(slack_out.min()) >= -COND_TOL * lam:
+        raise CertificateConsistencyError(f"off-support inequality violated by {-float(slack_out.min()):g}")
+    # b is zero off the support, so the dual sum runs over S alone; einsum
+    # and dot overflow to inf without a warning, and a non-finite gap fails
+    fit = ridge_restricted_solve(inst, ctx.support)
+    b, b_in, Xb = fit.beta, fit.beta[ctx.in_mask], inst.X @ fit.beta
+    dual_sum = float(np.einsum("i,i,i->", d[ctx.in_mask], b_in, b_in))
+    tau = float(Xb @ Xb) + inst.rho * (float(b @ b) - dual_sum)
+    dual = 0.5 * float(inst.y @ inst.y) - 0.5 * tau - 0.5 * (lam / inst.rho) * inst.k
+    gap = (fit.value - dual) / max(1.0, abs(fit.value))
+    if not abs(gap) <= COND_TOL:
+        raise CertificateConsistencyError(f"duality gap {gap:g} at the restricted fit")
+    # PSD side: X^T X/rho + I - D(d) >= 0 <=> the slack matrix has top
+    # eigenvalue <= 0; eigvalsh reads only its lower triangle
+    slack = inst.X.T @ inst.X
+    slack /= -inst.rho
+    slack.flat[:: inst.p + 1] += d - 1.0
     top = float(np.linalg.eigvalsh(slack)[-1])
     if not (np.isfinite(top) and top <= COND_TOL):
         raise CertificateConsistencyError(f"slack matrix not NSD: top eigenvalue {top:g}")
-    gap_in = np.abs(lam - d[ctx.in_mask] * ctx.sq_in)
-    if not float(gap_in.max()) <= COND_TOL * max(1.0, lam):
-        raise CertificateConsistencyError(
-            f"support equality violated by {float(gap_in.max()):g}"
-        )
-    slack_out = lam * d[ctx.out_mask] - ctx.sq_out
-    if slack_out.size and not float(slack_out.min()) >= -COND_TOL:
-        raise CertificateConsistencyError(
-            f"off-support inequality violated by {-float(slack_out.min()):g}"
-        )
-    return top
+    return top, gap
 
 
 def pwg_witness_to_dcl(

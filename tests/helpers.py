@@ -43,8 +43,9 @@ def mixed_instance(rng, **kwargs):
 
 
 def random_support(rng, inst):
-    size = int(rng.integers(1, inst.k + 1))
-    return tuple(sorted(rng.choice(inst.p, size=size, replace=False).tolist()))
+    """k distinct random columns, the only support size the certificate
+    checks accept."""
+    return tuple(sorted(rng.choice(inst.p, size=inst.k, replace=False).tolist()))
 
 
 def dense_kernel_solve(inst, support, v):
@@ -98,8 +99,8 @@ def relaxed_gradient(inst, z):
 def slack_matrices(ctx, lams):
     """The dense slack matrices diag(d(lam)) - X^T X/rho - I_p of a
     SupportContext at the canonical duals of each threshold in `lams`, as an
-    (m, p, p) stack, with the arithmetic of verify_dcl_certificate. The
-    search never forms them; they are the tests' reference."""
+    (m, p, p) stack: the matrix verify_dcl_certificate tests. The search
+    never forms them; they are the tests' reference."""
     lams = np.asarray(lams, dtype=float).reshape(-1, 1)
     gram = ctx.inst.X.T @ ctx.inst.X
     base = -0.5 * (gram + gram.T) / ctx.inst.rho - np.eye(ctx.inst.p)

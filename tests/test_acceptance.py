@@ -149,8 +149,7 @@ def test_criterion_4_analytic_kernels(family500):
     for idx, (inst, planted) in enumerate(family500[:200]):
         support = planted
         if support is None:
-            size = int(rng.integers(1, inst.k + 1))
-            support = tuple(sorted(rng.choice(inst.p, size=size, replace=False).tolist()))
+            support = tuple(sorted(rng.choice(inst.p, size=inst.k, replace=False).tolist()))
         # restricted-solve objective vs kernel identity
         direct = ridge_restricted_solve(inst, support).value
         kernel = ridge_value_kernel(inst, support)

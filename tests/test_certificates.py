@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -189,7 +190,7 @@ def test_dcl_exact_first_midpoint():
     cert = out.certificate
     assert cert.lam == pytest.approx(0.25)
     assert cert.duals == pytest.approx([1.0, 0.0])
-    assert verify_dcl_certificate(ident([1.0, 0.0]), cert) == pytest.approx(-1.0)
+    assert verify_dcl_certificate(ident([1.0, 0.0]), cert)[0] == pytest.approx(-1.0)
 
 
 def test_dcl_empty_interval():
@@ -322,7 +323,8 @@ def test_every_returned_certificate_reverifies():
     for inst, sup in cases:
         out = check_dcl(inst, sup)
         if out.exact:
-            assert verify_dcl_certificate(inst, out.certificate) <= certificates.COND_TOL
+            top, gap = verify_dcl_certificate(inst, out.certificate)
+            assert top <= certificates.COND_TOL and abs(gap) <= 1e-10
             count += 1
     assert count > 30  # the family must actually exercise the exact branch
 
@@ -336,6 +338,58 @@ def test_verify_rejects_non_finite_certificates(lam, duals):
     cert = DclCertificate(support=(0,), lam=lam, duals=np.array(duals))
     with pytest.raises(CertificateConsistencyError):
         verify_dcl_certificate(ident([1.0, 0.0]), cert)
+
+
+def test_verify_rejects_every_tiny_rho_certificate():
+    # at rho = 1e-30 the support scores sit at roundoff level, and check_dcl
+    # certifies most supports although the brute-force argmin (3, 4) is
+    # unique; its thresholds rest on roundoff, the argmin's included, so
+    # each certificate leaves a duality gap or breaks the off-support
+    # inequality
+    rng = np.random.default_rng(0)
+    inst = ProblemInstance(X=rng.standard_normal((12, 8)), y=rng.standard_normal(12), rho=1e-30, k=2)
+    assert brute_force_l0(inst).argmin_supports == [(3, 4)]
+    certified = 0
+    for sup in itertools.combinations(range(inst.p), 2):
+        out = check_dcl(inst, sup)
+        if out.exact:
+            certified += 1
+            with pytest.raises(CertificateConsistencyError, match="duality gap|off-support"):
+                verify_dcl_certificate(inst, out.certificate)
+    assert certified > 0
+
+
+def test_certificate_checks_need_exactly_k_columns():
+    # {0} separates and its witness has an NSD slack matrix, but the lifted
+    # dual value there is P({0}) - lam_raw/2 = 0.28125 - lam_raw/2, and the
+    # unique argmin is {0, 1}
+    inst = ProblemInstance(X=I2, y=[1.0, 0.25], rho=1.0, k=2)
+    assert brute_force_l0(inst).argmin_supports == [(0, 1)]
+    cert = DclCertificate(support=(0,), lam=0.25, duals=np.array([1.0, 0.0]))
+    for call in (
+        lambda: SupportContext(inst, [0]),
+        lambda: check_pwg(inst, [0]),
+        lambda: check_dcl(inst, [0]),
+        lambda: verify_dcl_certificate(inst, cert),
+        lambda: verify_kkt(inst, [0], np.zeros(2), 0.0),
+    ):
+        with pytest.raises(ValueError, match="differs from the cardinality budget k=2"):
+            call()
+    top, gap = verify_dcl_certificate(inst, check_dcl(inst, [0, 1]).certificate)
+    assert top <= 0.0 and abs(gap) <= 1e-15
+
+
+def test_squared_scores_that_overflow_are_a_value_error():
+    # |c_j| is past sqrt(float max) here; squaring used to overflow with a
+    # warning, and check_dcl then returned a certificate breaking its own
+    # support equality
+    rng = np.random.default_rng(1)
+    inst = ProblemInstance(
+        X=rng.standard_normal((1, 4)) * 1e20, y=rng.standard_normal(1) * 1e150, rho=1e-30, k=4
+    )
+    for call in (SupportContext, check_pwg, check_dcl):
+        with pytest.raises(ValueError, match="too large to square"):
+            call(inst, (0, 1, 2, 3))
 
 
 def test_zero_response_scale_property():
@@ -402,7 +456,7 @@ def test_witness_transfer_hand_example():
     assert cert.lam == pytest.approx(0.25)
     # canonical duals: the off-support dual is c_1^2/lam0 = 0
     assert cert.duals == pytest.approx([1.0, 0.0])
-    assert verify_dcl_certificate(inst, cert) <= 1e-12
+    assert verify_dcl_certificate(inst, cert)[0] <= 1e-12
 
 
 def test_witness_transfer_equal_scores_give_unit_duals():
@@ -465,7 +519,7 @@ def test_kkt_hand_example():
     assert report.psd_residual_big <= 1e-10
     assert report.psd_residual_small <= 1e-10
     assert report.comp_residual <= 1e-10
-    with pytest.raises(ValueError, match="exceeds cardinality budget k=1"):
+    with pytest.raises(ValueError, match="differs from the cardinality budget k=1"):
         verify_kkt(inst, [0, 1], np.zeros(2), 0.0)
 
 
@@ -549,7 +603,7 @@ def test_cut_proved_empty_interval_has_positive_margin(seed, amplitude):
         return
     ctx = SupportContext(inst, sup)
     ell, up = ctx.bracket()
-    if ell >= up or up - ell <= BISECTION_TOL * max(1.0, up):
+    if ell >= up or up - ell <= BISECTION_TOL * up:
         return
     lams = np.linspace(ell, up, 1002)[1:-1]
     assert (dense_margins(ctx, lams) > 0.0).all()
@@ -639,7 +693,7 @@ def test_p256_trials_need_few_eigensolves(eig_calls):
             out = check_dcl(inst, sup)
             assert out.exact == exact
             if exact:
-                assert verify_dcl_certificate(inst, out.certificate) <= certificates.COND_TOL
+                assert verify_dcl_certificate(inst, out.certificate)[0] <= certificates.COND_TOL
             else:
                 assert out.reason == REASON_EMPTY_INTERVAL
     assert len(eig_calls) <= 12
@@ -704,7 +758,7 @@ def test_cholesky_certifies_first_query_without_eigensolve(eig_calls):
     assert out.exact and not eig_calls
     ell, up = SupportContext(inst, sup).bracket()
     assert out.certificate.lam == np.sqrt(ell) * np.sqrt(up)
-    assert verify_dcl_certificate(inst, out.certificate) <= certificates.COND_TOL
+    assert verify_dcl_certificate(inst, out.certificate)[0] <= certificates.COND_TOL
 
 
 def test_bisection_matches_grid_scan_small():
@@ -735,23 +789,33 @@ def test_bisection_matches_grid_scan_small():
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(min_value=0, max_value=2**31), st.floats(min_value=0.05, max_value=3.0))
-def test_decisions_invariant_under_column_permutation_and_sign_flips(seed, amplitude):
-    # X -> X P D with P a permutation and D = diag(+-1) maps the problem onto
-    # itself: column j of the new design is column perm[j] of the old one
+@given(
+    st.integers(min_value=0, max_value=2**31),
+    st.floats(min_value=0.05, max_value=3.0),
+    st.integers(min_value=-40, max_value=40),
+)
+def test_decisions_invariant_under_column_permutation_and_sign_flips(seed, amplitude, j):
+    # (X, y, rho) -> (2^j X P D, -y, 4^j rho) with P a permutation and
+    # D = diag(+-1) maps the problem onto itself: column i of the new design
+    # is column perm[i] of the old one, the fit scales by -2^-j, the scores
+    # by -2^j and the threshold by 4^j, all exactly
     rng = np.random.default_rng(seed)
     inst, sup = planted_instance(rng, amplitude=amplitude)
     perm = rng.permutation(inst.p)
     signs = rng.choice([-1.0, 1.0], size=inst.p)
-    moved = ProblemInstance(X=inst.X[:, perm] * signs, y=inst.y, rho=inst.rho, k=inst.k)
+    moved = ProblemInstance(
+        X=2.0**j * inst.X[:, perm] * signs, y=-inst.y, rho=4.0**j * inst.rho, k=inst.k
+    )
     where = np.argsort(perm)  # old column index -> new column index
 
     def relabel(support):
-        return tuple(sorted(int(where[j]) for j in support))
+        return tuple(sorted(int(where[i]) for i in support))
 
     assert check_pwg(moved, relabel(sup)).exact == check_pwg(inst, sup).exact
     before, after = check_dcl(inst, sup), check_dcl(moved, relabel(sup))
     assert (after.exact, after.reason) == (before.exact, before.reason)
+    if after.exact:
+        verify_dcl_certificate(moved, after.certificate)
     best, best_moved = brute_force_l0(inst), brute_force_l0(moved)
     assert best_moved.value == pytest.approx(best.value, rel=1e-12, abs=0.0)
     assert sorted(best_moved.argmin_supports) == sorted(map(relabel, best.argmin_supports))
@@ -818,11 +882,11 @@ def test_verification_recomputes_scores_of_a_shared_context(monkeypatch):
     ctx = SupportContext(inst, sup)
     out = check_dcl(inst, ctx)
     assert out.exact
-    top = verify_dcl_certificate(inst, out.certificate)
+    verdict = verify_dcl_certificate(inst, out.certificate)
     # spoiling the shared context cannot reach the verifier, which builds
     # its own from the certificate's support
     ctx.sq_in[:] = np.inf
     ctx.sq_out[:] = 0.0
     calls = _counting_scores(monkeypatch)
-    assert verify_dcl_certificate(inst, out.certificate) == top
+    assert verify_dcl_certificate(inst, out.certificate) == verdict
     assert len(calls) == 1

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsecert import ProblemInstance, certificates, cli, ensemble, verify_kkt
+from sparsecert import ProblemInstance, certificates, cli, ensemble
 from sparsecert.cli import main
 from sparsecert.fileio import save_instance
 
@@ -34,7 +34,7 @@ def test_check_exact_support(identity_instance, capsys):
     assert code == 0
     assert "pwg: exact" in out and "min_in=0.5" in out and "max_out=0.0" in out
     assert "dcl: exact" in out and "lambda=0.25" in out
-    assert "kkt residuals" in out
+    assert "gap=0.000e+00" in out
 
 
 def test_check_uses_file_support(identity_instance, capsys):
@@ -70,15 +70,15 @@ def test_check_tiny_rho_exits_cleanly(tmp_path, capsys):
     code = main(["check", str(path)])
     out = capsys.readouterr().out
     # the support scores are at roundoff level here; the dual search finds a
-    # threshold, but its KKT residuals are far above tolerance, so check does
-    # not exit 0
+    # threshold, but the verifier rejects it, so check does not exit 0
     assert code == 2
-    assert "dcl: not-verified (KKT residual above tolerance)" in out
+    assert "dcl: not-verified (off-support inequality violated" in out
 
 
 def test_check_huge_kkt_residual_exits_2(tmp_path, capsys):
     # check_dcl certifies (0, 1) here although the brute-force argmin is
-    # (3, 4); its complementarity residual is finite but about 1.6e29
+    # (3, 4); its KKT complementarity residual is about 1.6e29, and the
+    # verifier rejects it
     rng = np.random.default_rng(0)
     inst = ProblemInstance(
         X=rng.standard_normal((12, 8)), y=rng.standard_normal(12), rho=1e-30, k=2
@@ -88,22 +88,36 @@ def test_check_huge_kkt_residual_exits_2(tmp_path, capsys):
     code = main(["check", str(path)])
     out = capsys.readouterr().out
     assert code == 2
-    assert "dcl: not-verified (KKT residual above tolerance)" in out
+    assert "dcl: not-verified (off-support inequality violated" in out
     assert "dcl: exact" not in out
 
 
-def test_check_non_finite_kkt_residual_exits_2(identity_instance, capsys, monkeypatch):
-    def nan_kkt(inst, support, d, lam):
-        report = verify_kkt(inst, support, d, lam)
-        report.comp_residual = float("nan")
-        return report
+def test_check_nan_duality_gap_exits_2(identity_instance, capsys, monkeypatch):
+    solve = certificates.ridge_restricted_solve
 
-    monkeypatch.setattr(cli, "verify_kkt", nan_kkt)
+    def nan_value(inst, support):
+        fit = solve(inst, support)
+        fit.value = float("nan")
+        return fit
+
+    monkeypatch.setattr(certificates, "ridge_restricted_solve", nan_value)
     code = main(["check", str(identity_instance), "--support", "0"])
     out = capsys.readouterr().out
     assert code == 2
-    assert "dcl: not-verified (non-finite KKT residual)" in out
+    assert "dcl: not-verified (duality gap nan at the restricted fit)" in out
     assert "dcl: exact" not in out
+
+
+def test_check_support_smaller_than_k_exits_1(tmp_path, capsys):
+    # {0} passes the threshold test and carries a dual certificate with an
+    # NSD slack matrix, but the unique argmin is {0, 1}: the lifted dual
+    # value at {0} falls short by lam_raw/2, so such supports are refused
+    path = tmp_path / "identity_k2.json"
+    save_instance(path, ProblemInstance(X=np.eye(2), y=[1.0, 0.25], rho=1.0, k=2))
+    assert main(["check", str(path), "--support", "0"]) == 1
+    assert "error: support size 1 differs from the cardinality budget k=2" in capsys.readouterr().err
+    assert main(["oracle", str(path)]) == 0
+    assert "argmin supports: {0,1}" in capsys.readouterr().out
 
 
 def test_check_prints_reverified_psd_margin(identity_instance, capsys):
@@ -128,8 +142,7 @@ def test_check_computes_the_scores_once_for_both_tests(identity_instance, capsys
         "support: [0]\n"
         "correlation scores: [0.5000000000000001, 0.0]\n"
         "pwg: exact  min_in=0.5000000000000001 max_out=0.0\n"
-        "dcl: exact  lambda=0.2500000000000001 psd_margin=-1.0\n"
-        "kkt residuals: psd_full=0.000e+00 psd_pairs=1.110e-16 complementarity=0.000e+00\n"
+        "dcl: exact  lambda=0.2500000000000001 psd_margin=-1.0 gap=0.000e+00\n"
     )
 
 
