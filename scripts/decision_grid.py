@@ -3,9 +3,11 @@
 
 For each master seed, decides both relaxations at the planted support of
 every trial of the p in {16, 32, 64} grid: all 19 alphas x 6 rho multipliers
-x 4 trials, 1368 trials per seed, in `run_sweep`'s order. Every dual
-certificate is re-verified. Prints the `check_dcl` reason counts per p and
-one sha256 over the stream of (pwg_exact, dcl_exact) across all seeds.
+x 4 trials, 1368 trials per seed, in `run_sweep`'s order; both tests share
+one SupportContext per trial, as `evaluate_trial` does. Every dual
+certificate is re-verified. Prints the `check_dcl` reason counts per p, the
+largest |relative duality gap| over the verified certificates and one
+sha256 over the stream of (pwg_exact, dcl_exact) across all seeds.
 
 Usage:
     python scripts/decision_grid.py --seeds 100-105 [--expect SHA]
@@ -19,7 +21,7 @@ import hashlib
 import sys
 from collections import Counter
 
-from sparsecert import EnsembleConfig, check_dcl, check_pwg, verify_dcl_certificate
+from sparsecert import EnsembleConfig, SupportContext, check_dcl, check_pwg, verify_dcl_certificate
 from sparsecert.certificates import CertificateConsistencyError
 from sparsecert.ensemble import generate_instance
 
@@ -42,6 +44,7 @@ def main(argv=None) -> int:
     digest = hashlib.sha256()
     reasons = {p: Counter() for p in P_LIST}
     unverified = 0
+    max_gap = 0.0
     for seed in args.seeds:
         cfg = EnsembleConfig(p_list=P_LIST, trials=TRIALS, master_seed=seed)
         for p in cfg.p_list:
@@ -49,13 +52,14 @@ def main(argv=None) -> int:
                 for mult in cfg.rho_multipliers:
                     for trial in range(cfg.trials):
                         inst, _, support = generate_instance(cfg, p, alpha, mult, trial)
-                        pwg = check_pwg(inst, support).exact
-                        dcl = check_dcl(inst, support)
+                        ctx = SupportContext(inst, support)
+                        pwg = check_pwg(inst, ctx).exact
+                        dcl = check_dcl(inst, ctx)
                         digest.update(b"%d%d" % (pwg, dcl.exact))
                         reasons[p]["exact" if dcl.exact else dcl.reason] += 1
                         if dcl.exact:
                             try:
-                                verify_dcl_certificate(inst, dcl.certificate)
+                                max_gap = max(max_gap, abs(verify_dcl_certificate(inst, dcl.certificate)))
                             except CertificateConsistencyError as err:
                                 unverified += 1
                                 print(f"seed {seed} p={p} alpha={alpha} rho x{mult} trial {trial}: {err}")
@@ -63,7 +67,8 @@ def main(argv=None) -> int:
     for p, counts in reasons.items():
         print(f"p={p}: " + ", ".join(f"{r} {c}" for r, c in sorted(counts.items())))
     sha = digest.hexdigest()
-    print(f"trials {sum(sum(c.values()) for c in reasons.values())}, unverified {unverified}")
+    trials = sum(sum(c.values()) for c in reasons.values())
+    print(f"trials {trials}, unverified {unverified}, max |gap| {max_gap:.2e}")
     print(f"sha256 {sha}")
     if unverified:
         return 1

@@ -24,8 +24,9 @@ the cardinality-constrained ridge problem at S:
   a*lam + b/lam - c > 0. g_v bounds the margin below for any v, so every
   certifying threshold lies between its roots, and this Rayleigh cut
   shrinks the bracket to them or proves it empty. Certificates carry no
-  eigenvalue; verify_dcl_certificate re-checks one densely and returns the
-  top eigenvalue of its slack matrix and its relative duality gap.
+  eigenvalue; verify_dcl_certificate re-checks one from scratch, deciding
+  its slack matrix by the same Schur query, and returns its relative
+  duality gap.
 
 `SupportContext` holds what these tests read for one (instance, support)
 pair (scores, masks, duals, Rayleigh coefficients, bracket). Both tests take
@@ -391,17 +392,18 @@ def check_dcl(inst: ProblemInstance, support: Sequence[int] | SupportContext) ->
     return CertOutcome(reason=REASON_EXHAUSTED)
 
 
-def verify_dcl_certificate(inst: ProblemInstance, cert: DclCertificate) -> tuple[float, float]:
+def verify_dcl_certificate(inst: ProblemInstance, cert: DclCertificate) -> float:
     """Re-check a dual certificate from scratch (independent of how it was
     found): duals finite and nonnegative, equality on the support and
     inequality off it to COND_TOL*lam, duality gap closed, slack matrix
     NSD. With the restricted fit b, its value P and the raw duals
     d_raw = rho*duals, lam_raw = lam/rho (`kkt_variables`), the lifted dual
     value is D = y^T y/2 - (||X b||^2 + rho ||b||^2 - sum_i d_raw_i b_i^2)/2
-    - lam_raw*k/2, and |P - D| <= COND_TOL*max(1, |P|) is required. A NaN
-    fails every condition. Returns (top, gap): the slack matrix's top
-    eigenvalue (at most COND_TOL) and (P - D)/max(1, |P|); raises
-    CertificateConsistencyError."""
+    - lam_raw*k/2, and |P - D| <= COND_TOL*max(1, |P|) is required. The top
+    eigenvalue of the slack matrix S(d) is at most COND_TOL exactly when
+    S(d - COND_TOL) = S(d) - COND_TOL*I is NSD, which `_schur_query`
+    decides with no p x p matrix. A NaN fails every condition. Returns the
+    relative gap (P - D)/max(1, |P|); raises CertificateConsistencyError."""
     ctx = SupportContext(inst, cert.support)
     d = np.asarray(cert.duals, dtype=float).reshape(-1)
     lam = float(cert.lam)
@@ -427,15 +429,9 @@ def verify_dcl_certificate(inst: ProblemInstance, cert: DclCertificate) -> tuple
     gap = (fit.value - dual) / max(1.0, abs(fit.value))
     if not abs(gap) <= COND_TOL:
         raise CertificateConsistencyError(f"duality gap {gap:g} at the restricted fit")
-    # PSD side: X^T X/rho + I - D(d) >= 0 <=> the slack matrix has top
-    # eigenvalue <= 0; eigvalsh reads only its lower triangle
-    slack = inst.X.T @ inst.X
-    slack /= -inst.rho
-    slack.flat[:: inst.p + 1] += d - 1.0
-    top = float(np.linalg.eigvalsh(slack)[-1])
-    if not (np.isfinite(top) and top <= COND_TOL):
-        raise CertificateConsistencyError(f"slack matrix not NSD: top eigenvalue {top:g}")
-    return top, gap
+    if _schur_query(ctx, d - COND_TOL) is not None:
+        raise CertificateConsistencyError(f"slack matrix not NSD: top eigenvalue above {COND_TOL:g}")
+    return gap
 
 
 def pwg_witness_to_dcl(

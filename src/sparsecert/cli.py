@@ -7,11 +7,11 @@ Subcommands:
   plot     aggregate CSV -> SVG rate-vs-alpha chart
 
 Exit codes: check returns 0 when the dual certificate exists and
-`verify_dcl_certificate` re-verifies it from scratch (printing the slack
-matrix's top eigenvalue as psd_margin and the relative duality gap as gap),
-2 when it does not, 1 on input errors (a support of other than k columns
-among them); oracle returns 3 if the relaxation/brute-force value ordering
-is violated (bug trap); everything else uses 0/1.
+`verify_dcl_certificate` re-verifies it from scratch (printing its relative
+duality gap as gap), 2 when it does not, 1 on input errors (a support of
+other than k columns among them); oracle returns 3 if the
+relaxation/brute-force value ordering is violated (bug trap); everything
+else uses 0/1.
 """
 
 from __future__ import annotations
@@ -67,11 +67,11 @@ def cmd_check(args) -> int:
         return 2
     cert = dcl.certificate
     try:
-        top, gap = verify_dcl_certificate(inst, cert)
+        gap = verify_dcl_certificate(inst, cert)
     except CertificateConsistencyError as exc:
         print(f"dcl: not-verified ({exc})")
         return 2
-    print(f"dcl: exact  lambda={fileio.fmt_real(cert.lam)} psd_margin={fileio.fmt_real(top)} gap={gap:.3e}")
+    print(f"dcl: exact  lambda={fileio.fmt_real(cert.lam)} gap={gap:.3e}")
     return 0
 
 

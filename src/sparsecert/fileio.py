@@ -140,7 +140,8 @@ def write_agg_csv(path, rows: list[dict]) -> None:
 
 def read_agg_csv(path) -> list[dict]:
     """The aggregate CSV's rows, typed and keyed as `aggregate_curves` gives
-    them. Every rate must be a real in [0, 1] and every trial count at least 1."""
+    them. Every p and trial count must be at least 1, every alpha and rho
+    multiplier a finite positive real and every rate a real in [0, 1]."""
     text = Path(path).read_bytes().decode("utf-8")
     lines = [ln for ln in text.split("\n") if ln]
     if not lines or lines[0] != AGG_HEADER:
@@ -151,8 +152,10 @@ def read_agg_csv(path) -> list[dict]:
         if len(parts) != len(AGG_COLUMNS):
             raise ValueError(f"malformed aggregate CSV row: {ln!r}")
         row = {name: parse(part) for (name, parse), part in zip(AGG_COLUMNS.items(), parts)}
-        # the comparisons are false for nan, and inf is outside [0, 1]
-        if not (0.0 <= row["pwg_rate"] <= 1.0 and 0.0 <= row["dcl_rate"] <= 1.0 and row["trials"] >= 1):
-            raise ValueError(f"aggregate CSV row {ln!r} needs rates in [0, 1] and trials >= 1")
+        # the comparisons are false for nan, and they exclude inf
+        grid_ok = row["p"] >= 1 and 0.0 < row["alpha"] < np.inf and 0.0 < row["rho_multiplier"] < np.inf
+        if not (grid_ok and 0.0 <= row["pwg_rate"] <= 1.0 and 0.0 <= row["dcl_rate"] <= 1.0 and row["trials"] >= 1):
+            raise ValueError(f"aggregate CSV row {ln!r} needs p >= 1, finite positive alpha and"
+                             " rho_multiplier, rates in [0, 1] and trials >= 1")
         rows.append(row)
     return rows

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -190,7 +191,8 @@ def test_dcl_exact_first_midpoint():
     cert = out.certificate
     assert cert.lam == pytest.approx(0.25)
     assert cert.duals == pytest.approx([1.0, 0.0])
-    assert verify_dcl_certificate(ident([1.0, 0.0]), cert)[0] == pytest.approx(-1.0)
+    assert verify_dcl_certificate(ident([1.0, 0.0]), cert) == 0.0
+    assert dense_margin(SupportContext(ident([1.0, 0.0]), [0]), cert.lam)[0] == pytest.approx(-1.0)
 
 
 def test_dcl_empty_interval():
@@ -323,8 +325,8 @@ def test_every_returned_certificate_reverifies():
     for inst, sup in cases:
         out = check_dcl(inst, sup)
         if out.exact:
-            top, gap = verify_dcl_certificate(inst, out.certificate)
-            assert top <= certificates.COND_TOL and abs(gap) <= 1e-10
+            assert abs(verify_dcl_certificate(inst, out.certificate)) <= 1e-10
+            assert dense_margin(SupportContext(inst, sup), out.certificate.lam)[0] <= certificates.COND_TOL
             count += 1
     assert count > 30  # the family must actually exercise the exact branch
 
@@ -338,6 +340,85 @@ def test_verify_rejects_non_finite_certificates(lam, duals):
     cert = DclCertificate(support=(0,), lam=lam, duals=np.array(duals))
     with pytest.raises(CertificateConsistencyError):
         verify_dcl_certificate(ident([1.0, 0.0]), cert)
+
+
+@pytest.mark.parametrize("lam, accepted", [(0.5 + 1e-9, True), (0.5 + 1e-8, False), (1.0, False)])
+def test_verify_rejects_a_slack_matrix_that_is_not_nsd(lam, accepted):
+    # the scores at S = {0} are (0.5, 0), so the duals (4 lam, 0) meet the
+    # support equality and close the duality gap at every lam, and only the
+    # slack matrix diag(4 lam - 2, -2) can fail: its top eigenvalue 4 lam - 2
+    # is 4e-9, 4e-8 and 2 against COND_TOL = 1e-8
+    cert = DclCertificate(support=(0,), lam=lam, duals=np.array([4.0 * lam, 0.0]))
+    if accepted:
+        assert abs(verify_dcl_certificate(ident([1.0, 0.0]), cert)) <= 1e-15
+    else:
+        with pytest.raises(CertificateConsistencyError, match="slack matrix not NSD"):
+            verify_dcl_certificate(ident([1.0, 0.0]), cert)
+
+
+def _dense_edge(ctx, inside, outside):
+    """The threshold, between one whose dense margin is at most COND_TOL and
+    one whose margin is above it, where the margin crosses COND_TOL, by
+    geometric bisection; the certifying thresholds form an interval because
+    the margin is convex."""
+    for _ in range(80):
+        mid = math.sqrt(inside * outside)
+        if dense_margin(ctx, mid)[0] <= certificates.COND_TOL:
+            inside = mid
+        else:
+            outside = mid
+    return inside
+
+
+def test_verifier_nsd_verdict_matches_the_dense_reference():
+    # canonical duals meet both side conditions and close the gap at every
+    # threshold, so the verdict is the NSD test alone; it must equal the
+    # dense top eigenvalue <= COND_TOL on a sweep through and past each
+    # certifying interval, which lies inside the analytic bracket, and at
+    # relative distances 1e-3 to 1e-9 on both sides of its ends
+    rng = np.random.default_rng(61)
+    near = np.array([-1e-3, -1e-6, -1e-9, 1e-9, 1e-6, 1e-3])
+    verdicts = []
+    while len(verdicts) < 4000:
+        inst, sup = planted_instance(rng, amplitude=float(rng.uniform(0.05, 3.0)))
+        out = check_dcl(inst, sup)
+        if not out.exact:
+            continue
+        ctx = SupportContext(inst, sup)
+        ell, up = ctx.bracket()
+        lams = np.geomspace(ell / 2.0 if ell > 0.0 else 1e-6 * up, 2.0 * up, 40)
+        ends = [lam for lam in lams[[0, -1]] if dense_margin(ctx, lam)[0] > certificates.COND_TOL]
+        for end in ends:
+            lams = np.append(lams, _dense_edge(ctx, out.certificate.lam, end) * (1.0 + near))
+        for lam, top in zip(lams, dense_margins(ctx, lams)):
+            cert = DclCertificate(support=ctx.support, lam=float(lam), duals=ctx.duals(lam))
+            try:
+                verify_dcl_certificate(inst, cert)
+                accepted = True
+            except CertificateConsistencyError as err:
+                assert "slack matrix not NSD" in str(err)
+                accepted = False
+            verdicts.append((accepted, bool(top <= certificates.COND_TOL)))
+    assert all(ours == dense for ours, dense in verdicts)
+    assert 0 < sum(ours for ours, _ in verdicts) < len(verdicts)
+
+
+def test_decision_grid_certificates_pass_the_dense_check():
+    # every certificate of the seed-100 decision grid (scripts/decision_grid.py)
+    cfg = EnsembleConfig(p_list=[16, 32, 64], trials=4, master_seed=100)
+    certified = 0
+    for p in cfg.p_list:
+        for alpha in cfg.alpha_grid:
+            for mult in cfg.rho_multipliers:
+                for trial in range(cfg.trials):
+                    inst, _, sup = generate_instance(cfg, p, alpha, mult, trial)
+                    ctx = SupportContext(inst, sup)
+                    out = check_dcl(inst, ctx)
+                    if out.exact:
+                        verify_dcl_certificate(inst, out.certificate)
+                        assert dense_margin(ctx, out.certificate.lam)[0] <= certificates.COND_TOL
+                        certified += 1
+    assert certified > 1000
 
 
 def test_verify_rejects_every_tiny_rho_certificate():
@@ -375,8 +456,9 @@ def test_certificate_checks_need_exactly_k_columns():
     ):
         with pytest.raises(ValueError, match="differs from the cardinality budget k=2"):
             call()
-    top, gap = verify_dcl_certificate(inst, check_dcl(inst, [0, 1]).certificate)
-    assert top <= 0.0 and abs(gap) <= 1e-15
+    cert = check_dcl(inst, [0, 1]).certificate
+    assert abs(verify_dcl_certificate(inst, cert)) <= 1e-15
+    assert dense_margin(SupportContext(inst, [0, 1]), cert.lam)[0] <= 0.0
 
 
 def test_squared_scores_that_overflow_are_a_value_error():
@@ -456,7 +538,8 @@ def test_witness_transfer_hand_example():
     assert cert.lam == pytest.approx(0.25)
     # canonical duals: the off-support dual is c_1^2/lam0 = 0
     assert cert.duals == pytest.approx([1.0, 0.0])
-    assert verify_dcl_certificate(inst, cert)[0] <= 1e-12
+    verify_dcl_certificate(inst, cert)
+    assert dense_margin(SupportContext(inst, [0]), cert.lam)[0] <= 1e-12
 
 
 def test_witness_transfer_equal_scores_give_unit_duals():
@@ -693,7 +776,8 @@ def test_p256_trials_need_few_eigensolves(eig_calls):
             out = check_dcl(inst, sup)
             assert out.exact == exact
             if exact:
-                assert verify_dcl_certificate(inst, out.certificate)[0] <= certificates.COND_TOL
+                verify_dcl_certificate(inst, out.certificate)
+                assert dense_margin(SupportContext(inst, sup), out.certificate.lam)[0] <= certificates.COND_TOL
             else:
                 assert out.reason == REASON_EMPTY_INTERVAL
     assert len(eig_calls) <= 12
@@ -735,18 +819,24 @@ def test_schur_query_agrees_with_dense_margin(seed, tall, frac):
 
 
 def test_search_forms_no_p_by_p_array(eig_calls):
-    # one p x p float64 array at p=1024 is 8 MiB; the dense slack matrix is
-    # never built during the search
-    cfg = EnsembleConfig(p_list=[1024], trials=1, alpha_grid=[1.0], rho_multipliers=[2.0])
+    # one p x p float64 array at p=1024 is 8 MiB; neither the search nor the
+    # verifier of a certificate builds the dense slack matrix or X^T X
+    cfg = EnsembleConfig(p_list=[1024], trials=1, rho_multipliers=[2.0])
     inst, _, sup = generate_instance(cfg, 1024, 1.0, 2.0, 0)
-    tracemalloc.start()
-    try:
-        out = check_dcl(inst, sup)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    certified, _, cert_sup = generate_instance(cfg, 1024, 2.0, 2.0, 0)
+    cert = check_dcl(certified, cert_sup).certificate
+    results = []
+    for call in (lambda: check_dcl(inst, sup), lambda: verify_dcl_certificate(certified, cert)):
+        tracemalloc.start()
+        try:
+            results.append(call())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024 * 8
+    out, gap = results
     assert out.reason == REASON_EMPTY_INTERVAL and eig_calls
-    assert peak < 1024 * 1024 * 8
+    assert abs(gap) <= 1e-10
 
 
 def test_cholesky_certifies_first_query_without_eigensolve(eig_calls):
@@ -758,7 +848,8 @@ def test_cholesky_certifies_first_query_without_eigensolve(eig_calls):
     assert out.exact and not eig_calls
     ell, up = SupportContext(inst, sup).bracket()
     assert out.certificate.lam == np.sqrt(ell) * np.sqrt(up)
-    assert verify_dcl_certificate(inst, out.certificate)[0] <= certificates.COND_TOL
+    verify_dcl_certificate(inst, out.certificate)
+    assert dense_margin(SupportContext(inst, sup), out.certificate.lam)[0] <= certificates.COND_TOL
 
 
 def test_bisection_matches_grid_scan_small():

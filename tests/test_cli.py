@@ -120,10 +120,12 @@ def test_check_support_smaller_than_k_exits_1(tmp_path, capsys):
     assert "argmin supports: {0,1}" in capsys.readouterr().out
 
 
-def test_check_prints_reverified_psd_margin(identity_instance, capsys):
-    # the slack matrix at lam = 0.25 is diag(1, 0) - 2 I, top eigenvalue -1
+def test_check_prints_reverified_gap(identity_instance, capsys):
+    # the verifier decides the slack matrix diag(1, 0) - 2 I on a Schur
+    # complement and reports no eigenvalue, only the closed duality gap
     assert main(["check", str(identity_instance), "--support", "0"]) == 0
-    assert "psd_margin=-1.0" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "gap=0.000e+00" in out and "psd_margin" not in out
 
 
 def test_check_computes_the_scores_once_for_both_tests(identity_instance, capsys, monkeypatch):
@@ -142,7 +144,7 @@ def test_check_computes_the_scores_once_for_both_tests(identity_instance, capsys
         "support: [0]\n"
         "correlation scores: [0.5000000000000001, 0.0]\n"
         "pwg: exact  min_in=0.5000000000000001 max_out=0.0\n"
-        "dcl: exact  lambda=0.2500000000000001 psd_margin=-1.0 gap=0.000e+00\n"
+        "dcl: exact  lambda=0.2500000000000001 gap=0.000e+00\n"
     )
 
 

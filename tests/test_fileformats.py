@@ -191,7 +191,9 @@ def test_agg_round_trip(tmp_path):
 @pytest.mark.parametrize(
     "row",
     ["9,1.0,2.0,nan,0.5,2", "9,1.0,2.0,0.5,inf,2", "9,1.0,2.0,1.5,1.0,2",
-     "9,1.0,2.0,0.0,-0.25,2", "9,1.0,2.0,0.5,0.5,0"],
+     "9,1.0,2.0,0.0,-0.25,2", "9,1.0,2.0,0.5,0.5,0",
+     # a nan or inf grid value used to reach the plot as nan coordinates
+     "9,nan,2.0,0.5,0.5,2", "9,1.0,inf,0.5,0.5,2", "9,0.0,2.0,0.5,0.5,2", "0,1.0,2.0,0.5,0.5,2"],
 )
 def test_agg_csv_rejects_rates_outside_the_unit_interval_and_empty_cells(tmp_path, capsys, row):
     path = tmp_path / "agg.csv"
