@@ -268,18 +268,19 @@ def _schur_query(ctx: SupportContext, duals: np.ndarray) -> Optional[np.ndarray]
     """
     X, rho = ctx.inst.X, ctx.inst.rho
     w = 1.0 - duals
-    block = w <= SCHUR_SPLIT
-    if not block.any():
+    in_block = w <= SCHUR_SPLIT
+    if not in_block.any():
         return None
-    XT = X[:, block]
-    root_wc = np.sqrt(w[~block])
-    G = X[:, ~block]
+    block, rest = np.flatnonzero(in_block), np.flatnonzero(~in_block)
+    XT = X.take(block, axis=1)
+    root_wc = np.sqrt(w[rest])
+    G = X.take(rest, axis=1)
     G /= root_wc
     L, woodbury = kernel_factor(G, rho)
     F = dtrtrs(L, G.T @ XT if woodbury else XT, lower=1)[0]
     sch = (XT.T @ XT - F.T @ F) / rho if woodbury else F.T @ F
     sch.flat[:: sch.shape[0] + 1] += w[block]
-    if cholesky(sch) is not None:
+    if cholesky(sch.copy()) is not None:  # factored in place; the eigensolve needs sch
         return None
     top, u = max_eig_sym(-sch)
     if top <= 0.0:
@@ -287,7 +288,7 @@ def _schur_query(ctx: SupportContext, duals: np.ndarray) -> Optional[np.ndarray]
     lift = dtrtrs(L, F @ u, lower=1, trans=1)[0]
     v = np.empty(ctx.inst.p)
     v[block] = u
-    v[~block] = -(lift if woodbury else G.T @ lift) / root_wc
+    v[rest] = -(lift if woodbury else G.T @ lift) / root_wc
     return v
 
 

@@ -109,6 +109,17 @@ def sample_size_for(p: int, alpha: float) -> int:
     return math.ceil(alpha * k * math.log(p - k))
 
 
+def _trial_seed(cfg: EnsembleConfig, p: int, alpha: float, rho_multiplier: float, trial_index: int) -> int:
+    """The stream seed of one trial: `seed_derive` at the grid indices of its
+    alpha and rho multiplier. A p, alpha or multiplier outside the grid is a
+    ValueError."""
+    if p not in cfg.p_list:
+        raise ValueError(f"p={p} not in the configured grid")
+    alpha_index = cfg.alpha_grid.index(alpha)
+    rho_index = cfg.rho_multipliers.index(rho_multiplier)
+    return seed_derive(cfg.master_seed, p, alpha_index, rho_index, trial_index)
+
+
 def generate_instance(
     cfg: EnsembleConfig, p: int, alpha: float, rho_multiplier: float, trial_index: int
 ) -> tuple[ProblemInstance, np.ndarray, tuple[int, ...]]:
@@ -118,15 +129,10 @@ def generate_instance(
     normals row-major, then the k-subset draw, then k sign draws in support
     order, then n noise normals.
     """
-    if p not in cfg.p_list:
-        raise ValueError(f"p={p} not in the configured grid")
-    alpha_index = cfg.alpha_grid.index(alpha)
-    rho_index = cfg.rho_multipliers.index(rho_multiplier)
+    gen = SplitMix64(_trial_seed(cfg, p, alpha, rho_multiplier, trial_index))
     k = sparsity_for(p)
     n = sample_size_for(p, alpha)
     rho = rho_multiplier * math.sqrt(n)
-    seed = seed_derive(cfg.master_seed, p, alpha_index, rho_index, trial_index)
-    gen = SplitMix64(seed)
     X = gen.normals(n * p).reshape(n, p)
     support = gen.subset(p, k)
     beta = np.zeros(p)
@@ -155,9 +161,6 @@ def _run_trials(cfg: EnsembleConfig, keys: list[tuple]) -> list[TrialRecord]:
     generate_instance and evaluate_trial are looked up here at call time."""
     records = []
     for p, alpha, rho_multiplier, trial_index in keys:
-        alpha_index = cfg.alpha_grid.index(alpha)
-        rho_index = cfg.rho_multipliers.index(rho_multiplier)
-        seed = seed_derive(cfg.master_seed, p, alpha_index, rho_index, trial_index)
         inst, _, support = generate_instance(cfg, p, alpha, rho_multiplier, trial_index)
         pwg_exact, dcl_exact = evaluate_trial(inst, support)
         records.append(
@@ -169,7 +172,7 @@ def _run_trials(cfg: EnsembleConfig, keys: list[tuple]) -> list[TrialRecord]:
                 rho_multiplier=rho_multiplier,
                 rho=inst.rho,
                 trial_index=trial_index,
-                trial_seed=seed,
+                trial_seed=_trial_seed(cfg, p, alpha, rho_multiplier, trial_index),
                 pwg_exact=pwg_exact,
                 dcl_exact=dcl_exact,
             )
@@ -217,8 +220,6 @@ def run_sweep(cfg: EnsembleConfig, workers: int | None = None) -> list[TrialReco
         for trial in range(cfg.trials)
     ]
     w = min(int(workers), len(keys))
-    if w == 1:
-        return _run_trials(cfg, keys)
     records: list = [None] * len(keys)
     pipes = {}  # the read end of each child's result pipe, by pid
     try:

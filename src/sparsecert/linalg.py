@@ -11,7 +11,10 @@ K_S for G = X_S). The restricted ridge fit b*_S is read off either side
 (directly, or by the push-through identity b*_S = X_S^T (rho I_n +
 X_S X_S^T)^{-1} y), `K_S^{-1} y` is its residual y - X_S b*_S, and the
 per-column correlation scores X_j^T K_S^{-1} y drive both certificates.
-`cholesky` is the single LAPACK `potrf` call site.
+`cholesky` is the single LAPACK `potrf` call site. It factors its argument
+in place, so `kernel_factor` factors the kernel it has just built with no
+copy, and a caller that still needs a matrix after factoring it passes a
+copy.
 """
 
 from __future__ import annotations
@@ -37,10 +40,13 @@ class RestrictedRidgeSolution:
 def cholesky(A: np.ndarray) -> Optional[np.ndarray]:
     """Cholesky factor of a symmetric matrix by one LAPACK `potrf` (only its
     lower triangle is the factor), or None when A is not positive definite.
-    A non-finite entry raises ValueError."""
+    A C- or Fortran-ordered float64 A is factored in place: its entries are
+    overwritten, whatever the outcome. A non-finite entry raises ValueError."""
     if not np.isfinite(A).all():
         raise ValueError("cannot factor a matrix with a non-finite entry")
-    L, info = dpotrf(A, lower=1, clean=0)
+    # a symmetric C-ordered matrix is its own transpose, which is Fortran-
+    # ordered, and potrf overwrites a Fortran-ordered float64 array with no copy
+    L, info = dpotrf(A.T if A.flags.c_contiguous else A, lower=1, clean=0, overwrite_a=1)
     return L if info == 0 else None
 
 

@@ -820,23 +820,32 @@ def test_schur_query_agrees_with_dense_margin(seed, tall, frac):
 
 def test_search_forms_no_p_by_p_array(eig_calls):
     # one p x p float64 array at p=1024 is 8 MiB; neither the search nor the
-    # verifier of a certificate builds the dense slack matrix or X^T X
+    # verifier of a certificate builds the dense slack matrix or X^T X. At
+    # alpha 3 (n=663) the verifier's Schur query holds its 4.8 MiB of scaled
+    # columns G and the 3.4 MiB n x n kernel, which it factors in place
+    MiB = 1024 * 1024
     cfg = EnsembleConfig(p_list=[1024], trials=1, rho_multipliers=[2.0])
     inst, _, sup = generate_instance(cfg, 1024, 1.0, 2.0, 0)
     certified, _, cert_sup = generate_instance(cfg, 1024, 2.0, 2.0, 0)
     cert = check_dcl(certified, cert_sup).certificate
+    large, _, large_sup = generate_instance(cfg, 1024, 3.0, 2.0, 0)
+    large_cert = check_dcl(large, large_sup).certificate
     results = []
-    for call in (lambda: check_dcl(inst, sup), lambda: verify_dcl_certificate(certified, cert)):
+    for call, bound in (
+        (lambda: check_dcl(inst, sup), 8 * MiB),
+        (lambda: verify_dcl_certificate(certified, cert), 8 * MiB),
+        (lambda: verify_dcl_certificate(large, large_cert), 10 * MiB),
+    ):
         tracemalloc.start()
         try:
             results.append(call())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1024 * 1024 * 8
-    out, gap = results
+        assert peak < bound
+    out, gap, large_gap = results
     assert out.reason == REASON_EMPTY_INTERVAL and eig_calls
-    assert abs(gap) <= 1e-10
+    assert abs(gap) <= 1e-10 and abs(large_gap) <= 1e-10
 
 
 def test_cholesky_certifies_first_query_without_eigensolve(eig_calls):

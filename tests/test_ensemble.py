@@ -4,6 +4,7 @@ import pickle
 import re
 import runpy
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +114,20 @@ def test_generate_instance_normality_sanity():
     m = flat.size
     assert abs(flat.mean()) <= 5.0 / math.sqrt(m)
     assert abs(flat.var() - 1.0) <= 5.0 * math.sqrt(2.0 / (m - 1))
+
+
+def test_generate_instance_peak_memory_is_the_design_plus_one_block():
+    # 678,912 normals at p=1024, alpha 3, drawn in 21 blocks: the draw's
+    # temporaries are O(NORMAL_BLOCK), not a few copies of the 5.2 MiB design
+    cfg = small_config(p_list=[1024], alpha_grid=[3.0])
+    tracemalloc.start()
+    try:
+        inst, _, _ = generate_instance(cfg, 1024, 3.0, 2.0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inst.X.shape == (663, 1024)
+    assert peak <= inst.X.nbytes + 1024 * 1024
 
 
 def test_sample_size_guard():

@@ -4,7 +4,9 @@ Every sweep CSV is a function of these draws, so a change to how
 `SplitMix64` computes them (drawing in blocks, reordering the work) must
 leave each output and the generator state after it bit-identical. The
 digests were taken from the scalar-loop implementation that the module
-docstring specifies; a change that moves any of them changes the stream.
+docstring specifies, and those of requests past one NORMAL_BLOCK from the
+one-block implementation that followed it; a change that moves any of them
+changes the stream.
 """
 
 import hashlib
@@ -47,6 +49,20 @@ DRAWS = {
     ("normals", (7,)): ('2bed0f91854af5bc155a4c4e0379412794de789617cdeb454824a917351848db', '25d42f2ae76083c4ea19980186783780e4b789196eda6abe3b9b43a471e7d873'),
     ("normals", (4096,)): ('9b0168cfd530dd8412706b938bf3bd74bb4de0a44315dbaef1fe85d072012b2e', 'b8a8f858a8c046e51bb1da3dec50f370be50f4702bfc67391339cc6cdc8678af'),
     ("normals", (4097,)): ('72c2423ca1da5bd86e3ce95c0ccdb4edb5908ab201422939b81882d6cbc7781a', '4d6cde59de16ffefaacfb8c8b060704169b2c2b2f0f860c2ccfc5eba1cf612f7'),
+    # 1, 2 and 3 blocks of NORMAL_BLOCK = 16384 pairs, one pair short and
+    # one pair over, with an even and an odd count
+    ("normals", (32766,)): ('301adc0e6a309ac086452c640195c728421a293d4a98165866017505d724ab54', '4f8ee6c397a20a441190593aa0dd464973b974db8c7f89e697203dc0001b04da'),
+    ("normals", (32767,)): ('0aa6c216362e75e93feeb615cec6165b041b416ca10800280f645514b22990c5', '2f73d2c7cdefe6f1ca504d7c8c173e46d73cbf394b2f1a0a1b9c3b9837358658'),
+    ("normals", (32769,)): ('6e9940207ea6ac7ff0aab43aaaf4e6662d0b3cc0ac2117463ef86465eaea370d', '743d5276dbe5b681dba99e25df618602aad39cc11b428ac97cbb482a18ec3ce7'),
+    ("normals", (32770,)): ('f5a13b68609e47a496596a2c3f45cec18d2539f8a72911b162679c6b58adfbb0', '6e34e1f787493bcb32b9349d0ab1a107b5794f7ce28ebf9ba881b7d211206d2b'),
+    ("normals", (65534,)): ('33e07b48c39a079b88f7d4925b663b64cc7ff25ac4ee375602a7cafe1d6c3072', 'f71a72a101f0beb1979159735cab56b43d33304f6416af5545f5d867f33b2548'),
+    ("normals", (65535,)): ('635f09038a6d06864c095c68a33b3f2e2072c86b4779119fe3da4c7561ea9e2b', '1f0ff2441e4e487e2226ec413d56ffbc3636300eef9d3e7e086205da4c8c6904'),
+    ("normals", (65537,)): ('3e7c83039e55e0967a97cb93172840fa6b5f85121d6a18baf13cdc9b61ff768c', '4d166c2fa07b68a1e0a8dd2e196fedae036f5b5ca18e7f80729820be2fd87233'),
+    ("normals", (65538,)): ('a7a9e36239985c9426503aa4cae0aa3b2cbca19a880fd380760f5bb685689994', '6d5ea55b9a1b7b793a27d37661115743abf143b313fd36e8df811e2fd4624661'),
+    ("normals", (98302,)): ('684983af3ce20bc3f1f66451858b5c35c1aa51c467e93727e8c24e923377ad46', '09dfcbae1ea8f74966b7f954e8bfb5459f0d67a6772f8a0cb1672d86cae68279'),
+    ("normals", (98303,)): ('0ba2e5814d53ec834c29477f7ee861f1e98d613ae33dcabf8dea961c8fc64259', '97c1c330578815dfbcc171efdb6e84eb4014865e00a9885aab80ae79f26f9327'),
+    ("normals", (98305,)): ('975e7ac921ceac0abd34a5f1082cd90e43fa5097464e2c5db9d546bfaa575287', '1121fbc4b25e747791ff40948d49ec06f787f06a615ddb9001b72fe7065b4e64'),
+    ("normals", (98306,)): ('88d375485088a218738abcd238be27e12b2b40c4793031e8c8e3e7ecced959f9', '8637d19f5b505b956fa0210f16119fe524f08011eaa84a664ae2a8f4ec09b41c'),
     ("subset", (0, 0)): ('998a6a0f0c64c0f25c59d1fc7700a88dd3bbfa13476d7808e70aecd5ce0f1a67', '12a3ae445661ce5dee78d0650d33362dec29c4f82af05e7e57fb595bbbacf0ca'),
     ("subset", (1, 1)): ('1718e2463f95db25a5e03cfec6926ab3af6cfbf6e5f7eed5b59967a0de1979d2', '8b1cf00ad56e5b99eae66ead69fe24b46898f75d63da37f9b9931c550ee53a03'),
     ("subset", (16, 0)): ('998a6a0f0c64c0f25c59d1fc7700a88dd3bbfa13476d7808e70aecd5ce0f1a67', '12a3ae445661ce5dee78d0650d33362dec29c4f82af05e7e57fb595bbbacf0ca'),
@@ -65,6 +81,9 @@ CHAINED = {
     ("subset", (64, 8)): 'c1144b73d8bd738bbdbc5ab5c7f74444639767b0081eed9031cd28c6941e75b3',
     ("signs", (8,)): '886cb64756f7ce81ceb23af51f37e08e93f960ddd3d718d034fe5efc8806d674',
     ("normals", (97,)): '7e375ddd53160b6840853c160022ed5cfe12eefa0864ac21f1d7af9a0663ffe8',
+    # then a 3-block request (32769 pairs) and a draw from the state it leaves
+    ("normals", (65537,)): '4e8958b7b10662ee1e60bbde5a4a40be5cee16a336a6c0d8a7a6b3174bbe9295',
+    ("signs", (3,)): '8755526ab8e470b789649a9e4298010e330df05dc2d71d6af975af276f7570f3',
 }
 
 # (p, alpha, rho multiplier, trial) at master seed 0: digest of X, y, beta, support
@@ -74,6 +93,7 @@ CELLS = {
     (64, 3.0, 8.0, 1): 'b884f6fe6bf07eddda54dcbb249e4908ae3a6e6b5e4416ebdef9cd4309e29ebb',
     (256, 1.0, 2.0, 0): '6298672a006ef6630586e4dadde49d534a0bc728f289d728f3095a31a320856b',
     (256, 4.0, 3.0, 5): '97e3c9fe294fd6ade494a92480a218b380e2b1dcee51f73f5d0421f80c0b0cf3',
+    (256, 4.0, 2.0, 0): '02ced6594ee0b38c2c964e997c1c11aa10b7b659acf439683cf81fb25f7b1c6e',  # a sweep-p256 cell, 3 blocks
 }
 
 
