@@ -49,6 +49,17 @@ DRAWS = {
     ("normals", (7,)): ('2bed0f91854af5bc155a4c4e0379412794de789617cdeb454824a917351848db', '25d42f2ae76083c4ea19980186783780e4b789196eda6abe3b9b43a471e7d873'),
     ("normals", (4096,)): ('9b0168cfd530dd8412706b938bf3bd74bb4de0a44315dbaef1fe85d072012b2e', 'b8a8f858a8c046e51bb1da3dec50f370be50f4702bfc67391339cc6cdc8678af'),
     ("normals", (4097,)): ('72c2423ca1da5bd86e3ce95c0ccdb4edb5908ab201422939b81882d6cbc7781a', '4d6cde59de16ffefaacfb8c8b060704169b2c2b2f0f860c2ccfc5eba1cf612f7'),
+    ("subset", (0, 0)): ('998a6a0f0c64c0f25c59d1fc7700a88dd3bbfa13476d7808e70aecd5ce0f1a67', '12a3ae445661ce5dee78d0650d33362dec29c4f82af05e7e57fb595bbbacf0ca'),
+    ("subset", (1, 1)): ('1718e2463f95db25a5e03cfec6926ab3af6cfbf6e5f7eed5b59967a0de1979d2', '8b1cf00ad56e5b99eae66ead69fe24b46898f75d63da37f9b9931c550ee53a03'),
+    ("subset", (16, 0)): ('998a6a0f0c64c0f25c59d1fc7700a88dd3bbfa13476d7808e70aecd5ce0f1a67', '12a3ae445661ce5dee78d0650d33362dec29c4f82af05e7e57fb595bbbacf0ca'),
+    ("subset", (16, 4)): ('27daafb8f96e34099ad07d7b70ddebfecb58ec5d93d840985671843f50466cf6', '40302a50399ca16bc489bc4713e052e59247763769273bb65cf0bbc4e20b78d4'),
+    ("subset", (16, 16)): ('931aeead5cf0603d039910889a59687b696c1d0285835c0b659f40281e911a3d', 'e0f26ac99a1d91e6335a7c664c7fcf0af90eae216e72da85c779ace393873bf0'),
+    ("subset", (64, 8)): ('150e34cae5c0013addc6f00365b2e4343cf50d14c95a7254e88c5b0687f5705e', '4b16fc0cf0231128995500c4fd4be8e8f48248fcd154fd1ba54979c795c5ded3'),
+    ("subset", (257, 257)): ('7ff2f07fc2d962e6e6895d2b8cf6359a01c59d2e4e11904a7c2bc276092d35df', '8b6f28baa60a41651b53c0a41f7a53df0007ff2efb7574b5974775bbf0170780'),
+    ("signs", (0,)): ('998a6a0f0c64c0f25c59d1fc7700a88dd3bbfa13476d7808e70aecd5ce0f1a67', '12a3ae445661ce5dee78d0650d33362dec29c4f82af05e7e57fb595bbbacf0ca'),
+    ("signs", (1,)): ('a4e209f3fda32172a500558f8b8acad12ef67669987b5018e25b205a1e704727', '78e39eb5c3c54e20e65e560849689aa2dd38c09350958fff24a1048e7fe1792c'),
+    ("signs", (33,)): ('4956d8c1e7f3339238a59d7d9483800fc529cd09b7701515324a4ecd7bfc8751', 'dd838d1a9ef9f95c03888561832102cdb2456c9d9a34607b072bcb115af6c873'),
+    # appended after the older cases so their parametrize ids stay put:
     # 1, 2 and 3 blocks of NORMAL_BLOCK = 16384 pairs, one pair short and
     # one pair over, with an even and an odd count
     ("normals", (32766,)): ('301adc0e6a309ac086452c640195c728421a293d4a98165866017505d724ab54', '4f8ee6c397a20a441190593aa0dd464973b974db8c7f89e697203dc0001b04da'),
@@ -63,16 +74,6 @@ DRAWS = {
     ("normals", (98303,)): ('0ba2e5814d53ec834c29477f7ee861f1e98d613ae33dcabf8dea961c8fc64259', '97c1c330578815dfbcc171efdb6e84eb4014865e00a9885aab80ae79f26f9327'),
     ("normals", (98305,)): ('975e7ac921ceac0abd34a5f1082cd90e43fa5097464e2c5db9d546bfaa575287', '1121fbc4b25e747791ff40948d49ec06f787f06a615ddb9001b72fe7065b4e64'),
     ("normals", (98306,)): ('88d375485088a218738abcd238be27e12b2b40c4793031e8c8e3e7ecced959f9', '8637d19f5b505b956fa0210f16119fe524f08011eaa84a664ae2a8f4ec09b41c'),
-    ("subset", (0, 0)): ('998a6a0f0c64c0f25c59d1fc7700a88dd3bbfa13476d7808e70aecd5ce0f1a67', '12a3ae445661ce5dee78d0650d33362dec29c4f82af05e7e57fb595bbbacf0ca'),
-    ("subset", (1, 1)): ('1718e2463f95db25a5e03cfec6926ab3af6cfbf6e5f7eed5b59967a0de1979d2', '8b1cf00ad56e5b99eae66ead69fe24b46898f75d63da37f9b9931c550ee53a03'),
-    ("subset", (16, 0)): ('998a6a0f0c64c0f25c59d1fc7700a88dd3bbfa13476d7808e70aecd5ce0f1a67', '12a3ae445661ce5dee78d0650d33362dec29c4f82af05e7e57fb595bbbacf0ca'),
-    ("subset", (16, 4)): ('27daafb8f96e34099ad07d7b70ddebfecb58ec5d93d840985671843f50466cf6', '40302a50399ca16bc489bc4713e052e59247763769273bb65cf0bbc4e20b78d4'),
-    ("subset", (16, 16)): ('931aeead5cf0603d039910889a59687b696c1d0285835c0b659f40281e911a3d', 'e0f26ac99a1d91e6335a7c664c7fcf0af90eae216e72da85c779ace393873bf0'),
-    ("subset", (64, 8)): ('150e34cae5c0013addc6f00365b2e4343cf50d14c95a7254e88c5b0687f5705e', '4b16fc0cf0231128995500c4fd4be8e8f48248fcd154fd1ba54979c795c5ded3'),
-    ("subset", (257, 257)): ('7ff2f07fc2d962e6e6895d2b8cf6359a01c59d2e4e11904a7c2bc276092d35df', '8b6f28baa60a41651b53c0a41f7a53df0007ff2efb7574b5974775bbf0170780'),
-    ("signs", (0,)): ('998a6a0f0c64c0f25c59d1fc7700a88dd3bbfa13476d7808e70aecd5ce0f1a67', '12a3ae445661ce5dee78d0650d33362dec29c4f82af05e7e57fb595bbbacf0ca'),
-    ("signs", (1,)): ('a4e209f3fda32172a500558f8b8acad12ef67669987b5018e25b205a1e704727', '78e39eb5c3c54e20e65e560849689aa2dd38c09350958fff24a1048e7fe1792c'),
-    ("signs", (33,)): ('4956d8c1e7f3339238a59d7d9483800fc529cd09b7701515324a4ecd7bfc8751', 'dd838d1a9ef9f95c03888561832102cdb2456c9d9a34607b072bcb115af6c873'),
 }
 
 # generate_instance's request sequence on one stream (seed 7919, n=97, p=64)
