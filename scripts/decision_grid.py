@@ -6,14 +6,16 @@ every trial of the p in {16, 32, 64} grid: all 19 alphas x 6 rho multipliers
 x 4 trials, 1368 trials per seed, in `run_sweep`'s order; both tests share
 one SupportContext per trial, as `evaluate_trial` does. Every dual
 certificate is re-verified. Prints the `check_dcl` reason counts per p, the
-largest |relative duality gap| over the verified certificates and one
-sha256 over the stream of (pwg_exact, dcl_exact) across all seeds.
+largest |relative duality gap| over the verified certificates, the number
+of dominance violations (trials where `check_pwg` is exact and `check_dcl`
+is not, which a threshold certificate's transfer to a dual one rules out)
+and one sha256 over the stream of (pwg_exact, dcl_exact) across all seeds.
 
 Usage:
     python scripts/decision_grid.py --seeds 100-105 [--expect SHA]
 
-Exits 1 when a certificate fails to re-verify or when the digest differs
-from --expect.
+Exits 1 when a certificate fails to re-verify, on any dominance violation
+or when the digest differs from --expect.
 """
 
 import argparse
@@ -43,7 +45,7 @@ def main(argv=None) -> int:
 
     digest = hashlib.sha256()
     reasons = {p: Counter() for p in P_LIST}
-    unverified = 0
+    unverified = violations = 0
     max_gap = 0.0
     for seed in args.seeds:
         cfg = EnsembleConfig(p_list=P_LIST, trials=TRIALS, master_seed=seed)
@@ -57,6 +59,10 @@ def main(argv=None) -> int:
                         dcl = check_dcl(inst, ctx)
                         digest.update(b"%d%d" % (pwg, dcl.exact))
                         reasons[p]["exact" if dcl.exact else dcl.reason] += 1
+                        if pwg and not dcl.exact:
+                            violations += 1
+                            print(f"seed {seed} p={p} alpha={alpha} rho x{mult} trial {trial}: "
+                                  f"pwg exact, dcl {dcl.reason}")
                         if dcl.exact:
                             try:
                                 max_gap = max(max_gap, abs(verify_dcl_certificate(inst, dcl.certificate)))
@@ -69,8 +75,9 @@ def main(argv=None) -> int:
     sha = digest.hexdigest()
     trials = sum(sum(c.values()) for c in reasons.values())
     print(f"trials {trials}, unverified {unverified}, max |gap| {max_gap:.2e}")
+    print(f"dominance violations {violations}")
     print(f"sha256 {sha}")
-    if unverified:
+    if unverified or violations:
         return 1
     if args.expect is not None and args.expect != sha:
         print(f"error: expected sha256 {args.expect}", file=sys.stderr)

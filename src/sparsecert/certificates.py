@@ -28,13 +28,15 @@ the cardinality-constrained ridge problem at S:
   its slack matrix by the same Schur query, and returns its relative
   duality gap.
 
-`SupportContext` holds what these tests read for one (instance, support)
-pair (scores, masks, duals, Rayleigh coefficients, bracket). Both tests take
-either a support, for which they build one, or a context built for the same
-instance, whose scores they reuse: a sweep trial and `sparsecert check`
-build one context and run both tests on it. `verify_dcl_certificate` always
-builds its own from the certificate's support, so re-verification shares no
-state with the search.
+`SupportContext` owns every support-level decision for one (instance,
+support) pair: it validates the support and holds the scores, masks,
+threshold witness, duals, Rayleigh coefficients and bracket. Both tests
+take either a support, for which they build one, or a context built for the
+same instance, whose scores and witness they reuse: a sweep trial and
+`sparsecert check` build one context and run both tests on it, so the
+threshold test runs once. `verify_dcl_certificate` always builds its own
+from the certificate's support and never asks it for the witness, so
+re-verification shares no state with the search.
 
 A dual-certificate search that fails says why: `interval-empty` means no
 threshold can certify, proved either by the analytic bracket or by a
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -144,16 +147,17 @@ def _checked_support(inst: ProblemInstance, support: Sequence[int]) -> tuple[int
 
 class SupportContext:
     """What the certificate tests read for one (instance, support) pair: the
-    correlation scores and support masks, the canonical duals at a
-    threshold, the Rayleigh bound along a vector and the analytic bracket.
-    No member forms a p x p array.
+    correlation scores and support masks, the threshold witness, the
+    canonical duals at a threshold, the Rayleigh bound along a vector and
+    the analytic bracket. No member forms a p x p array.
 
-    The support is validated on construction, and scores whose squares
-    would overflow are a ValueError there. `duals` raises ValueError on
-    a threshold that is not a positive finite real, and `duals`, `rayleigh`
-    and `bracket` raise it when a support column has a zero correlation
-    score, for which the canonical duals are undefined; a caller can test
-    `zero_score_in_support` first.
+    The support is validated on construction (exactly k distinct columns in
+    [0, p)), and scores whose squares would overflow are a ValueError there.
+    `threshold_witness` is computed on first use and kept. `duals` raises
+    ValueError on a threshold that is not a positive finite real, and
+    `duals`, `rayleigh` and `bracket` raise it when a support column has a
+    zero correlation score, for which the canonical duals are undefined; a
+    caller can test `zero_score_in_support` first.
     """
 
     def __init__(self, inst: ProblemInstance, support: Sequence[int]):
@@ -170,6 +174,15 @@ class SupportContext:
         self.sq_in = self.sq[self.in_mask]
         self.sq_out = self.sq[self.out_mask]
         self.zero_score_in_support = bool((self.sq_in == 0.0).any())
+
+    @cached_property
+    def threshold_witness(self) -> Optional[PwgCertificate]:
+        """The threshold certificate at this support, or None when the scores
+        do not separate. Ties fail (strictness required)."""
+        abs_scores = np.abs(self.scores)
+        min_in = float(abs_scores[self.in_mask].min())
+        max_out = float(abs_scores[self.out_mask].max(initial=0.0))
+        return PwgCertificate(self.support, min_in, max_out) if max_out < min_in else None
 
     def duals(self, lam: float) -> np.ndarray:
         """Canonical duals lam/c_i^2 on the support and c_i^2/lam off it: the
@@ -292,17 +305,6 @@ def _schur_query(ctx: SupportContext, duals: np.ndarray) -> Optional[np.ndarray]
     return v
 
 
-def _threshold_witness(ctx: SupportContext) -> Optional[PwgCertificate]:
-    """The threshold certificate at ctx's support, or None when the scores
-    do not separate. Ties fail (strictness required)."""
-    abs_scores = np.abs(ctx.scores)
-    min_in = float(abs_scores[ctx.in_mask].min())
-    max_out = float(abs_scores[ctx.out_mask].max()) if ctx.out_mask.any() else 0.0
-    if max_out < min_in:
-        return PwgCertificate(support=ctx.support, min_in=min_in, max_out=max_out)
-    return None
-
-
 def _witness_transfer(ctx: SupportContext) -> DclCertificate:
     """The dual certificate that separated scores yield with no eigenproblem:
     at lam0 = min_{i in S} c_i^2 the canonical duals are lam0/c_i^2 <= 1 on
@@ -326,9 +328,9 @@ def _context(inst: ProblemInstance, support: Sequence[int] | SupportContext) -> 
 def check_pwg(inst: ProblemInstance, support: Sequence[int] | SupportContext) -> CertOutcome:
     """Threshold test: exact iff off-support scores sit strictly below every
     on-support score in absolute value. Ties fail (strictness required).
-    `support` may be a SupportContext built for `inst`, whose scores are
-    reused."""
-    cert = _threshold_witness(_context(inst, support))
+    `support` may be a SupportContext built for `inst`, whose scores and
+    witness are reused."""
+    cert = _context(inst, support).threshold_witness
     return CertOutcome(cert) if cert is not None else CertOutcome(reason=REASON_SEPARATION)
 
 
@@ -354,14 +356,14 @@ def check_dcl(inst: ProblemInstance, support: Sequence[int] | SupportContext) ->
     bracket itself is empty. It stops with `bisection-exhausted` when the
     bracket width drops below BISECTION_TOL*up or, as a guard,
     after BISECTION_MAX_ITER evaluations. `support` may be a SupportContext
-    built for `inst`, whose scores are reused.
+    built for `inst`, whose scores and witness are reused.
     """
     ctx = _context(inst, support)
     if not ctx.sq.any():
         return CertOutcome(DclCertificate(support=ctx.support, lam=0.0, duals=np.zeros(ctx.inst.p)))
     if ctx.zero_score_in_support:
         return CertOutcome(reason=REASON_ZERO_SCORE)
-    if _threshold_witness(ctx) is not None:
+    if ctx.threshold_witness is not None:
         return CertOutcome(_witness_transfer(ctx))
 
     ell, up = ctx.bracket()
@@ -447,7 +449,7 @@ def pwg_witness_to_dcl(
     ctx = SupportContext(inst, support)
     if ctx.support != tuple(pwg.support):
         raise ValueError("certificate support does not match")
-    if _threshold_witness(ctx) is None:
+    if ctx.threshold_witness is None:
         raise ValueError("the correlation scores do not separate at this support")
     cert = _witness_transfer(ctx)
     verify_dcl_certificate(inst, cert)

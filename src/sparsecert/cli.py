@@ -8,8 +8,8 @@ Subcommands:
 
 Exit codes: check returns 0 when the dual certificate exists and
 `verify_dcl_certificate` re-verifies it from scratch (printing its relative
-duality gap as gap), 2 when it does not, 1 on input errors (a support of
-other than k columns among them); oracle returns 3 if the
+duality gap as gap), 2 when it does not, 1 on input errors (a support that
+`SupportContext` refuses among them); oracle returns 3 if the
 relaxation/brute-force value ordering is violated (bug trap); everything
 else uses 0/1.
 """
@@ -30,7 +30,6 @@ from .certificates import (
 )
 from .ensemble import aggregate_curves, run_sweep
 from .oracles import brute_force_l0, pwg_value
-from .problem import normalize_support
 from .svgplot import render_recovery_svg
 
 
@@ -46,11 +45,10 @@ def cmd_check(args) -> int:
     indices = _parse_support(args.support) if args.support is not None else file_support
     if indices is None:
         raise ValueError("no support given: pass --support or add one to the file")
-    support = normalize_support(indices, inst.p)
-    # one context (one score computation) serves both tests
-    ctx = SupportContext(inst, support)
+    # one context validates the support and serves both tests
+    ctx = SupportContext(inst, indices)
     print(f"instance: n={inst.n} p={inst.p} rho={fileio.fmt_real(inst.rho)} k={inst.k}")
-    print(f"support: {list(support)}")
+    print(f"support: {list(ctx.support)}")
     print("correlation scores: [" + ", ".join(fileio.fmt_real(c) for c in ctx.scores) + "]")
     pwg = check_pwg(inst, ctx)
     if pwg.exact:

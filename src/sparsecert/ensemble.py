@@ -8,6 +8,9 @@ certifies exactness at the true support:
     k = ceil(sqrt(p)),  n = ceil(alpha * k * ln(p - k)),
     rho = rho_multiplier * sqrt(n),  y = X beta* + noise_std * eps.
 
+`evaluate_trial` runs both tests on one `SupportContext`, which validates the
+support and computes the scores and the threshold witness once.
+
 Trials are seeded independently through `seed_derive`, so a sweep's records
 do not depend on how its trials are shared out: `run_sweep` gives each of its
 w processes one strided slice of the record-order trial list, and reassembles
@@ -147,11 +150,7 @@ def evaluate_trial(
     inst: ProblemInstance, support_true: tuple[int, ...]
 ) -> tuple[bool, bool]:
     """Does each relaxation certify exactness at the planted support? Both
-    tests run on one SupportContext, so the scores are computed once."""
-    if len(support_true) != inst.k:
-        raise ValueError(
-            f"true support has size {len(support_true)}, expected k={inst.k}"
-        )
+    tests run on one SupportContext, which also validates the support."""
     ctx = SupportContext(inst, support_true)
     return check_pwg(inst, ctx).exact, check_dcl(inst, ctx).exact
 

@@ -921,6 +921,30 @@ def test_decisions_invariant_under_column_permutation_and_sign_flips(seed, ampli
     assert sorted(best_moved.argmin_supports) == sorted(map(relabel, best.argmin_supports))
 
 
+def test_every_certified_support_is_a_brute_force_argmin():
+    # a threshold certificate, or a dual certificate that re-verifies, proves
+    # its support optimal, so on instances small enough to enumerate every
+    # such support must be among the brute-force argmins (9279 supports;
+    # 66 threshold and 160 dual certificates)
+    rng = np.random.default_rng(7)
+    pwg = dcl = 0
+    for draw in range(300):
+        p = int(rng.integers(6, 11))
+        inst = planted_instance(rng, p=p)[0] if draw % 2 else noise_instance(rng, p=p)
+        best = brute_force_l0(inst).argmin_supports
+        for sup in itertools.combinations(range(inst.p), inst.k):
+            ctx = SupportContext(inst, sup)
+            if check_pwg(inst, ctx).exact:
+                pwg += 1
+                assert sup in best
+            out = check_dcl(inst, ctx)
+            if out.exact:
+                verify_dcl_certificate(inst, out.certificate)  # all re-verify here
+                dcl += 1
+                assert sup in best
+    assert 0 < pwg < dcl
+
+
 # ------------------------------------------------------------ shared contexts
 
 
@@ -974,6 +998,30 @@ def test_evaluate_trial_computes_the_scores_once(monkeypatch):
         calls.clear()
         evaluate_trial(inst, sup)
         assert len(calls) == 1
+
+
+def _counting_witnesses(monkeypatch):
+    """Constructions of PwgCertificate, as SupportContext looks it up."""
+    calls = []
+    real = certificates.PwgCertificate
+    monkeypatch.setattr(
+        certificates, "PwgCertificate", lambda *a, **kw: calls.append(1) or real(*a, **kw)
+    )
+    return calls
+
+
+def test_evaluate_trial_runs_the_threshold_test_once(monkeypatch):
+    # both tests read the witness of the one shared context, and the
+    # verifier's own context never computes it
+    calls = _counting_witnesses(monkeypatch)
+    cfg = EnsembleConfig(p_list=[64], trials=1)
+    inst, _, sup = generate_instance(cfg, 64, 6.0, 2.0, 0)
+    assert evaluate_trial(inst, sup) == (True, True)
+    assert len(calls) == 1
+    ctx = SupportContext(inst, sup)
+    assert check_pwg(inst, ctx).certificate is ctx.threshold_witness
+    verify_dcl_certificate(inst, check_dcl(inst, ctx).certificate)
+    assert len(calls) == 2
 
 
 def test_verification_recomputes_scores_of_a_shared_context(monkeypatch):

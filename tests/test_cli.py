@@ -116,6 +116,9 @@ def test_check_support_smaller_than_k_exits_1(tmp_path, capsys):
     save_instance(path, ProblemInstance(X=np.eye(2), y=[1.0, 0.25], rho=1.0, k=2))
     assert main(["check", str(path), "--support", "0"]) == 1
     assert "error: support size 1 differs from the cardinality budget k=2" in capsys.readouterr().err
+    assert main(["check", str(path), "--support", "1,1"]) == 1
+    captured = capsys.readouterr()
+    assert "error: duplicate support index 1" in captured.err and captured.out == ""
     assert main(["oracle", str(path)]) == 0
     assert "argmin supports: {0,1}" in capsys.readouterr().out
 
@@ -129,7 +132,8 @@ def test_check_prints_reverified_gap(identity_instance, capsys):
 
 
 def test_check_computes_the_scores_once_for_both_tests(identity_instance, capsys, monkeypatch):
-    # one context serves both tests; verify_dcl_certificate builds its own
+    # one context serves both tests, the threshold witness included;
+    # verify_dcl_certificate builds its own, which computes no witness
     calls = []
     for mod in (certificates, cli):
         if hasattr(mod, "correlation_scores"):
@@ -137,8 +141,14 @@ def test_check_computes_the_scores_once_for_both_tests(identity_instance, capsys
             monkeypatch.setattr(
                 mod, "correlation_scores", lambda *a, f=inner: calls.append(1) or f(*a)
             )
+    witnesses = []
+    real = certificates.PwgCertificate
+    monkeypatch.setattr(
+        certificates, "PwgCertificate", lambda *a, **kw: witnesses.append(1) or real(*a, **kw)
+    )
     assert main(["check", str(identity_instance), "--support", "0"]) == 0
     assert len(calls) == 2
+    assert len(witnesses) == 1
     assert capsys.readouterr().out == (
         "instance: n=2 p=2 rho=1.0 k=1\n"
         "support: [0]\n"

@@ -205,9 +205,12 @@ def test_evaluate_trial_zero_response_degenerate():
 
 
 def test_evaluate_trial_requires_full_support():
+    # SupportContext is the one place a support is validated
     inst = ProblemInstance(X=np.eye(4), y=np.zeros(4), rho=1.0, k=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"support size 1 differs from the cardinality budget k=2"):
         evaluate_trial(inst, (0,))
+    with pytest.raises(ValueError, match="duplicate support index 1"):
+        evaluate_trial(inst, (1, 1))
 
 
 # --------------------------------------------------------------------- sweeps
@@ -408,3 +411,4 @@ def test_decision_grid_matches_pinned_digest(capsys):
     assert "p=64: exact 406, interval-empty 50\n" in out
     gap = re.search(r"^trials 1368, unverified 0, max \|gap\| (\S+)$", out, re.MULTILINE)
     assert gap is not None and float(gap.group(1)) <= 1e-14
+    assert "\ndominance violations 0\n" in out
