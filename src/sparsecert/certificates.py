@@ -273,17 +273,18 @@ def _schur_query(ctx: SupportContext, duals: np.ndarray) -> Optional[np.ndarray]
     so M is PSD exactly when the Schur complement on the other t columns T,
     Sch = W_T + X_T^T (rho I_n + X_c W_c^{-1} X_c^T)^{-1} X_T, is. With
     G = X_c W_c^{-1/2} the inner inverse comes from `kernel_factor(G, rho)`,
-    directly on its n x n side or by Woodbury on its |c| x |c| side. t = 0,
-    a Cholesky factor of Sch, or a nonpositive top eigenvalue of -Sch
+    directly on its n x n side or by Woodbury on its |c| x |c| side. All
+    w_i > 0 (W > 0, so M > 0: a witness transfer's re-verification), a
+    Cholesky factor of Sch, or a nonpositive top eigenvalue of -Sch
     (`max_eig_sym`) certifies; else its eigenvector u lifts to
     v = (u, -M_cc^{-1} M_cT u), with v^T S v = -u^T Sch u > 0. A failed
     inner factorization or a non-finite entry raises ValueError.
     """
     X, rho = ctx.inst.X, ctx.inst.rho
     w = 1.0 - duals
-    in_block = w <= SCHUR_SPLIT
-    if not in_block.any():
+    if (w > 0.0).all():
         return None
+    in_block = w <= SCHUR_SPLIT
     block, rest = np.flatnonzero(in_block), np.flatnonzero(~in_block)
     XT = X.take(block, axis=1)
     root_wc = np.sqrt(w[rest])

@@ -9,9 +9,10 @@ Subcommands:
 Exit codes: check returns 0 when the dual certificate exists and
 `verify_dcl_certificate` re-verifies it from scratch (printing its relative
 duality gap as gap), 2 when it does not, 1 on input errors (a support that
-`SupportContext` refuses among them); oracle returns 3 if the
-relaxation/brute-force value ordering is violated (bug trap); everything
-else uses 0/1.
+`SupportContext` refuses among them); oracle returns 3 if the relaxation
+value minus its Frank-Wolfe gap, a lower bound on the relaxation optimum,
+exceeds the brute-force optimum by more than DEFAULT_REL_TOL relative (bug
+trap); everything else uses 0/1.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .certificates import (
 )
 from .ensemble import aggregate_curves, run_sweep
 from .oracles import brute_force_l0, pwg_value
+from .problem import DEFAULT_REL_TOL
 from .svgplot import render_recovery_svg
 
 
@@ -86,7 +88,9 @@ def cmd_oracle(args) -> int:
         f"relaxation value: {fileio.fmt_real(relaxed.value)} "
         f"(iterations={relaxed.iterations}, stationarity_gap={relaxed.grad_norm_kkt:.3e})"
     )
-    if relaxed.value > brute.value + 1e-7:
+    # the Frank-Wolfe gap bounds g(z) - g*, so this inequality proves g* > brute
+    slack = DEFAULT_REL_TOL * max(1.0, abs(brute.value))
+    if relaxed.value - relaxed.grad_norm_kkt > brute.value + slack:
         print("ERROR: relaxation value exceeds the brute-force optimum", file=sys.stderr)
         return 3
     return 0

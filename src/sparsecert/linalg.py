@@ -7,10 +7,10 @@ Both certificates rest on the ridge kernel of a support S,
 and every factorization of such a kernel goes through `kernel_factor`, the
 one place that picks its side: for an n x m matrix G it factors the m x m
 Woodbury form rho I_m + G^T G when 0 < m < n, else rho I_n + G G^T (= rho
-K_S for G = X_S). The restricted ridge fit b*_S is read off either side
-(directly, or by the push-through identity b*_S = X_S^T (rho I_n +
-X_S X_S^T)^{-1} y), `K_S^{-1} y` is its residual y - X_S b*_S, and the
-per-column correlation scores X_j^T K_S^{-1} y drive both certificates.
+K_S for G = X_S). `ridge_coefficients`, the one ridge solve, reads the fit
+off either side. For G = X_S it is the restricted fit b*_S, `K_S^{-1} y`
+is its residual y - X_S b*_S, and the scores X_j^T K_S^{-1} y drive both
+certificates; for G = X diag(sqrt z) it is the relaxation oracle's fit.
 `cholesky` is the single LAPACK `potrf` call site. It factors its argument
 in place, so `kernel_factor` factors the kernel it has just built with no
 copy, and a caller that still needs a matrix after factoring it passes a
@@ -63,13 +63,13 @@ def kernel_factor(G: np.ndarray, rho: float) -> tuple[np.ndarray, bool]:
     return L, woodbury
 
 
-def _restricted_coeffs(Xs: np.ndarray, y: np.ndarray, rho: float) -> np.ndarray:
-    """b*_S = (rho I + X_S^T X_S)^{-1} X_S^T y = X_S^T (rho I_n + X_S X_S^T)^{-1} y,
-    on whichever side `kernel_factor` picks; empty for the empty support."""
-    L, woodbury = kernel_factor(Xs, rho)
+def ridge_coefficients(G: np.ndarray, y: np.ndarray, rho: float) -> np.ndarray:
+    """argmin_b ||y - G b||^2 + rho ||b||^2 = (rho I + G^T G)^{-1} G^T y
+    = G^T (rho I_n + G G^T)^{-1} y, on the side `kernel_factor` picks; empty for no columns."""
+    L, woodbury = kernel_factor(G, rho)
     if woodbury:
-        return dpotrs(L, Xs.T @ y, lower=1)[0]
-    return Xs.T @ dpotrs(L, y, lower=1)[0]
+        return dpotrs(L, G.T @ y, lower=1)[0]
+    return G.T @ dpotrs(L, y, lower=1)[0]
 
 
 def ridge_restricted_solve(inst: ProblemInstance, support: Sequence[int]) -> RestrictedRidgeSolution:
@@ -78,7 +78,7 @@ def ridge_restricted_solve(inst: ProblemInstance, support: Sequence[int]) -> Res
     if not sup:
         raise ValueError("restricted ridge solve needs a nonempty support")
     beta = np.zeros(inst.p)
-    beta[list(sup)] = _restricted_coeffs(inst.X[:, sup], inst.y, inst.rho)
+    beta[list(sup)] = ridge_coefficients(inst.X[:, sup], inst.y, inst.rho)
     resid = inst.X @ beta - inst.y
     value = 0.5 * float(resid @ resid) + 0.5 * inst.rho * float(beta @ beta)
     return RestrictedRidgeSolution(beta=beta, value=value)
@@ -88,7 +88,7 @@ def correlation_scores(inst: ProblemInstance, support: Sequence[int]) -> np.ndar
     """c_j = X_j^T K_S^{-1} y = X_j^T (y - X_S b*_S) for every column j
     (support columns included); X^T y for the empty support."""
     Xs = inst.X[:, normalize_support(support, inst.p)]
-    return inst.X.T @ (inst.y - Xs @ _restricted_coeffs(Xs, inst.y, inst.rho))
+    return inst.X.T @ (inst.y - Xs @ ridge_coefficients(Xs, inst.y, inst.rho))
 
 
 def max_eig_sym(A: np.ndarray) -> tuple[float, np.ndarray]:

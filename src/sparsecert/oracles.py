@@ -9,7 +9,10 @@ relaxation
 
 by projected gradient descent; g is convex in z, every partial derivative is
 nonpositive, and the returned feasible point upper-bounds the relaxation
-optimum with a Frank-Wolfe gap estimate.
+optimum with a Frank-Wolfe gap estimate. For z >= 0 and G = X diag(sqrt z),
+y^T (I + X D(z) X^T/rho)^{-1} y = min_b ||y - G b||^2 + rho ||b||^2, so g is
+half a ridge fit's optimum, which `linalg.ridge_coefficients` solves: no
+n x n kernel is formed.
 """
 
 from __future__ import annotations
@@ -18,9 +21,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
 
-from .linalg import cholesky
+from .linalg import ridge_coefficients
 from .problem import ProblemInstance, DEFAULT_REL_TOL
 
 MAX_COMBINATIONS = 10**6  # supports brute_force_l0 may enumerate
@@ -169,37 +171,32 @@ def project_capped_simplex(v: np.ndarray, k: int) -> np.ndarray:
 
 
 def _check_kernel_scale(inst: ProblemInstance) -> None:
-    """ValueError when I + X D(z) X^T/rho may not be representable for some
-    z in [0, 1]^p. Every entry of X D(z) X^T/rho is at most max_a ||x_a||^2/rho
-    in absolute value (x_a the rows of X), so that bound, with room for the
-    kernel's symmetrization, is tested once before any kernel is formed: as
-    a Python float, whose quotient overflows to inf silently."""
+    """ValueError when the kernel I + X D(z) X^T/rho that defines g may overflow for some z
+    in [0, 1]^p: the ridge fit never forms it, but returns noise there (a Frank-Wolfe gap
+    of 1e280 at rho = 1e-310). Its entry bound max_a ||x_a||^2/rho (x_a the rows of X) is
+    tested once, with a factor 2 of room, as a Python float, whose quotient overflows silently."""
     rows = np.einsum("ij,ij->i", inst.X, inst.X)
     if not math.log(float(rows.max()) / inst.rho + 1.0) < math.log(np.finfo(float).max / 2.0):
         raise ValueError("the kernel I + X D(z) X^T/rho is not representable: ||x_a||^2/rho overflows")
 
 
-def _relaxed_objective_and_scores(
-    inst: ProblemInstance, z: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """g(z) and the column scores X_j^T K(z)^{-1} y, via one SPD solve.
-    K(z) has every eigenvalue >= 1, so a failed Cholesky means roundoff in a
-    kernel whose X D(z) X^T/rho swamps the identity: a ValueError."""
-    n = inst.n
-    kernel = np.eye(n) + (inst.X * z) @ inst.X.T / inst.rho
-    kernel = 0.5 * (kernel + kernel.T)
-    L = cholesky(kernel)
-    if L is None:
-        raise ValueError("the kernel I + X D(z) X^T/rho is too ill-conditioned to factor")
-    ky = dpotrs(L, inst.y, lower=1)[0]
-    return 0.5 * float(inst.y @ ky), inst.X.T @ ky
+def _relaxed_objective_and_scores(inst: ProblemInstance, z: np.ndarray) -> tuple[float, np.ndarray]:
+    """g(z) and the scores X_j^T K(z)^{-1} y, z >= 0, by the ridge fit b of G = X diag(sqrt z):
+    r = y - G b is K(z)^{-1} y, and G^T r = rho b makes y^T r = ||r||^2 + rho ||b||^2."""
+    G = inst.X * np.sqrt(z)
+    b = ridge_coefficients(G, inst.y, inst.rho)
+    r = inst.y - G @ b
+    return 0.5 * (float(r @ r) + inst.rho * float(b @ b)), inst.X.T @ r
 
 
 def relaxed_objective(inst: ProblemInstance, z: np.ndarray) -> float:
-    """g(z) = 0.5 * y^T (X D(z) X^T / rho + I)^{-1} y."""
+    """g(z) = 0.5 * y^T (X D(z) X^T / rho + I)^{-1} y; a negative or
+    non-finite entry of z, outside the ridge form's domain, is a ValueError."""
     z = np.asarray(z, dtype=float).reshape(-1)
     if z.shape != (inst.p,):
         raise ValueError(f"z has length {z.shape[0]}, expected p={inst.p}")
+    if not (np.isfinite(z).all() and z.min() >= 0.0):
+        raise ValueError("z must be finite and nonnegative")
     _check_kernel_scale(inst)
     return _relaxed_objective_and_scores(inst, z)[0]
 
@@ -225,8 +222,8 @@ def pwg_value(inst: ProblemInstance) -> PwgValueResult:
     projected trial step would move no coordinate by more than PWG_TOL:
     that step is not evaluated (at that size the Armijo test only sees
     roundoff), and z is the last accepted iterate. A kernel whose scale
-    is not representable (`_check_kernel_scale`) or that cannot be factored
-    raises ValueError.
+    is not representable (`_check_kernel_scale`), or a ridge fit that
+    `linalg.kernel_factor` cannot factor, raises ValueError.
     """
     _check_kernel_scale(inst)
     p, k = inst.p, inst.k
@@ -261,15 +258,12 @@ def pwg_value(inst: ProblemInstance) -> PwgValueResult:
         z, val, grad = z_new, val_new, grad_new
         trace.append(val)
     # vertex snap: binary point on the k largest coordinates
-    top = np.argsort(-z)[:k]
     z_bin = np.zeros(p)
-    z_bin[top] = 1.0
+    z_bin[np.argsort(-z)[:k]] = 1.0
     val_bin, scores_bin = _relaxed_objective_and_scores(inst, z_bin)
     if val_bin < val:
         z, val = z_bin, val_bin
         grad = -scores_bin * (scores_bin / (2.0 * inst.rho))
         trace.append(val)
     gap = _frank_wolfe_gap(grad, z, k)
-    return PwgValueResult(
-        value=val, z=z, iterations=iterations, grad_norm_kkt=gap, trace=trace
-    )
+    return PwgValueResult(value=val, z=z, iterations=iterations, grad_norm_kkt=gap, trace=trace)

@@ -1,5 +1,7 @@
 """Shared instance generators and reference identities for the test suite."""
 
+from fractions import Fraction
+
 import numpy as np
 
 from sparsecert import ProblemInstance, ridge_restricted_solve
@@ -94,6 +96,34 @@ def relaxed_gradient(inst, z):
         raise ValueError(f"z has length {z.shape[0]}, expected p={inst.p}")
     _, scores = _relaxed_objective_and_scores(inst, z)
     return -(scores**2) / (2.0 * inst.rho)
+
+
+def exact_relaxed_objective(inst, z):
+    """g(z) = 0.5 * y^T (I + X D(z) X^T/rho)^{-1} y in exact rational
+    arithmetic on the float data, by Gauss-Jordan elimination of the n x n
+    kernel, rounded to a float once at the end: the referee for the
+    library's ridge form. Costs O(n^3 + n^2 p) Fraction operations, so it is
+    meant for n <= 12."""
+    n, p = inst.n, inst.p
+    if n > 12:
+        raise ValueError(f"exact referee is meant for n <= 12, got n={n}")
+    X = [[Fraction(float(v)) for v in row] for row in inst.X]
+    zq = [Fraction(float(v)) for v in np.asarray(z, dtype=float).reshape(-1)]
+    rho = Fraction(float(inst.rho))
+    y = [Fraction(float(v)) for v in inst.y]
+    # augmented [K | y], K = I + sum_j z_j x_j x_j^T / rho
+    rows = [
+        [(a == b) + sum(zq[j] * X[a][j] * X[b][j] for j in range(p)) / rho for b in range(n)] + [y[a]]
+        for a in range(n)
+    ]
+    for c in range(n):  # K is positive definite: every pivot is positive
+        pivot = rows[c][c]
+        rows[c] = [v / pivot for v in rows[c]]
+        for a in range(n):
+            if a != c and rows[a][c]:
+                factor = rows[a][c]
+                rows[a] = [va - factor * vc for va, vc in zip(rows[a], rows[c])]
+    return float(sum(y[a] * rows[a][n] for a in range(n)) / 2)
 
 
 def slack_matrices(ctx, lams):

@@ -174,6 +174,8 @@ def test_criterion_4_analytic_kernels(family500):
             transfer_checked += 1
         # analytic gradient of the relaxation objective vs central differences
         z = project_capped_simplex(rng.uniform(0.05, 0.95, size=inst.p), inst.k)
+        # interior of the capped simplex, every coordinate above the step
+        z = (1.0 - 1e-3) * z + 1e-3 * (inst.k / inst.p)
         grad = relaxed_gradient(inst, z)
         floor = 1e-9 * max(1.0, relaxed_objective(inst, z))
         for j in rng.choice(inst.p, size=3, replace=False):

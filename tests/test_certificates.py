@@ -41,7 +41,7 @@ from sparsecert.certificates import (
     root_interval,
 )
 from sparsecert.ensemble import EnsembleConfig, evaluate_trial, generate_instance
-from sparsecert.linalg import max_eig_sym
+from sparsecert.linalg import kernel_factor, max_eig_sym
 
 I2 = np.eye(2)
 
@@ -563,6 +563,31 @@ def test_witness_transfer_random_and_verified():
         assert np.all(cert.duals >= 0.0) and np.all(cert.duals <= 1.0 + 1e-12)
         hits += 1
     assert hits > 30
+
+
+def test_verifying_a_witness_transfer_factors_nothing(monkeypatch):
+    # the verifier queries the duals minus COND_TOL, so those of a witness
+    # transfer, all at most 1, leave W = I - D positive definite and the
+    # Schur query certifies with no kernel factorization
+    calls = []
+
+    def counting(G, rho):
+        calls.append(G.shape)
+        return kernel_factor(G, rho)
+
+    monkeypatch.setattr(certificates, "kernel_factor", counting)
+    rng = np.random.default_rng(43)
+    hits = 0
+    for _ in range(100):
+        inst, sup = planted_instance(rng, n=8, p=12)
+        if not check_pwg(inst, sup).exact:
+            continue
+        cert = check_dcl(inst, sup).certificate
+        calls.clear()
+        verify_dcl_certificate(inst, cert)
+        assert not calls
+        hits += 1
+    assert hits > 10
 
 
 def test_threshold_pass_certifies_without_eigensolve(eig_calls):

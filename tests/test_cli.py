@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsecert import ProblemInstance, certificates, cli, ensemble
+from sparsecert import ProblemInstance, certificates, cli, ensemble, oracles
 from sparsecert.cli import main
 from sparsecert.fileio import save_instance
 
@@ -204,8 +204,9 @@ def test_oracle_budget_exceeded(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
-def test_oracle_ill_conditioned_kernel_exits_1(tmp_path, capsys):
-    # pwg_value's kernel Cholesky fails here; it used to escape as LinAlgError
+def test_oracle_ill_conditioned_kernel_exits_0(tmp_path, capsys):
+    # the n x n kernel I + X D(z) X^T/rho is too ill-conditioned to factor
+    # here, but the relaxation is a ridge fit on the 6 x 6 side
     rng = np.random.default_rng(9)
     scale = rng.uniform(-8.0, 8.0)
     rho = 10.0 ** rng.uniform(-12.0, 12.0)
@@ -213,8 +214,36 @@ def test_oracle_ill_conditioned_kernel_exits_1(tmp_path, capsys):
                            y=rng.standard_normal(8), rho=rho, k=2)
     path = tmp_path / "ill.json"
     save_instance(path, inst)
-    assert main(["oracle", str(path)]) == 1
-    assert "error: the kernel I + X D(z) X^T/rho is too ill-conditioned" in capsys.readouterr().err
+    assert main(["oracle", str(path)]) == 0
+    assert "relaxation value: " in capsys.readouterr().out
+
+
+def test_oracle_bug_trap_is_relative_to_the_optimum(tmp_path, capsys):
+    # with y scaled by 1e6 and 1e10 the values are about 3e13 and 3e21, where
+    # roundoff alone puts the relaxation value up to 1.8e-15 relative above
+    # the optimum, far more than any fixed absolute slack
+    cfg = ensemble.EnsembleConfig(p_list=[16], trials=40, alpha_grid=[6.0],
+                                  rho_multipliers=[2.0], master_seed=0)
+    path = tmp_path / "scaled.json"
+    for scale in (1e6, 1e10):
+        for t in range(cfg.trials):
+            inst = ensemble.generate_instance(cfg, 16, 6.0, 2.0, t)[0]
+            save_instance(path, ProblemInstance(X=inst.X, y=scale * inst.y, rho=inst.rho, k=inst.k))
+            assert main(["oracle", str(path)]) == 0, (scale, t)
+    capsys.readouterr()
+
+
+def test_oracle_bug_trap_fires_on_a_proven_violation(identity_instance, capsys, monkeypatch):
+    # a relaxation value above the optimum by 1e-6 relative, with a zero
+    # Frank-Wolfe gap, proves the relaxation optimum exceeds it: exit 3
+    def too_high(inst):
+        best = cli.brute_force_l0(inst).value
+        return oracles.PwgValueResult(value=best * (1.0 + 1e-6), z=np.zeros(inst.p),
+                                      iterations=0, grad_norm_kkt=0.0, trace=[])
+
+    monkeypatch.setattr(cli, "pwg_value", too_high)
+    assert main(["oracle", str(identity_instance)]) == 3
+    assert "exceeds the brute-force optimum" in capsys.readouterr().err
 
 
 def sweep_config(tmp_path, **overrides):
