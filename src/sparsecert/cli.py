@@ -18,6 +18,7 @@ trap); everything else uses 0/1.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -98,6 +99,10 @@ def cmd_oracle(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = fileio.load_ensemble_config(args.config)
+    # refuse an unwritable output before the trials run, not after
+    out_dir = Path(args.output).parent
+    if not out_dir.is_dir() or not os.access(out_dir, os.W_OK):
+        raise ValueError(f"cannot write {args.output}: {out_dir} is not a writable directory")
     records = run_sweep(cfg, workers=args.workers)
     fileio.write_sweep_csv(args.output, records)
     agg_path = str(args.output) + ".agg.csv"

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from sparsecert import ProblemInstance, ridge_restricted_solve
-from sparsecert.linalg import max_eig_sym
+from sparsecert import ProblemInstance
+from sparsecert.linalg import max_eig_sym, ridge_restricted_solve
 from sparsecert.oracles import _relaxed_objective_and_scores
 from sparsecert.problem import normalize_support
 

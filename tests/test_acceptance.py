@@ -28,14 +28,12 @@ from sparsecert import (
     brute_force_l0,
     check_dcl,
     check_pwg,
-    kkt_variables,
     pwg_value,
-    pwg_witness_to_dcl,
-    ridge_restricted_solve,
-    verify_kkt,
 )
+from sparsecert.certificates import kkt_variables, pwg_witness_to_dcl, verify_kkt
 from sparsecert.cli import main
 from sparsecert.ensemble import aggregate_curves, run_sweep
+from sparsecert.linalg import ridge_restricted_solve
 from sparsecert.oracles import project_capped_simplex, relaxed_objective
 
 ARTIFACT_DIR = Path(__file__).resolve().parent.parent / "test-artifacts"

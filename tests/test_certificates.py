@@ -24,11 +24,8 @@ from sparsecert import (
     brute_force_l0,
     check_dcl,
     check_pwg,
-    kkt_variables,
     pwg_value,
-    pwg_witness_to_dcl,
     verify_dcl_certificate,
-    verify_kkt,
 )
 from sparsecert import certificates
 from sparsecert.certificates import (
@@ -38,7 +35,10 @@ from sparsecert.certificates import (
     REASON_ZERO_SCORE,
     CertificateConsistencyError,
     DclCertificate,
+    kkt_variables,
+    pwg_witness_to_dcl,
     root_interval,
+    verify_kkt,
 )
 from sparsecert.ensemble import EnsembleConfig, evaluate_trial, generate_instance
 from sparsecert.linalg import kernel_factor, max_eig_sym

@@ -339,6 +339,24 @@ def test_sweep_dead_worker_exits_1(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("missing", [False, True])
+def test_sweep_refuses_a_missing_output_directory_before_any_trial(tmp_path, capsys, monkeypatch, missing):
+    calls = []
+
+    def recording(cfg, workers=None):
+        calls.append(workers)
+        return []
+
+    monkeypatch.setattr(cli, "run_sweep", recording)
+    out = tmp_path / "missing-dir" / "out.csv" if missing else tmp_path / "out.csv"
+    code = main(["sweep", str(sweep_config(tmp_path)), str(out), "--workers", "1"])
+    if missing:
+        assert (code, calls) == (1, [])
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+    else:
+        assert (code, calls) == (0, [1])
+
+
 def test_sweep_bad_config_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"p_list": [9]}), encoding="utf-8")

@@ -12,17 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsecert import (
-    EnsembleConfig,
-    ProblemInstance,
-    evaluate_trial,
-    generate_instance,
-    run_sweep,
-    seed_derive,
-)
+from sparsecert import EnsembleConfig, ProblemInstance, generate_instance, run_sweep
 from sparsecert import ensemble
-from sparsecert.ensemble import aggregate_curves, sample_size_for, sparsity_for
-from sparsecert.rng import SplitMix64
+from sparsecert.ensemble import aggregate_curves, evaluate_trial, sample_size_for, sparsity_for
+from sparsecert.rng import SplitMix64, seed_derive
 
 
 def small_config(**overrides):

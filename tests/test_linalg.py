@@ -10,13 +10,13 @@ from helpers import (
     ridge_value_kernel,
     smw_residuals,
 )
-from sparsecert import (
-    ProblemInstance,
+from sparsecert import ProblemInstance
+from sparsecert.linalg import (
     correlation_scores,
+    kernel_factor,
     max_eig_sym,
     ridge_restricted_solve,
 )
-from sparsecert.linalg import kernel_factor
 
 I2 = np.eye(2)
 
@@ -220,11 +220,12 @@ def test_max_eig_sym_rejects_asymmetric():
         max_eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_max_eig_sym_accepts_roundoff_asymmetry():
-    # an asymmetry within 1e-12 of the largest entry still passes the check
+def test_max_eig_sym_refuses_roundoff_asymmetry():
+    # every caller passes an exactly symmetric matrix, so an asymmetry of one
+    # part in 1e13 is refused too, not symmetrized away
     A = np.array([[2.0, 1.0], [1.0 + 1e-13, -1.0]])
-    lam, _ = max_eig_sym(A)
-    assert lam == pytest.approx(max_eig_sym(0.5 * (A + A.T))[0], rel=1e-12)
+    with pytest.raises(ValueError, match="not symmetric"):
+        max_eig_sym(A)
 
 
 @settings(max_examples=60, deadline=None)

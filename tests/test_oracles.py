@@ -21,7 +21,6 @@ from sparsecert import (
     brute_force_l0,
     check_pwg,
     oracles,
-    project_capped_simplex,
     pwg_value,
 )
 from sparsecert.ensemble import EnsembleConfig, generate_instance
@@ -30,6 +29,7 @@ from sparsecert.oracles import (
     BRUTE_FORCE_CHUNK,
     MAX_COMBINATIONS,
     CombinationBudgetError,
+    project_capped_simplex,
     relaxed_objective,
 )
 
@@ -415,6 +415,20 @@ def test_relaxed_objective_matches_exact_referee():
         inst = mixed_instance(rng, n=int(rng.integers(3, 13)))
         z = project_capped_simplex(rng.uniform(-0.5, 1.0, size=inst.p), inst.k)
         assert relaxed_objective(inst, z) == pytest.approx(exact_relaxed_objective(inst, z), rel=1e-12)
+
+
+@pytest.mark.parametrize("rho", [1e-20, 1e-30, 1e-100])
+def test_pwg_value_at_tiny_rho_meets_the_least_squares_bound(rho):
+    # every feasible z has g(z) >= 0.5 ||y - X X^+ y||^2, the fit on all
+    # columns, and at tiny rho pwg_value reaches that bound; only its
+    # Frank-Wolfe gap, which grows as 1/rho, is loose (seed 0 is
+    # demo/tiny_rho.json's design)
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        X, y = rng.standard_normal((12, 8)), rng.standard_normal(12)
+        resid = y - X @ np.linalg.lstsq(X, y, rcond=None)[0]
+        res = pwg_value(ProblemInstance(X=X, y=y, rho=rho, k=2))
+        assert res.value == pytest.approx(0.5 * float(resid @ resid), rel=1e-12)
 
 
 @pytest.mark.parametrize("rho", [1e-310, 1e-320])
