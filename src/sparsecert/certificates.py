@@ -23,10 +23,10 @@ the cardinality-constrained ridge problem at S:
   does not certify, it returns a vector v with g_v(lam) = v^T S(lam) v =
   a*lam + b/lam - c > 0. g_v bounds the margin below for any v, so every
   certifying threshold lies between its roots, and this Rayleigh cut
-  shrinks the bracket to them or proves it empty. Certificates carry no
-  eigenvalue; verify_dcl_certificate re-checks one from scratch, deciding
-  its slack matrix by the same Schur query, and returns its relative
-  duality gap.
+  shrinks the bracket to them or proves it empty. A certificate is (S, lam);
+  verify_dcl_certificate re-derives its canonical duals from scratch,
+  decides their slack matrix by the same Schur query, and returns the
+  relative duality gap.
 
 `SupportContext` owns every support-level decision for one (instance,
 support) pair: it validates the support and holds the scores, masks,
@@ -92,18 +92,16 @@ class PwgCertificate:
 
 @dataclass
 class DclCertificate:
-    """Witness for the dual-certificate test.
-
-    `lam` is the dual threshold and `duals` the nonnegative diagonal dual
-    vector; a valid certificate makes diag(duals) - X^T X/rho - I_p negative
-    semidefinite and closes the lifted duality gap (up to roundoff), which
+    """Witness for the dual-certificate test: a support and the dual
+    threshold `lam`. A valid one makes diag(d) - X^T X/rho - I_p negative
+    semidefinite at the canonical duals d = `SupportContext.duals(lam)` and
+    closes the lifted duality gap (up to roundoff), which
     `verify_dcl_certificate` checks. The degenerate case where every
-    correlation score vanishes is certified by lam = 0, duals = 0.
+    correlation score vanishes is certified by lam = 0, with zero duals.
     """
 
     support: tuple[int, ...]
     lam: float
-    duals: np.ndarray  # (p,), >= 0
 
 
 @dataclass
@@ -154,10 +152,11 @@ class SupportContext:
     The support is validated on construction (exactly k distinct columns in
     [0, p)), and scores whose squares would overflow are a ValueError there.
     `threshold_witness` is computed on first use and kept. `duals` raises
-    ValueError on a threshold that is not a positive finite real, and
-    `duals`, `rayleigh` and `bracket` raise it when a support column has a
-    zero correlation score, for which the canonical duals are undefined; a
-    caller can test `zero_score_in_support` first.
+    ValueError on a threshold that is not a positive finite real (lam = 0
+    is allowed when every score is 0), and `duals`, `rayleigh` and
+    `bracket` raise it when a support column has a zero squared score, for
+    which the canonical duals are undefined; a caller can test
+    `zero_score_in_support` first.
     """
 
     def __init__(self, inst: ProblemInstance, support: Sequence[int]):
@@ -167,12 +166,12 @@ class SupportContext:
         # tested before squaring, which would overflow to inf with a warning
         if not float(np.abs(self.scores).max()) < math.sqrt(np.finfo(float).max):
             raise ValueError("the correlation scores are too large to square")
-        self.sq = self.scores**2
+        sq = self.scores**2
         self.in_mask = np.zeros(inst.p, dtype=bool)
         self.in_mask[list(self.support)] = True
         self.out_mask = ~self.in_mask
-        self.sq_in = self.sq[self.in_mask]
-        self.sq_out = self.sq[self.out_mask]
+        self.sq_in = sq[self.in_mask]
+        self.sq_out = sq[self.out_mask]
         self.zero_score_in_support = bool((self.sq_in == 0.0).any())
 
     @cached_property
@@ -188,10 +187,13 @@ class SupportContext:
         """Canonical duals lam/c_i^2 on the support and c_i^2/lam off it: the
         pointwise-smallest duals satisfying the certificate's side
         conditions, so the slack matrix at them decides whether `lam`
-        certifies."""
+        certifies. When every score is 0 they are 0 at lam = 0."""
+        lam = float(lam)
+        # the scores, not their squares, which underflow below about 1.5e-154
+        if lam == 0.0 and not self.scores.any():
+            return np.zeros(self.inst.p)
         if self.zero_score_in_support:
             raise ValueError("support contains a zero correlation score")
-        lam = float(lam)
         if not (math.isfinite(lam) and lam > 0.0):
             raise ValueError(f"thresholds must be positive reals, got {lam}")
         d = np.empty(self.inst.p)
@@ -207,15 +209,17 @@ class SupportContext:
             c = ||X v||^2/rho + ||v||^2,
 
         a lower bound on the margin times ||v||^2 at every threshold, for
-        any v. Costs O(np); X^T X is not formed."""
+        any v. Costs O(np); X^T X is not formed. A coefficient that
+        overflows is inf, which `root_interval` reads as no cut."""
         if self.zero_score_in_support:
             raise ValueError("support contains a zero correlation score")
         v = np.asarray(v, dtype=float).reshape(-1)
         if v.shape != (self.inst.p,):
             raise ValueError(f"vector has length {v.shape[0]}, expected p={self.inst.p}")
         v2 = v**2
-        a = float(np.sum(v2[self.in_mask] / self.sq_in))
-        b = float(np.sum(v2[self.out_mask] * self.sq_out))
+        with np.errstate(over="ignore"):
+            a = float(np.sum(v2[self.in_mask] / self.sq_in))
+            b = float(np.sum(v2[self.out_mask] * self.sq_out))
         Xv = self.inst.X @ v
         return a, b, float(Xv @ Xv) / self.inst.rho + float(v2.sum())
 
@@ -311,8 +315,7 @@ def _witness_transfer(ctx: SupportContext) -> DclCertificate:
     at lam0 = min_{i in S} c_i^2 the canonical duals are lam0/c_i^2 <= 1 on
     the support and c_i^2/lam0 < 1 off it, so diag(d) - I is NSD, and so is
     the slack matrix, which subtracts the PSD X^T X/rho from it."""
-    lam = float(ctx.sq_in.min())
-    return DclCertificate(support=ctx.support, lam=lam, duals=ctx.duals(lam))
+    return DclCertificate(ctx.support, float(ctx.sq_in.min()))
 
 
 def _context(inst: ProblemInstance, support: Sequence[int] | SupportContext) -> SupportContext:
@@ -360,8 +363,8 @@ def check_dcl(inst: ProblemInstance, support: Sequence[int] | SupportContext) ->
     built for `inst`, whose scores and witness are reused.
     """
     ctx = _context(inst, support)
-    if not ctx.sq.any():
-        return CertOutcome(DclCertificate(support=ctx.support, lam=0.0, duals=np.zeros(ctx.inst.p)))
+    if not ctx.scores.any():
+        return CertOutcome(DclCertificate(ctx.support, 0.0))
     if ctx.zero_score_in_support:
         return CertOutcome(reason=REASON_ZERO_SCORE)
     if ctx.threshold_witness is not None:
@@ -375,10 +378,9 @@ def check_dcl(inst: ProblemInstance, support: Sequence[int] | SupportContext) ->
     for _ in range(BISECTION_MAX_ITER):
         # the duals scale as lam and 1/lam, so query the geometric midpoint
         lam_hat = math.sqrt(ell) * math.sqrt(up) if ell > 0.0 else 0.5 * (ell + up)
-        cert = DclCertificate(support=ctx.support, lam=lam_hat, duals=ctx.duals(lam_hat))
-        v = _schur_query(ctx, cert.duals)
+        v = _schur_query(ctx, ctx.duals(lam_hat))
         if v is None:
-            return CertOutcome(cert)
+            return CertOutcome(DclCertificate(ctx.support, lam_hat))
         a, b, c = ctx.rayleigh(v)
         lo, hi = root_interval(a, b, c)
         # g_v is positive at lam_hat, and certifying thresholds lie on the
@@ -398,39 +400,30 @@ def check_dcl(inst: ProblemInstance, support: Sequence[int] | SupportContext) ->
 
 def verify_dcl_certificate(inst: ProblemInstance, cert: DclCertificate) -> float:
     """Re-check a dual certificate from scratch (independent of how it was
-    found): duals finite and nonnegative, equality on the support and
-    inequality off it to COND_TOL*lam, duality gap closed, slack matrix
-    NSD. With the restricted fit b, its value P and the raw duals
-    d_raw = rho*duals, lam_raw = lam/rho (`kkt_variables`), the lifted dual
-    value is D = y^T y/2 - (||X b||^2 + rho ||b||^2 - sum_i d_raw_i b_i^2)/2
-    - lam_raw*k/2, and |P - D| <= COND_TOL*max(1, |P|) is required. The top
-    eigenvalue of the slack matrix S(d) is at most COND_TOL exactly when
-    S(d - COND_TOL) = S(d) - COND_TOL*I is NSD, which `_schur_query`
-    decides with no p x p matrix. A NaN fails every condition. Returns the
-    relative gap (P - D)/max(1, |P|); raises CertificateConsistencyError."""
+    found): the canonical duals d at (support, lam), which meet the side
+    conditions by construction, must close the duality gap and make the
+    slack matrix NSD. With the restricted fit b, its value P and the raw
+    duals d_raw = rho*d, lam_raw = lam/rho (`kkt_variables`), the lifted
+    dual value is D = y^T y/2 - (||X b||^2 + rho ||b||^2 - sum_i d_raw_i
+    b_i^2)/2 - lam_raw*k/2, and the gap (P - D)/P (P - D when P = 0) must be
+    at most COND_TOL in absolute value. The top eigenvalue of S(d) is at
+    most COND_TOL exactly when S(d - COND_TOL) is NSD, which `_schur_query`
+    decides with no p x p matrix. Returns the gap; raises
+    CertificateConsistencyError, also when d does not exist (`duals`)."""
     ctx = SupportContext(inst, cert.support)
-    d = np.asarray(cert.duals, dtype=float).reshape(-1)
-    lam = float(cert.lam)
-    if d.shape != (inst.p,):
-        raise CertificateConsistencyError("dual vector has the wrong length")
-    if not (np.isfinite(lam) and np.isfinite(d).all()):
-        raise CertificateConsistencyError("non-finite dual variables")
-    if not (lam >= 0.0 and (d >= 0.0).all()):
-        raise CertificateConsistencyError("negative dual variables")
-    gap_in = np.abs(lam - d[ctx.in_mask] * ctx.sq_in)
-    if not float(gap_in.max()) <= COND_TOL * lam:
-        raise CertificateConsistencyError(f"support equality violated by {float(gap_in.max()):g}")
-    slack_out = lam * d[ctx.out_mask] - ctx.sq_out
-    if slack_out.size and not float(slack_out.min()) >= -COND_TOL * lam:
-        raise CertificateConsistencyError(f"off-support inequality violated by {-float(slack_out.min()):g}")
+    try:
+        d = ctx.duals(cert.lam)
+    except ValueError as exc:
+        raise CertificateConsistencyError(str(exc)) from None
     # b is zero off the support, so the dual sum runs over S alone; einsum
     # and dot overflow to inf without a warning, and a non-finite gap fails
     fit = ridge_restricted_solve(inst, ctx.support)
     b, b_in, Xb = fit.beta, fit.beta[ctx.in_mask], inst.X @ fit.beta
     dual_sum = float(np.einsum("i,i,i->", d[ctx.in_mask], b_in, b_in))
     tau = float(Xb @ Xb) + inst.rho * (float(b @ b) - dual_sum)
-    dual = 0.5 * float(inst.y @ inst.y) - 0.5 * tau - 0.5 * (lam / inst.rho) * inst.k
-    gap = (fit.value - dual) / max(1.0, abs(fit.value))
+    dual = 0.5 * float(inst.y @ inst.y) - 0.5 * tau - 0.5 * (float(cert.lam) / inst.rho) * inst.k
+    # relative to P, so that scaling y changes no verdict
+    gap = (fit.value - dual) / fit.value if fit.value > 0.0 else fit.value - dual
     if not abs(gap) <= COND_TOL:
         raise CertificateConsistencyError(f"duality gap {gap:g} at the restricted fit")
     if _schur_query(ctx, d - COND_TOL) is not None:
@@ -458,11 +451,12 @@ def pwg_witness_to_dcl(
 
 
 def kkt_variables(inst: ProblemInstance, cert: DclCertificate) -> tuple[np.ndarray, float]:
-    """Convert a certificate's normalized duals to the raw dual variables of
-    the lifted program's KKT system: d_raw = rho * duals, lam_raw = lam / rho.
-    The conversion is validated by the residuals of verify_kkt, which are the
-    ground truth."""
-    return inst.rho * np.asarray(cert.duals, dtype=float), float(cert.lam) / inst.rho
+    """The raw dual variables of the lifted program's KKT system at a
+    certificate: d_raw = rho * d, with d the canonical duals at its (support,
+    lam), and lam_raw = lam / rho. The conversion is validated by the
+    residuals of verify_kkt, which are the ground truth."""
+    d = SupportContext(inst, cert.support).duals(cert.lam)
+    return inst.rho * d, float(cert.lam) / inst.rho
 
 
 def verify_kkt(

@@ -1,7 +1,9 @@
 """Deterministic random streams for the simulation harness.
 
-The generator is fully specified here so that any implementation language can
-reproduce the exact same instances:
+The generator is specified here. Its integer stream, and so every uniform,
+subset and sign, is exact in any implementation language; the normals go
+through numpy's log, cos and sin, whose kernels numpy picks by CPU, and
+their frozen bytes are those of numpy's AVX-512 log:
 
 * state update: s <- (s + 0x9E3779B97F4A7C15) mod 2^64, one step per draw;
 * output: the splitmix64 finalizer

@@ -189,8 +189,7 @@ def test_dcl_exact_first_midpoint():
     out = check_dcl(ident([1.0, 0.0]), [0])
     assert out.exact
     cert = out.certificate
-    assert cert.lam == pytest.approx(0.25)
-    assert cert.duals == pytest.approx([1.0, 0.0])
+    assert cert.support == (0,) and cert.lam == pytest.approx(0.25)
     assert verify_dcl_certificate(ident([1.0, 0.0]), cert) == 0.0
     assert dense_margin(SupportContext(ident([1.0, 0.0]), [0]), cert.lam)[0] == pytest.approx(-1.0)
 
@@ -205,9 +204,31 @@ def test_dcl_trivial_all_zero_scores():
     out = check_dcl(ident([0.0, 0.0]), [0])
     assert out.exact
     cert = out.certificate
-    assert cert.lam == 0.0
-    assert np.all(cert.duals == 0.0)
-    verify_dcl_certificate(ident([0.0, 0.0]), cert)
+    assert cert == DclCertificate(support=(0,), lam=0.0)
+    assert np.all(SupportContext(ident([0.0, 0.0]), [0]).duals(0.0) == 0.0)
+    assert verify_dcl_certificate(ident([0.0, 0.0]), cert) == 0.0
+
+
+def _seed0_trial(alpha, mult, trial, y_exponent):
+    """A p=16 trial of the seed-0 grid with y scaled by 2^y_exponent, which
+    scales the scores by the same power and moves no decision in exact
+    arithmetic."""
+    cfg = EnsembleConfig(p_list=[16], trials=4, alpha_grid=[1.0, 2.0, 4.0], rho_multipliers=[2.0, 8.0])
+    inst, _, sup = generate_instance(cfg, 16, alpha, mult, trial)
+    return ProblemInstance(X=inst.X, y=inst.y * 2.0**y_exponent, rho=inst.rho, k=inst.k), sup
+
+
+def test_underflowed_squares_are_not_the_all_zero_certificate():
+    # every score is about 1e-180 here, so every square underflows to 0; the
+    # search used to read that as all scores zero and return lam = 0, which
+    # the verifier accepted although the trial is not exact at scale 1
+    assert check_dcl(*_seed0_trial(1.0, 2.0, 0, 0)).reason == REASON_EMPTY_INTERVAL
+    inst, sup = _seed0_trial(1.0, 2.0, 0, -600)
+    ctx = SupportContext(inst, sup)
+    assert ctx.scores.all() and not ctx.sq_in.any() and not ctx.sq_out.any()
+    assert check_dcl(inst, sup).reason == REASON_ZERO_SCORE
+    with pytest.raises(CertificateConsistencyError, match="zero correlation score"):
+        verify_dcl_certificate(inst, DclCertificate(ctx.support, 0.0))
 
 
 def test_dcl_zero_score_in_support_rejected():
@@ -332,23 +353,43 @@ def test_every_returned_certificate_reverifies():
 
 
 @pytest.mark.parametrize(
-    "lam, duals",
-    [(np.nan, [np.nan, np.nan]), (np.nan, [1.0, 0.0]), (0.25, [np.nan, 0.0]), (np.inf, [1.0, 0.0])],
+    "lam, y, match",
+    [
+        # duals0: the scores (0.5, 0), where a NaN would make every dual NaN
+        pytest.param(np.nan, [1.0, 0.0], "positive reals", id="nan-duals0"),
+        # duals1: all scores zero, where the duals exist at lam = 0 alone and
+        # a NaN must not pass for that zero
+        pytest.param(np.nan, [0.0, 0.0], "zero correlation score", id="nan-duals1"),
+        pytest.param(np.inf, [1.0, 0.0], "positive reals", id="inf"),
+        pytest.param(-np.inf, [1.0, 0.0], "positive reals", id="-inf"),
+        pytest.param(-0.25, [1.0, 0.0], "positive reals", id="-0.25"),
+    ],
 )
-def test_verify_rejects_non_finite_certificates(lam, duals):
-    # every comparison with NaN is false, so each check must fail closed
-    cert = DclCertificate(support=(0,), lam=lam, duals=np.array(duals))
-    with pytest.raises(CertificateConsistencyError):
-        verify_dcl_certificate(ident([1.0, 0.0]), cert)
+def test_verify_rejects_non_finite_certificates(lam, y, match):
+    # a threshold that is not a finite positive real has no canonical duals;
+    # every comparison with NaN is false, so that case must fail closed
+    cert = DclCertificate(support=(0,), lam=lam)
+    with pytest.raises(CertificateConsistencyError, match=match):
+        verify_dcl_certificate(ident(y), cert)
+
+
+def test_verify_accepts_lam_zero_only_when_every_score_is_zero():
+    assert verify_dcl_certificate(ident([0.0, 0.0]), DclCertificate((0,), 0.0)) == 0.0
+    # the scores (0.5, 0) are not all zero
+    with pytest.raises(CertificateConsistencyError, match="positive reals"):
+        verify_dcl_certificate(ident([1.0, 0.0]), DclCertificate((0,), 0.0))
+    # a zero score on the support leaves the canonical duals undefined
+    with pytest.raises(CertificateConsistencyError, match="zero correlation score"):
+        verify_dcl_certificate(ident([1.0, 0.0]), DclCertificate((1,), 0.25))
 
 
 @pytest.mark.parametrize("lam, accepted", [(0.5 + 1e-9, True), (0.5 + 1e-8, False), (1.0, False)])
 def test_verify_rejects_a_slack_matrix_that_is_not_nsd(lam, accepted):
-    # the scores at S = {0} are (0.5, 0), so the duals (4 lam, 0) meet the
-    # support equality and close the duality gap at every lam, and only the
-    # slack matrix diag(4 lam - 2, -2) can fail: its top eigenvalue 4 lam - 2
-    # is 4e-9, 4e-8 and 2 against COND_TOL = 1e-8
-    cert = DclCertificate(support=(0,), lam=lam, duals=np.array([4.0 * lam, 0.0]))
+    # the scores at S = {0} are (0.5, 0), so the canonical duals (4 lam, 0)
+    # close the duality gap at every lam, and only the slack matrix
+    # diag(4 lam - 2, -2) can fail: its top eigenvalue 4 lam - 2 is 4e-9,
+    # 4e-8 and 2 against COND_TOL = 1e-8
+    cert = DclCertificate(support=(0,), lam=lam)
     if accepted:
         assert abs(verify_dcl_certificate(ident([1.0, 0.0]), cert)) <= 1e-15
     else:
@@ -371,11 +412,11 @@ def _dense_edge(ctx, inside, outside):
 
 
 def test_verifier_nsd_verdict_matches_the_dense_reference():
-    # canonical duals meet both side conditions and close the gap at every
-    # threshold, so the verdict is the NSD test alone; it must equal the
-    # dense top eigenvalue <= COND_TOL on a sweep through and past each
-    # certifying interval, which lies inside the analytic bracket, and at
-    # relative distances 1e-3 to 1e-9 on both sides of its ends
+    # canonical duals close the gap at every threshold, so the verdict is
+    # the NSD test alone; it must equal the dense top eigenvalue <= COND_TOL
+    # on a sweep through and past each certifying interval, which lies inside
+    # the analytic bracket, and at relative distances 1e-3 to 1e-9 on both
+    # sides of its ends
     rng = np.random.default_rng(61)
     near = np.array([-1e-3, -1e-6, -1e-9, 1e-9, 1e-6, 1e-3])
     verdicts = []
@@ -391,7 +432,7 @@ def test_verifier_nsd_verdict_matches_the_dense_reference():
         for end in ends:
             lams = np.append(lams, _dense_edge(ctx, out.certificate.lam, end) * (1.0 + near))
         for lam, top in zip(lams, dense_margins(ctx, lams)):
-            cert = DclCertificate(support=ctx.support, lam=float(lam), duals=ctx.duals(lam))
+            cert = DclCertificate(support=ctx.support, lam=float(lam))
             try:
                 verify_dcl_certificate(inst, cert)
                 accepted = True
@@ -425,8 +466,7 @@ def test_verify_rejects_every_tiny_rho_certificate():
     # at rho = 1e-30 the support scores sit at roundoff level, and check_dcl
     # certifies most supports although the brute-force argmin (3, 4) is
     # unique; its thresholds rest on roundoff, the argmin's included, so
-    # each certificate leaves a duality gap or breaks the off-support
-    # inequality
+    # each certificate leaves a duality gap
     rng = np.random.default_rng(0)
     inst = ProblemInstance(X=rng.standard_normal((12, 8)), y=rng.standard_normal(12), rho=1e-30, k=2)
     assert brute_force_l0(inst).argmin_supports == [(3, 4)]
@@ -435,9 +475,32 @@ def test_verify_rejects_every_tiny_rho_certificate():
         out = check_dcl(inst, sup)
         if out.exact:
             certified += 1
-            with pytest.raises(CertificateConsistencyError, match="duality gap|off-support"):
+            with pytest.raises(CertificateConsistencyError, match="duality gap"):
                 verify_dcl_certificate(inst, out.certificate)
     assert certified > 0
+
+
+def test_verifier_verdicts_do_not_depend_on_the_scale_of_y():
+    # scaling y by 2^-30 scales P and P - D alike by 2^-60, exactly (2^-120
+    # for 2^-60), so the relative gap, and with it each verdict, is
+    # unchanged; the verifier accepts 1 of these 20 trials. A gap divided
+    # by max(1, |P|) turns absolute once P falls below 1, and accepted all
+    # 20 at 2^-30
+    cfg = EnsembleConfig(p_list=[16], trials=20, alpha_grid=[4.0], rho_multipliers=[1e-8])
+    verdicts = {}
+    for e in (0, -30, -60):
+        for trial in range(cfg.trials):
+            inst, _, sup = generate_instance(cfg, 16, 4.0, 1e-8, trial)
+            inst = ProblemInstance(X=inst.X, y=inst.y * 2.0**e, rho=inst.rho, k=inst.k)
+            out = check_dcl(inst, sup)
+            try:
+                verdicts[e, trial] = verify_dcl_certificate(inst, out.certificate)
+            except CertificateConsistencyError as err:
+                verdicts[e, trial] = str(err)
+    for trial in range(cfg.trials):
+        assert verdicts[0, trial] == verdicts[-30, trial] == verdicts[-60, trial]
+    accepted = sum(isinstance(v, float) for (e, _), v in verdicts.items() if e == 0)
+    assert 0 < accepted < cfg.trials
 
 
 def test_certificate_checks_need_exactly_k_columns():
@@ -446,7 +509,7 @@ def test_certificate_checks_need_exactly_k_columns():
     # unique argmin is {0, 1}
     inst = ProblemInstance(X=I2, y=[1.0, 0.25], rho=1.0, k=2)
     assert brute_force_l0(inst).argmin_supports == [(0, 1)]
-    cert = DclCertificate(support=(0,), lam=0.25, duals=np.array([1.0, 0.0]))
+    cert = DclCertificate(support=(0,), lam=0.25)
     for call in (
         lambda: SupportContext(inst, [0]),
         lambda: check_pwg(inst, [0]),
@@ -535,9 +598,9 @@ def test_witness_transfer_hand_example():
     inst = ident([1.0, 0.0])
     pwg = check_pwg(inst, [0]).certificate
     cert = pwg_witness_to_dcl(inst, [0], pwg)
-    assert cert.lam == pytest.approx(0.25)
+    assert cert.support == (0,) and cert.lam == pytest.approx(0.25)
     # canonical duals: the off-support dual is c_1^2/lam0 = 0
-    assert cert.duals == pytest.approx([1.0, 0.0])
+    assert SupportContext(inst, [0]).duals(cert.lam) == pytest.approx([1.0, 0.0])
     verify_dcl_certificate(inst, cert)
     assert dense_margin(SupportContext(inst, [0]), cert.lam)[0] <= 1e-12
 
@@ -548,7 +611,7 @@ def test_witness_transfer_equal_scores_give_unit_duals():
     inst = ProblemInstance(X=X, y=[2.0, 2.0, 0.1, 0.0], rho=1.0, k=2)
     pwg = check_pwg(inst, [0, 1]).certificate
     cert = pwg_witness_to_dcl(inst, [0, 1], pwg)
-    assert cert.duals[[0, 1]] == pytest.approx([1.0, 1.0])
+    assert SupportContext(inst, [0, 1]).duals(cert.lam)[[0, 1]] == pytest.approx([1.0, 1.0])
 
 
 def test_witness_transfer_random_and_verified():
@@ -560,7 +623,8 @@ def test_witness_transfer_random_and_verified():
         if not pwg.exact:
             continue
         cert = pwg_witness_to_dcl(inst, sup, pwg.certificate)  # re-verifies inside
-        assert np.all(cert.duals >= 0.0) and np.all(cert.duals <= 1.0 + 1e-12)
+        duals = SupportContext(inst, sup).duals(cert.lam)
+        assert np.all(duals >= 0.0) and np.all(duals <= 1.0 + 1e-12)
         hits += 1
     assert hits > 30
 
@@ -602,9 +666,7 @@ def test_threshold_pass_certifies_without_eigensolve(eig_calls):
         out = check_dcl(inst, sup)
         assert out.exact and not eig_calls
         assert out.certificate.lam == SupportContext(inst, sup).sq_in.min()
-        witness = pwg_witness_to_dcl(inst, sup, pwg.certificate)
-        assert witness.lam == out.certificate.lam
-        assert np.array_equal(witness.duals, out.certificate.duals)
+        assert pwg_witness_to_dcl(inst, sup, pwg.certificate) == out.certificate
         hits += 1
     assert hits > 20
 
@@ -765,6 +827,18 @@ def test_root_interval_hand_values():
     assert lo == pytest.approx(1e-20, rel=1e-12) and hi == pytest.approx(1.0)
 
 
+def test_rayleigh_overflow_is_no_cut_and_no_warning():
+    # the squared support scores are subnormal (about 1e-312) here, so
+    # a = sum_{i in S} v_i^2/c_i^2 overflows at v = 1; that used to raise a
+    # RuntimeWarning, an error under the project's warning policy, before
+    # root_interval could read it as no cut
+    inst, sup = _seed0_trial(1.0, 2.0, 0, -520)
+    ctx = SupportContext(inst, sup)
+    a, b, c = ctx.rayleigh(np.ones(inst.p))
+    assert a == np.inf and root_interval(a, b, c) == (0.0, np.inf)
+    assert not check_dcl(inst, sup).exact
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31), st.floats(min_value=0.05, max_value=3.0))
 def test_certifying_thresholds_lie_in_every_root_interval(seed, amplitude):
@@ -918,30 +992,41 @@ def test_bisection_matches_grid_scan_small():
     st.integers(min_value=0, max_value=2**31),
     st.floats(min_value=0.05, max_value=3.0),
     st.integers(min_value=-40, max_value=40),
+    st.integers(min_value=-40, max_value=40),
 )
-def test_decisions_invariant_under_column_permutation_and_sign_flips(seed, amplitude, j):
-    # (X, y, rho) -> (2^j X P D, -y, 4^j rho) with P a permutation and
-    # D = diag(+-1) maps the problem onto itself: column i of the new design
-    # is column perm[i] of the old one, the fit scales by -2^-j, the scores
-    # by -2^j and the threshold by 4^j, all exactly
+def test_decisions_invariant_under_column_permutation_and_sign_flips(seed, amplitude, j, i):
+    # (X, y, rho) -> (2^j X P D, -2^i y, 4^j rho) with P a permutation and
+    # D = diag(+-1) maps the problem onto itself: column c of the new design
+    # is column perm[c] of the old one. The scaling is exact: against the
+    # unscaled map the fit scales by 2^(i-j), the scores by 2^(i+j), the
+    # threshold by 4^(i+j) and the values by 4^i, bit for bit
     rng = np.random.default_rng(seed)
     inst, sup = planted_instance(rng, amplitude=amplitude)
     perm = rng.permutation(inst.p)
     signs = rng.choice([-1.0, 1.0], size=inst.p)
-    moved = ProblemInstance(
-        X=2.0**j * inst.X[:, perm] * signs, y=-inst.y, rho=4.0**j * inst.rho, k=inst.k
-    )
+
+    def mapped(y_exp, x_exp):
+        X = 2.0**x_exp * inst.X[:, perm] * signs
+        return ProblemInstance(X=X, y=-(2.0**y_exp) * inst.y, rho=4.0**x_exp * inst.rho, k=inst.k)
+
+    unscaled, moved = mapped(0, 0), mapped(i, j)
     where = np.argsort(perm)  # old column index -> new column index
 
     def relabel(support):
-        return tuple(sorted(int(where[i]) for i in support))
+        return tuple(sorted(int(where[c]) for c in support))
 
     assert check_pwg(moved, relabel(sup)).exact == check_pwg(inst, sup).exact
     before, after = check_dcl(inst, sup), check_dcl(moved, relabel(sup))
     assert (after.exact, after.reason) == (before.exact, before.reason)
     if after.exact:
+        lam = check_dcl(unscaled, relabel(sup)).certificate.lam
+        assert after.certificate.lam == lam * 4.0 ** (i + j)
         verify_dcl_certificate(moved, after.certificate)
-    best, best_moved = brute_force_l0(inst), brute_force_l0(moved)
+    best = brute_force_l0(inst)
+    assert brute_force_l0(moved).value == pytest.approx(best.value * 4.0**i, rel=1e-12, abs=0.0)
+    # the oracle's tie window is absolute below a value of 1, so its argmin
+    # set is compared where the values are unscaled
+    best_moved = brute_force_l0(mapped(0, j))
     assert best_moved.value == pytest.approx(best.value, rel=1e-12, abs=0.0)
     assert sorted(best_moved.argmin_supports) == sorted(map(relabel, best.argmin_supports))
 
@@ -981,15 +1066,6 @@ def _counting_scores(monkeypatch):
     return calls
 
 
-def _decision(out):
-    cert = out.certificate
-    if cert is None:
-        return out.reason
-    if isinstance(cert, DclCertificate):
-        return cert.support, cert.lam, np.asarray(cert.duals).tobytes()
-    return cert.support, cert.min_in, cert.max_out
-
-
 def test_shared_context_gives_the_same_decisions():
     cfg = EnsembleConfig(p_list=[16, 64], trials=1, rho_multipliers=[2.0, 8.0], master_seed=11)
     exact = 0
@@ -1000,7 +1076,7 @@ def test_shared_context_gives_the_same_decisions():
                 ctx = SupportContext(inst, sup)
                 for check in (check_pwg, check_dcl):
                     shared = check(inst, ctx)
-                    assert _decision(shared) == _decision(check(inst, sup))
+                    assert shared == check(inst, sup)
                 exact += shared.exact
     assert 0 < exact < 2 * 19 * 2  # both outcomes occur on the grid
 
