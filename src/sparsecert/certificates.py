@@ -29,14 +29,14 @@ the cardinality-constrained ridge problem at S:
   relative duality gap.
 
 `SupportContext` owns every support-level decision for one (instance,
-support) pair: it validates the support and holds the scores, masks,
-threshold witness, duals, Rayleigh coefficients and bracket. Both tests
-take either a support, for which they build one, or a context built for the
-same instance, whose scores and witness they reuse: a sweep trial and
-`sparsecert check` build one context and run both tests on it, so the
-threshold test runs once. `verify_dcl_certificate` always builds its own
-from the certificate's support and never asks it for the witness, so
-re-verification shares no state with the search.
+support) pair: it validates the support and holds the restricted fit b*_S,
+the scores X^T r of its residual, masks, threshold witness, duals, Rayleigh
+coefficients and bracket. Both tests take either a support, for which they
+build one, or a context built for the same instance, whose scores and
+witness they reuse: a sweep trial and `sparsecert check` build one context
+and run both tests on it, so the threshold test runs once. The verifier
+builds its own from the certificate's support and never asks it for the
+witness, so re-verification shares no state with the search.
 
 A dual-certificate search that fails says why: `interval-empty` means no
 threshold can certify, proved either by the analytic bracket or by a
@@ -44,8 +44,8 @@ Rayleigh cut; `bisection-exhausted` means the bracket shrank below the
 tolerance without a proof either way.
 
 `verify_dcl_certificate` is the one verifier: besides the slack matrix it
-checks the lifted program's duality gap at b*_S in O(np). verify_kkt, the
-full KKT system, is the dense reference it is tested against.
+checks the lifted program's duality gap at its context's fit b*_S in
+O(n + p). verify_kkt, the full KKT system, is the dense reference.
 """
 
 from __future__ import annotations
@@ -145,9 +145,9 @@ def _checked_support(inst: ProblemInstance, support: Sequence[int]) -> tuple[int
 
 class SupportContext:
     """What the certificate tests read for one (instance, support) pair: the
-    correlation scores and support masks, the threshold witness, the
-    canonical duals at a threshold, the Rayleigh bound along a vector and
-    the analytic bracket. No member forms a p x p array.
+    restricted fit `fit`, the scores X^T r of its residual, the support
+    masks, threshold witness, canonical duals at a threshold, Rayleigh bound
+    along a vector and analytic bracket. No member forms a p x p array.
 
     The support is validated on construction (exactly k distinct columns in
     [0, p)), and scores whose squares would overflow are a ValueError there.
@@ -162,7 +162,8 @@ class SupportContext:
     def __init__(self, inst: ProblemInstance, support: Sequence[int]):
         self.inst = inst
         self.support = _checked_support(inst, support)
-        self.scores = correlation_scores(inst, self.support)
+        self.fit = ridge_restricted_solve(inst, self.support)
+        self.scores = correlation_scores(inst, self.fit)
         # tested before squaring, which would overflow to inf with a warning
         if not float(np.abs(self.scores).max()) < math.sqrt(np.finfo(float).max):
             raise ValueError("the correlation scores are too large to square")
@@ -402,25 +403,25 @@ def verify_dcl_certificate(inst: ProblemInstance, cert: DclCertificate) -> float
     """Re-check a dual certificate from scratch (independent of how it was
     found): the canonical duals d at (support, lam), which meet the side
     conditions by construction, must close the duality gap and make the
-    slack matrix NSD. With the restricted fit b, its value P and the raw
-    duals d_raw = rho*d, lam_raw = lam/rho (`kkt_variables`), the lifted
-    dual value is D = y^T y/2 - (||X b||^2 + rho ||b||^2 - sum_i d_raw_i
-    b_i^2)/2 - lam_raw*k/2, and the gap (P - D)/P (P - D when P = 0) must be
-    at most COND_TOL in absolute value. The top eigenvalue of S(d) is at
-    most COND_TOL exactly when S(d - COND_TOL) is NSD, which `_schur_query`
-    decides with no p x p matrix. Returns the gap; raises
-    CertificateConsistencyError, also when d does not exist (`duals`)."""
+    slack matrix NSD. With its context's fit b, value P and residual
+    r = y - X b, and the raw duals d_raw = rho*d, lam_raw = lam/rho
+    (`kkt_variables`), the lifted dual value is D = y^T y/2 - (||y - r||^2
+    + rho ||b||^2 - sum_i d_raw_i b_i^2)/2 - lam_raw*k/2, and the gap
+    (P - D)/P (P - D when P = 0) must be at most COND_TOL in absolute value.
+    S(d) has top eigenvalue at most COND_TOL exactly when S(d - COND_TOL) is
+    NSD, which `_schur_query` decides with no p x p matrix. Returns the gap;
+    raises CertificateConsistencyError, also when d does not exist (`duals`)."""
     ctx = SupportContext(inst, cert.support)
     try:
         d = ctx.duals(cert.lam)
     except ValueError as exc:
         raise CertificateConsistencyError(str(exc)) from None
-    # b is zero off the support, so the dual sum runs over S alone; einsum
-    # and dot overflow to inf without a warning, and a non-finite gap fails
-    fit = ridge_restricted_solve(inst, ctx.support)
-    b, b_in, Xb = fit.beta, fit.beta[ctx.in_mask], inst.X @ fit.beta
+    # b is zero off the support, so its sums run over S alone; einsum and
+    # dot overflow to inf without a warning, and a non-finite gap fails
+    fit = ctx.fit
+    b_in, Xb = fit.beta[ctx.in_mask], inst.y - fit.resid
     dual_sum = float(np.einsum("i,i,i->", d[ctx.in_mask], b_in, b_in))
-    tau = float(Xb @ Xb) + inst.rho * (float(b @ b) - dual_sum)
+    tau = float(Xb @ Xb) + inst.rho * (float(b_in @ b_in) - dual_sum)
     dual = 0.5 * float(inst.y @ inst.y) - 0.5 * tau - 0.5 * (float(cert.lam) / inst.rho) * inst.k
     # relative to P, so that scaling y changes no verdict
     gap = (fit.value - dual) / fit.value if fit.value > 0.0 else fit.value - dual

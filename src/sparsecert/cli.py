@@ -11,8 +11,8 @@ Exit codes: check returns 0 when the dual certificate exists and
 duality gap as gap), 2 when it does not, 1 on input errors (a support that
 `SupportContext` refuses among them); oracle returns 3 if the relaxation
 value minus its Frank-Wolfe gap, a lower bound on the relaxation optimum,
-exceeds the brute-force optimum by more than DEFAULT_REL_TOL relative (bug
-trap); everything else uses 0/1.
+exceeds the brute-force optimum by more than the oracle's tie window,
+DEFAULT_REL_TOL * y^T y/2 (bug trap); everything else uses 0/1.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from .certificates import (
     verify_dcl_certificate,
 )
 from .ensemble import aggregate_curves, run_sweep
-from .oracles import brute_force_l0, pwg_value
-from .problem import DEFAULT_REL_TOL
+from .oracles import brute_force_l0, pwg_value, tie_window
 from .svgplot import render_recovery_svg
 
 
@@ -90,8 +89,7 @@ def cmd_oracle(args) -> int:
         f"(iterations={relaxed.iterations}, stationarity_gap={relaxed.grad_norm_kkt:.3e})"
     )
     # the Frank-Wolfe gap bounds g(z) - g*, so this inequality proves g* > brute
-    slack = DEFAULT_REL_TOL * max(1.0, abs(brute.value))
-    if relaxed.value - relaxed.grad_norm_kkt > brute.value + slack:
+    if relaxed.value - relaxed.grad_norm_kkt > brute.value + tie_window(inst):
         print("ERROR: relaxation value exceeds the brute-force optimum", file=sys.stderr)
         return 3
     return 0

@@ -8,8 +8,8 @@ and every factorization of such a kernel goes through `kernel_factor`, the
 one place that picks its side: for an n x m matrix G it factors the m x m
 Woodbury form rho I_m + G^T G when 0 < m < n, else rho I_n + G G^T (= rho
 K_S for G = X_S). `ridge_coefficients`, the one ridge solve, reads the fit
-off either side. For G = X_S it is the restricted fit b*_S, `K_S^{-1} y`
-is its residual y - X_S b*_S, and the scores X_j^T K_S^{-1} y drive both
+off either side. For G = X_S it is the restricted fit b*_S, whose residual
+r = y - X_S b*_S = K_S^{-1} y gives the scores X^T r that drive both
 certificates; for G = X diag(sqrt z) it is the relaxation oracle's fit.
 `cholesky` is the single LAPACK `potrf` call site. It factors its argument
 in place, so `kernel_factor` factors the kernel it has just built with no
@@ -31,10 +31,11 @@ from .problem import ProblemInstance, normalize_support
 
 @dataclass
 class RestrictedRidgeSolution:
-    """Ridge minimizer constrained to a support, plus its objective value."""
+    """Ridge minimizer constrained to a support, with its residual and value."""
 
-    beta: np.ndarray  # (p,), exactly zero off the support
-    value: float      # 0.5*||X beta - y||^2 + 0.5*rho*||beta||^2
+    beta: np.ndarray   # (p,), exactly zero off the support
+    resid: np.ndarray  # (n,), y - X_S beta_S
+    value: float       # 0.5*||resid||^2 + 0.5*rho*||beta||^2
 
 
 def cholesky(A: np.ndarray) -> Optional[np.ndarray]:
@@ -77,18 +78,18 @@ def ridge_restricted_solve(inst: ProblemInstance, support: Sequence[int]) -> Res
     sup = normalize_support(support, inst.p)
     if not sup:
         raise ValueError("restricted ridge solve needs a nonempty support")
-    beta = np.zeros(inst.p)
-    beta[list(sup)] = ridge_coefficients(inst.X[:, sup], inst.y, inst.rho)
-    resid = inst.X @ beta - inst.y
-    value = 0.5 * float(resid @ resid) + 0.5 * inst.rho * float(beta @ beta)
-    return RestrictedRidgeSolution(beta=beta, value=value)
+    Xs = inst.X[:, sup]
+    coeffs = ridge_coefficients(Xs, inst.y, inst.rho)
+    beta, resid = np.zeros(inst.p), inst.y - Xs @ coeffs
+    beta[list(sup)] = coeffs
+    value = 0.5 * float(resid @ resid) + 0.5 * inst.rho * float(coeffs @ coeffs)
+    return RestrictedRidgeSolution(beta=beta, resid=resid, value=value)
 
 
-def correlation_scores(inst: ProblemInstance, support: Sequence[int]) -> np.ndarray:
+def correlation_scores(inst: ProblemInstance, fit: RestrictedRidgeSolution) -> np.ndarray:
     """c_j = X_j^T K_S^{-1} y = X_j^T (y - X_S b*_S) for every column j
-    (support columns included); X^T y for the empty support."""
-    Xs = inst.X[:, normalize_support(support, inst.p)]
-    return inst.X.T @ (inst.y - Xs @ ridge_coefficients(Xs, inst.y, inst.rho))
+    (support columns included), from the restricted fit `fit` of S."""
+    return inst.X.T @ fit.resid
 
 
 def max_eig_sym(A: np.ndarray) -> tuple[float, np.ndarray]:

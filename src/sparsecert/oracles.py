@@ -45,7 +45,7 @@ class CombinationBudgetError(ValueError):
 @dataclass
 class BruteForceResult:
     value: float
-    argmin_supports: list[tuple[int, ...]]  # lexicographic, ties within rel tol
+    argmin_supports: list[tuple[int, ...]]  # lexicographic, ties within tie_window
 
 
 @dataclass
@@ -101,6 +101,14 @@ def _fits(gram: np.ndarray, xty: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return fit
 
 
+def tie_window(inst: ProblemInstance) -> float:
+    """How far above the best-subset value a value still ties: DEFAULT_REL_TOL
+    times y^T y/2, the empty fit's value, which bounds every support's value
+    and the roundoff of 0.5*(y^T y - fit), about eps*y^T y, and scales with
+    them, so rescaling y maps the argmin set onto itself."""
+    return DEFAULT_REL_TOL * 0.5 * float(inst.y @ inst.y)
+
+
 def brute_force_l0(inst: ProblemInstance) -> BruteForceResult:
     """Exact best-subset ridge value by enumerating all supports of size k.
 
@@ -112,7 +120,8 @@ def brute_force_l0(inst: ProblemInstance) -> BruteForceResult:
     A chunk gathers the lower triangles of its k x k blocks G_S and factors
     them all in one LDL^T pass vectorized over the chunk (`_fits`), so a
     chunk costs O(k^2) numpy calls and O(k^2) floats per support, whatever
-    C(p, k) is. A Gram block that fails to factor raises ValueError."""
+    C(p, k) is. A Gram block that fails to factor raises ValueError. Every
+    support within `tie_window(inst)` of the best value is an argmin."""
     total = math.comb(inst.p, inst.k)
     if total > MAX_COMBINATIONS:
         raise CombinationBudgetError(total, MAX_COMBINATIONS)
@@ -120,17 +129,18 @@ def brute_force_l0(inst: ProblemInstance) -> BruteForceResult:
     gram = X.T @ X + inst.rho * np.eye(inst.p)
     xty = X.T @ y
     yty = float(y @ y)
+    window = tie_window(inst)
     best = math.inf
     ties: list[tuple[float, tuple[int, ...]]] = []
     for start in range(0, total, BRUTE_FORCE_CHUNK):
         rows = _lex_supports(inst.p, inst.k, start, min(start + BRUTE_FORCE_CHUNK, total))
         values = 0.5 * (yty - _fits(gram, xty, rows))
         best = min(best, float(values.min()))
-        bound = best + DEFAULT_REL_TOL * max(1.0, abs(best))
+        bound = best + window
         ties = [(v, s) for v, s in ties if v <= bound]
         hit = np.flatnonzero(values <= bound)
         ties += zip(values[hit].tolist(), map(tuple, rows[:, hit].T.tolist()))
-    # ties within DEFAULT_REL_TOL of the minimum, in lexicographic order
+    # ties within the window of the minimum, in lexicographic order
     return BruteForceResult(value=best, argmin_supports=[s for _, s in ties])
 
 

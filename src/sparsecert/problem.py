@@ -33,7 +33,8 @@ def _is_number(v, kind: type) -> bool:
 
 @dataclass
 class ProblemInstance:
-    """One regression instance. Treat as immutable after construction."""
+    """One regression instance. Treat as immutable after construction. X and
+    y are stored as C-ordered float64 arrays."""
 
     X: np.ndarray  # (n, p) design matrix
     y: np.ndarray  # (n,) response
@@ -41,8 +42,13 @@ class ProblemInstance:
     k: int         # cardinality budget, 1 <= k <= p
 
     def __post_init__(self) -> None:
-        self.X = np.asarray(self.X, dtype=float)
-        self.y = np.asarray(self.y, dtype=float).reshape(-1)
+        # C-ordered whatever the caller's layout, on which BLAS's summation
+        # order, and so a certificate's last ulp, depends
+        X, y = np.asarray(self.X), np.asarray(self.y)
+        if np.iscomplexobj(X) or np.iscomplexobj(y):
+            raise ValueError("X and y must be real")
+        self.X = np.ascontiguousarray(X, dtype=float)
+        self.y = np.ascontiguousarray(y.reshape(-1), dtype=float)
         if self.X.ndim != 2:
             raise ValueError("X must be a 2-d matrix")
         n, p = self.X.shape

@@ -43,6 +43,7 @@ MODULE_ONLY = {
     "ridge_restricted_solve": "linalg",
     "RestrictedRidgeSolution": "linalg",
     "project_capped_simplex": "oracles",
+    "tie_window": "oracles",
     "normalize_support": "problem",
     "DEFAULT_REL_TOL": "problem",
     "SplitMix64": "rng",

@@ -27,7 +27,7 @@ from sparsecert import (
     pwg_value,
     verify_dcl_certificate,
 )
-from sparsecert import certificates
+from sparsecert import certificates, linalg
 from sparsecert.certificates import (
     BISECTION_TOL,
     REASON_EMPTY_INTERVAL,
@@ -306,6 +306,35 @@ def test_gram_overflow_is_value_error(entry, scale):
     X = scale * rng.standard_normal((8, 6))
     with pytest.raises(ValueError, match="would overflow"):
         entry(ProblemInstance(X=X, y=rng.standard_normal(8), rho=1.0, k=2))
+
+
+@pytest.mark.parametrize("which", ["X", "y"])
+def test_complex_data_is_a_value_error(which):
+    # numpy's float conversion would drop the imaginary part with a warning
+    rng = np.random.default_rng(0)
+    data = {"X": rng.standard_normal((8, 6)), "y": rng.standard_normal(8)}
+    data[which] = data[which] + 0.5j
+    with pytest.raises(ValueError, match="must be real"):
+        ProblemInstance(X=data["X"], y=data["y"], rho=1.0, k=2)
+
+
+def test_memory_layout_moves_no_certificate():
+    # BLAS sums in another order on a Fortran-ordered X, which moved a
+    # certificate's lam by an ulp; the instance keeps C-ordered copies, so
+    # the same numbers in any layout give the same outcomes bit for bit
+    rng = np.random.default_rng(0)
+    certified = 0
+    for _ in range(60):
+        inst, sup = planted_instance(rng)
+        twin = ProblemInstance(
+            X=np.asfortranarray(inst.X), y=np.repeat(inst.y, 2)[::2], rho=inst.rho, k=inst.k
+        )
+        assert check_pwg(twin, sup) == check_pwg(inst, sup)
+        out = check_dcl(twin, sup)
+        assert out == check_dcl(inst, sup)
+        assert twin.X.flags.c_contiguous and twin.y.flags.c_contiguous
+        certified += out.exact
+    assert certified >= 20
 
 
 def test_bracket_minimum_ignores_a_product_that_overflows():
@@ -1022,12 +1051,10 @@ def test_decisions_invariant_under_column_permutation_and_sign_flips(seed, ampli
         lam = check_dcl(unscaled, relabel(sup)).certificate.lam
         assert after.certificate.lam == lam * 4.0 ** (i + j)
         verify_dcl_certificate(moved, after.certificate)
-    best = brute_force_l0(inst)
-    assert brute_force_l0(moved).value == pytest.approx(best.value * 4.0**i, rel=1e-12, abs=0.0)
-    # the oracle's tie window is absolute below a value of 1, so its argmin
-    # set is compared where the values are unscaled
-    best_moved = brute_force_l0(mapped(0, j))
-    assert best_moved.value == pytest.approx(best.value, rel=1e-12, abs=0.0)
+    # the oracle's tie window scales with y^T y, so the argmin set moves
+    # with the columns at every scale
+    best, best_moved = brute_force_l0(inst), brute_force_l0(moved)
+    assert best_moved.value == pytest.approx(best.value * 4.0**i, rel=1e-12, abs=0.0)
     assert sorted(best_moved.argmin_supports) == sorted(map(relabel, best.argmin_supports))
 
 
@@ -1101,6 +1128,31 @@ def test_evaluate_trial_computes_the_scores_once(monkeypatch):
         assert len(calls) == 1
 
 
+def test_one_restricted_solve_per_support(monkeypatch):
+    # a context solves b*_S once for its scores and keeps the fit, and the
+    # verifier reads P, b and X b off its own context's fit
+    calls = []
+    real = linalg.ridge_coefficients
+    monkeypatch.setattr(linalg, "ridge_coefficients", lambda *a: calls.append(1) or real(*a))
+    cfg = EnsembleConfig(p_list=[64], trials=1)
+    verified = 0
+    for alpha in (1.0, 3.0, 6.0):
+        inst, _, sup = generate_instance(cfg, 64, alpha, 2.0, 0)
+        calls.clear()
+        SupportContext(inst, sup)
+        assert len(calls) == 1
+        calls.clear()
+        evaluate_trial(inst, sup)
+        assert len(calls) == 1
+        out = check_dcl(inst, sup)
+        if out.exact:
+            calls.clear()
+            verify_dcl_certificate(inst, out.certificate)
+            assert len(calls) == 1
+            verified += 1
+    assert verified >= 2
+
+
 def _counting_witnesses(monkeypatch):
     """Constructions of PwgCertificate, as SupportContext looks it up."""
     calls = []
@@ -1136,6 +1188,9 @@ def test_verification_recomputes_scores_of_a_shared_context(monkeypatch):
     # its own from the certificate's support
     ctx.sq_in[:] = np.inf
     ctx.sq_out[:] = 0.0
+    ctx.fit.beta[:] = np.nan
+    ctx.fit.resid[:] = np.nan
+    ctx.fit.value = np.nan
     calls = _counting_scores(monkeypatch)
     assert verify_dcl_certificate(inst, out.certificate) == verdict
     assert len(calls) == 1

@@ -234,17 +234,21 @@ def test_oracle_bug_trap_is_relative_to_the_optimum(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_oracle_bug_trap_fires_on_a_proven_violation(identity_instance, capsys, monkeypatch):
+def test_oracle_bug_trap_fires_on_a_proven_violation(tmp_path, capsys, monkeypatch):
     # a relaxation value above the optimum by 1e-6 relative, with a zero
-    # Frank-Wolfe gap, proves the relaxation optimum exceeds it: exit 3
+    # Frank-Wolfe gap, proves the relaxation optimum exceeds it: exit 3, also
+    # where y is so small that the optimum (0.25 * 4^-40) is far below 1
     def too_high(inst):
         best = cli.brute_force_l0(inst).value
         return oracles.PwgValueResult(value=best * (1.0 + 1e-6), z=np.zeros(inst.p),
                                       iterations=0, grad_norm_kkt=0.0, trace=[])
 
     monkeypatch.setattr(cli, "pwg_value", too_high)
-    assert main(["oracle", str(identity_instance)]) == 3
-    assert "exceeds the brute-force optimum" in capsys.readouterr().err
+    path = tmp_path / "identity.json"
+    for scale in (1.0, 2.0**-40):
+        save_instance(path, ProblemInstance(X=np.eye(2), y=[scale, 0.0], rho=1.0, k=1), (0,))
+        assert main(["oracle", str(path)]) == 3, scale
+        assert "exceeds the brute-force optimum" in capsys.readouterr().err
 
 
 def sweep_config(tmp_path, **overrides):

@@ -15,10 +15,16 @@ from sparsecert.linalg import (
     correlation_scores,
     kernel_factor,
     max_eig_sym,
+    ridge_coefficients,
     ridge_restricted_solve,
 )
 
 I2 = np.eye(2)
+
+
+def scores_at(inst, support):
+    """The correlation scores of a support, from its restricted fit."""
+    return correlation_scores(inst, ridge_restricted_solve(inst, support))
 
 
 def test_restricted_solve_scalar():
@@ -65,30 +71,44 @@ def test_kernel_solve_examples():
     # and b*_S = X_S^T K_S^{-1} y / rho, each against the dense solve
     inst = ProblemInstance(X=I2, y=[1.0, 0.0], rho=1.0, k=1)
     assert np.allclose(dense_kernel_solve(inst, [], inst.y), [1.0, 0.0])
-    assert np.allclose(correlation_scores(inst, []), [1.0, 0.0])
     assert np.allclose(dense_kernel_solve(inst, [0], inst.y), [0.5, 0.0])
-    assert np.allclose(correlation_scores(inst, [0]), [0.5, 0.0])
+    assert np.allclose(ridge_restricted_solve(inst, [0]).resid, [0.5, 0.0])
+    assert np.allclose(scores_at(inst, [0]), [0.5, 0.0])
     assert np.allclose(ridge_restricted_solve(inst, [0]).beta, [0.5, 0.0])
     inst2 = ProblemInstance(X=[[1.0]], y=[2.0], rho=1.0, k=1)
     assert np.allclose(dense_kernel_solve(inst2, [0], inst2.y), [1.0])
-    assert np.allclose(correlation_scores(inst2, [0]), [1.0])
+    assert np.allclose(ridge_restricted_solve(inst2, [0]).resid, [1.0])
+    assert np.allclose(scores_at(inst2, [0]), [1.0])
     assert np.allclose(ridge_restricted_solve(inst2, [0]).beta, [1.0])
-
-
-def test_empty_support_scores_are_exactly_xty():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        inst = mixed_instance(rng)
-        assert np.array_equal(correlation_scores(inst, ()), inst.X.T @ inst.y)
 
 
 def test_correlation_scores_examples():
     inst = ProblemInstance(X=I2, y=[1.0, 0.0], rho=1.0, k=1)
-    assert correlation_scores(inst, [0]) == pytest.approx([0.5, 0.0])
+    assert scores_at(inst, [0]) == pytest.approx([0.5, 0.0])
     inst_zero = ProblemInstance(X=I2, y=[0.0, 0.0], rho=1.0, k=1)
-    assert np.all(correlation_scores(inst_zero, [0]) == 0.0)
+    assert np.all(scores_at(inst_zero, [0]) == 0.0)
     inst2 = ProblemInstance(X=[[1.0]], y=[2.0], rho=1.0, k=1)
-    assert correlation_scores(inst2, [0]) == pytest.approx([1.0])
+    assert scores_at(inst2, [0]) == pytest.approx([1.0])
+
+
+def test_restricted_fit_carries_its_residual_scores_and_value():
+    # one solve gives b*_S, r = y - X_S b*_S and the scores X^T r bit for bit
+    # as the solve, residual and product written out in full; the value read
+    # off r agrees with the one from the full-width residual X b - y
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        inst = mixed_instance(rng)
+        sup = random_support(rng, inst)
+        fit = ridge_restricted_solve(inst, sup)
+        Xs = inst.X[:, sup]
+        coeffs = ridge_coefficients(Xs, inst.y, inst.rho)
+        assert np.array_equal(fit.beta[list(sup)], coeffs)
+        assert np.array_equal(np.delete(fit.beta, list(sup)), np.zeros(inst.p - len(sup)))
+        assert np.array_equal(fit.resid, inst.y - Xs @ coeffs)
+        assert np.array_equal(correlation_scores(inst, fit), inst.X.T @ (inst.y - Xs @ coeffs))
+        full = inst.X @ fit.beta - inst.y
+        value = 0.5 * float(full @ full) + 0.5 * inst.rho * float(fit.beta @ fit.beta)
+        assert fit.value == pytest.approx(value, rel=1e-12, abs=1e-300)
 
 
 def test_value_identity_many_random_instances():
@@ -124,11 +144,13 @@ def test_value_monotone_in_support_growth():
 def _assert_matches_dense(inst, sup, rtol=1e-9):
     """Residual y - X_S b*_S, scores and b*_S against the dense n x n solve."""
     dense = dense_kernel_solve(inst, sup, inst.y)
-    beta = ridge_restricted_solve(inst, sup).beta
+    fit = ridge_restricted_solve(inst, sup)
+    beta = fit.beta
     resid = inst.y - inst.X[:, list(sup)] @ beta[list(sup)]
     assert np.allclose(resid, dense, rtol=rtol, atol=rtol * (1 + np.abs(dense).max()))
+    assert np.allclose(fit.resid, dense, rtol=rtol, atol=rtol * (1 + np.abs(dense).max()))
     scores = inst.X.T @ dense
-    assert np.allclose(correlation_scores(inst, sup), scores,
+    assert np.allclose(correlation_scores(inst, fit), scores,
                        rtol=rtol, atol=rtol * (1 + np.abs(scores).max()))
     coeffs = inst.X[:, list(sup)].T @ dense / inst.rho
     assert np.allclose(beta[list(sup)], coeffs, rtol=rtol, atol=rtol * (1 + np.abs(coeffs).max()))
