@@ -145,9 +145,10 @@ def _checked_support(inst: ProblemInstance, support: Sequence[int]) -> tuple[int
 
 class SupportContext:
     """What the certificate tests read for one (instance, support) pair: the
-    restricted fit `fit`, the scores X^T r of its residual, the support
-    masks, threshold witness, canonical duals at a threshold, Rayleigh bound
-    along a vector and analytic bracket. No member forms a p x p array.
+    restricted fit `fit`, the scores X^T r of its residual and their absolute
+    values `abs_scores`, the support masks, threshold witness, canonical
+    duals at a threshold, Rayleigh bound along a vector and analytic bracket.
+    No member forms a p x p array.
 
     The support is validated on construction (exactly k distinct columns in
     [0, p)), and scores whose squares would overflow are a ValueError there.
@@ -164,8 +165,9 @@ class SupportContext:
         self.support = _checked_support(inst, support)
         self.fit = ridge_restricted_solve(inst, self.support)
         self.scores = correlation_scores(inst, self.fit)
+        self.abs_scores = np.abs(self.scores)
         # tested before squaring, which would overflow to inf with a warning
-        if not float(np.abs(self.scores).max()) < math.sqrt(np.finfo(float).max):
+        if not float(self.abs_scores.max()) < math.sqrt(np.finfo(float).max):
             raise ValueError("the correlation scores are too large to square")
         sq = self.scores**2
         self.in_mask = np.zeros(inst.p, dtype=bool)
@@ -179,9 +181,8 @@ class SupportContext:
     def threshold_witness(self) -> Optional[PwgCertificate]:
         """The threshold certificate at this support, or None when the scores
         do not separate. Ties fail (strictness required)."""
-        abs_scores = np.abs(self.scores)
-        min_in = float(abs_scores[self.in_mask].min())
-        max_out = float(abs_scores[self.out_mask].max(initial=0.0))
+        min_in = float(self.abs_scores[self.in_mask].min())
+        max_out = float(self.abs_scores[self.out_mask].max(initial=0.0))
         return PwgCertificate(self.support, min_in, max_out) if max_out < min_in else None
 
     def duals(self, lam: float) -> np.ndarray:
@@ -416,12 +417,12 @@ def verify_dcl_certificate(inst: ProblemInstance, cert: DclCertificate) -> float
         d = ctx.duals(cert.lam)
     except ValueError as exc:
         raise CertificateConsistencyError(str(exc)) from None
-    # b is zero off the support, so its sums run over S alone; einsum and
-    # dot overflow to inf without a warning, and a non-finite gap fails
+    # b lives on S, in the sorted order of d[in_mask]; einsum and dot
+    # overflow to inf without a warning, and a non-finite gap fails
     fit = ctx.fit
-    b_in, Xb = fit.beta[ctx.in_mask], inst.y - fit.resid
-    dual_sum = float(np.einsum("i,i,i->", d[ctx.in_mask], b_in, b_in))
-    tau = float(Xb @ Xb) + inst.rho * (float(b_in @ b_in) - dual_sum)
+    b, Xb = fit.coef, inst.y - fit.resid
+    dual_sum = float(np.einsum("i,i,i->", d[ctx.in_mask], b, b))
+    tau = float(Xb @ Xb) + inst.rho * (float(b @ b) - dual_sum)
     dual = 0.5 * float(inst.y @ inst.y) - 0.5 * tau - 0.5 * (float(cert.lam) / inst.rho) * inst.k
     # relative to P, so that scaling y changes no verdict
     gap = (fit.value - dual) / fit.value if fit.value > 0.0 else fit.value - dual
@@ -483,7 +484,8 @@ def verify_kkt(
     if d.shape != (inst.p,):
         raise ValueError(f"dual vector has length {d.shape[0]}, expected p={inst.p}")
     lam = float(lam)
-    beta = ridge_restricted_solve(inst, sup).beta
+    beta = np.zeros(inst.p)
+    beta[list(sup)] = ridge_restricted_solve(inst, sup).coef
     gram = inst.X.T @ inst.X
     gram = 0.5 * (gram + gram.T)
     Q = gram + inst.rho * np.eye(inst.p) - np.diag(d)

@@ -33,9 +33,9 @@ from .problem import ProblemInstance, normalize_support
 class RestrictedRidgeSolution:
     """Ridge minimizer constrained to a support, with its residual and value."""
 
-    beta: np.ndarray   # (p,), exactly zero off the support
-    resid: np.ndarray  # (n,), y - X_S beta_S
-    value: float       # 0.5*||resid||^2 + 0.5*rho*||beta||^2
+    coef: np.ndarray   # (|S|,), b*_S in the order of the normalized support
+    resid: np.ndarray  # (n,), y - X_S b*_S
+    value: float       # 0.5*||resid||^2 + 0.5*rho*||b*_S||^2
 
 
 def cholesky(A: np.ndarray) -> Optional[np.ndarray]:
@@ -79,11 +79,10 @@ def ridge_restricted_solve(inst: ProblemInstance, support: Sequence[int]) -> Res
     if not sup:
         raise ValueError("restricted ridge solve needs a nonempty support")
     Xs = inst.X[:, sup]
-    coeffs = ridge_coefficients(Xs, inst.y, inst.rho)
-    beta, resid = np.zeros(inst.p), inst.y - Xs @ coeffs
-    beta[list(sup)] = coeffs
-    value = 0.5 * float(resid @ resid) + 0.5 * inst.rho * float(coeffs @ coeffs)
-    return RestrictedRidgeSolution(beta=beta, resid=resid, value=value)
+    coef = ridge_coefficients(Xs, inst.y, inst.rho)
+    resid = inst.y - Xs @ coef
+    value = 0.5 * float(resid @ resid) + 0.5 * inst.rho * float(coef @ coef)
+    return RestrictedRidgeSolution(coef=coef, resid=resid, value=value)
 
 
 def correlation_scores(inst: ProblemInstance, fit: RestrictedRidgeSolution) -> np.ndarray:

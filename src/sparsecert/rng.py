@@ -110,14 +110,13 @@ class SplitMix64:
             bits[b:] += np.uint64(q - b)
         self._outputs(bits)
         bits >>= _S11
-        u = bits.astype(np.float64)
-        u += 1.0
-        u *= 2.0**-53
-        r, theta = u[:b], u[b:]  # views: u1 becomes r, u2 becomes theta
+        bits += np.uint64(1)  # at most 2^53, so exact in float64
+        # scaling by 2^-53 is exact: theta is the one rounding fl(u2 * 2 pi)
+        r = np.multiply(bits[:b], 2.0**-53)
+        theta = np.multiply(bits[b:], 2.0 * np.pi * 2.0**-53)
         np.log(r, out=r)
         r *= -2.0
         np.sqrt(r, out=r)
-        theta *= 2.0 * np.pi
         np.multiply(r, np.cos(theta), out=out[2 * a : 2 * (a + b) : 2])
         np.multiply(r, np.sin(theta), out=out[2 * a + 1 : 2 * (a + b) : 2])
 

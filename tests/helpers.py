@@ -83,8 +83,8 @@ def smw_residuals(inst, support):
         raise ValueError("residual check needs a nonempty support")
     sol = ridge_restricted_solve(inst, sup)
     smoothed = dense_kernel_solve(inst, sup, inst.y)
-    r1 = float(np.abs(inst.X.T @ (inst.X @ sol.beta - inst.y) + inst.X.T @ smoothed).max())
-    r2 = float(np.abs(sol.beta[list(sup)] - inst.X[:, sup].T @ smoothed / inst.rho).max())
+    r1 = float(np.abs(inst.X.T @ (inst.X[:, sup] @ sol.coef - inst.y) + inst.X.T @ smoothed).max())
+    r2 = float(np.abs(sol.coef - inst.X[:, sup].T @ smoothed / inst.rho).max())
     return r1, r2
 
 

@@ -1188,7 +1188,8 @@ def test_verification_recomputes_scores_of_a_shared_context(monkeypatch):
     # its own from the certificate's support
     ctx.sq_in[:] = np.inf
     ctx.sq_out[:] = 0.0
-    ctx.fit.beta[:] = np.nan
+    ctx.abs_scores[:] = np.nan
+    ctx.fit.coef[:] = np.nan
     ctx.fit.resid[:] = np.nan
     ctx.fit.value = np.nan
     calls = _counting_scores(monkeypatch)

@@ -31,24 +31,33 @@ def test_restricted_solve_scalar():
     # 1-d minimization of 0.5*(b-2)^2 + 0.5*b^2
     inst = ProblemInstance(X=[[1.0]], y=[2.0], rho=1.0, k=1)
     sol = ridge_restricted_solve(inst, [0])
-    assert sol.beta == pytest.approx([1.0])
+    assert sol.coef == pytest.approx([1.0])
     assert sol.value == pytest.approx(1.0)
 
 
 def test_restricted_solve_zero_response():
     inst = ProblemInstance(X=np.arange(6.0).reshape(3, 2), y=[0, 0, 0], rho=2.0, k=2)
     sol = ridge_restricted_solve(inst, [0, 1])
-    assert np.all(sol.beta == 0.0)
+    assert np.all(sol.coef == 0.0)
     assert sol.value == 0.0
 
 
 def test_restricted_solve_identity_design():
     inst = ProblemInstance(X=I2, y=[1.0, 0.0], rho=1.0, k=1)
     sol = ridge_restricted_solve(inst, [0])
-    assert sol.beta == pytest.approx([0.5, 0.0])
+    assert sol.coef == pytest.approx([0.5])
     assert sol.value == pytest.approx(0.25)
-    # off-support coordinate is exactly zero, not just small
-    assert sol.beta[1] == 0.0
+
+
+def test_restricted_solve_coef_follows_the_sorted_support():
+    # b*_S comes in the order of the normalized support, (0, 3) for [3, 0],
+    # and equals the kernel form X_S^T K_S^{-1} y / rho
+    rng = np.random.default_rng(5)
+    inst = ProblemInstance(X=rng.standard_normal((6, 5)), y=rng.standard_normal(6), rho=0.7, k=2)
+    coef = ridge_restricted_solve(inst, [3, 0]).coef
+    kernel = inst.X[:, [0, 3]].T @ dense_kernel_solve(inst, (0, 3), inst.y) / inst.rho
+    assert coef.shape == (2,)
+    assert np.allclose(coef, kernel, rtol=0.0, atol=1e-12)
 
 
 def test_restricted_solve_rejects_empty_support():
@@ -74,12 +83,12 @@ def test_kernel_solve_examples():
     assert np.allclose(dense_kernel_solve(inst, [0], inst.y), [0.5, 0.0])
     assert np.allclose(ridge_restricted_solve(inst, [0]).resid, [0.5, 0.0])
     assert np.allclose(scores_at(inst, [0]), [0.5, 0.0])
-    assert np.allclose(ridge_restricted_solve(inst, [0]).beta, [0.5, 0.0])
+    assert np.allclose(ridge_restricted_solve(inst, [0]).coef, [0.5])
     inst2 = ProblemInstance(X=[[1.0]], y=[2.0], rho=1.0, k=1)
     assert np.allclose(dense_kernel_solve(inst2, [0], inst2.y), [1.0])
     assert np.allclose(ridge_restricted_solve(inst2, [0]).resid, [1.0])
     assert np.allclose(scores_at(inst2, [0]), [1.0])
-    assert np.allclose(ridge_restricted_solve(inst2, [0]).beta, [1.0])
+    assert np.allclose(ridge_restricted_solve(inst2, [0]).coef, [1.0])
 
 
 def test_correlation_scores_examples():
@@ -102,12 +111,13 @@ def test_restricted_fit_carries_its_residual_scores_and_value():
         fit = ridge_restricted_solve(inst, sup)
         Xs = inst.X[:, sup]
         coeffs = ridge_coefficients(Xs, inst.y, inst.rho)
-        assert np.array_equal(fit.beta[list(sup)], coeffs)
-        assert np.array_equal(np.delete(fit.beta, list(sup)), np.zeros(inst.p - len(sup)))
+        assert np.array_equal(fit.coef, coeffs)
         assert np.array_equal(fit.resid, inst.y - Xs @ coeffs)
         assert np.array_equal(correlation_scores(inst, fit), inst.X.T @ (inst.y - Xs @ coeffs))
-        full = inst.X @ fit.beta - inst.y
-        value = 0.5 * float(full @ full) + 0.5 * inst.rho * float(fit.beta @ fit.beta)
+        beta = np.zeros(inst.p)
+        beta[list(sup)] = fit.coef
+        full = inst.X @ beta - inst.y
+        value = 0.5 * float(full @ full) + 0.5 * inst.rho * float(beta @ beta)
         assert fit.value == pytest.approx(value, rel=1e-12, abs=1e-300)
 
 
@@ -145,15 +155,14 @@ def _assert_matches_dense(inst, sup, rtol=1e-9):
     """Residual y - X_S b*_S, scores and b*_S against the dense n x n solve."""
     dense = dense_kernel_solve(inst, sup, inst.y)
     fit = ridge_restricted_solve(inst, sup)
-    beta = fit.beta
-    resid = inst.y - inst.X[:, list(sup)] @ beta[list(sup)]
+    resid = inst.y - inst.X[:, list(sup)] @ fit.coef
     assert np.allclose(resid, dense, rtol=rtol, atol=rtol * (1 + np.abs(dense).max()))
     assert np.allclose(fit.resid, dense, rtol=rtol, atol=rtol * (1 + np.abs(dense).max()))
     scores = inst.X.T @ dense
     assert np.allclose(correlation_scores(inst, fit), scores,
                        rtol=rtol, atol=rtol * (1 + np.abs(scores).max()))
     coeffs = inst.X[:, list(sup)].T @ dense / inst.rho
-    assert np.allclose(beta[list(sup)], coeffs, rtol=rtol, atol=rtol * (1 + np.abs(coeffs).max()))
+    assert np.allclose(fit.coef, coeffs, rtol=rtol, atol=rtol * (1 + np.abs(coeffs).max()))
 
 
 def test_kernel_solve_matches_dense_solve():
