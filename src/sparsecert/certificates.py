@@ -96,8 +96,9 @@ class DclCertificate:
     threshold `lam`. A valid one makes diag(d) - X^T X/rho - I_p negative
     semidefinite at the canonical duals d = `SupportContext.duals(lam)` and
     closes the lifted duality gap (up to roundoff), which
-    `verify_dcl_certificate` checks. The degenerate case where every
-    correlation score vanishes is certified by lam = 0, with zero duals.
+    `verify_dcl_certificate` checks. `lam` is a positive finite real and
+    every squared score on the support is nonzero, as the canonical duals
+    need.
     """
 
     support: tuple[int, ...]
@@ -153,11 +154,10 @@ class SupportContext:
     The support is validated on construction (exactly k distinct columns in
     [0, p)), and scores whose squares would overflow are a ValueError there.
     `threshold_witness` is computed on first use and kept. `duals` raises
-    ValueError on a threshold that is not a positive finite real (lam = 0
-    is allowed when every score is 0), and `duals`, `rayleigh` and
-    `bracket` raise it when a support column has a zero squared score, for
-    which the canonical duals are undefined; a caller can test
-    `zero_score_in_support` first.
+    ValueError on a threshold that is not a positive finite real, and
+    `duals`, `rayleigh` and `bracket` raise it when a support column has a
+    zero squared score, for which the canonical duals are undefined; a
+    caller can test `zero_score_in_support` first.
     """
 
     def __init__(self, inst: ProblemInstance, support: Sequence[int]):
@@ -189,11 +189,8 @@ class SupportContext:
         """Canonical duals lam/c_i^2 on the support and c_i^2/lam off it: the
         pointwise-smallest duals satisfying the certificate's side
         conditions, so the slack matrix at them decides whether `lam`
-        certifies. When every score is 0 they are 0 at lam = 0."""
+        certifies."""
         lam = float(lam)
-        # the scores, not their squares, which underflow below about 1.5e-154
-        if lam == 0.0 and not self.scores.any():
-            return np.zeros(self.inst.p)
         if self.zero_score_in_support:
             raise ValueError("support contains a zero correlation score")
         if not (math.isfinite(lam) and lam > 0.0):
@@ -343,11 +340,11 @@ def check_pwg(inst: ProblemInstance, support: Sequence[int] | SupportContext) ->
 def check_dcl(inst: ProblemInstance, support: Sequence[int] | SupportContext) -> CertOutcome:
     """Dual-certificate search.
 
-    The all-scores-zero degenerate case is exact with the zero certificate,
-    and a zero score in the support is `zero-score-in-support`. When the
-    scores separate, the witness transfer certifies at lam0 = min_{i in S}
-    c_i^2 with no eigenproblem. Otherwise a safeguarded bisection searches
-    the analytic bracket [ell, up]. It queries the geometric midpoint
+    A zero squared score in the support, all-zero scores included, is
+    `zero-score-in-support`. When the scores separate, the witness transfer
+    certifies at lam0 = min_{i in S} c_i^2 with no eigenproblem. Otherwise
+    a safeguarded bisection searches the analytic bracket [ell, up]. It
+    queries the geometric midpoint
     lam_hat = sqrt(ell*up), since the duals scale as lam and 1/lam (the
     arithmetic one while ell = 0). Each query is decided by `_schur_query`
     on a t x t Schur complement, the t columns whose dual is at least 1/2
@@ -365,8 +362,6 @@ def check_dcl(inst: ProblemInstance, support: Sequence[int] | SupportContext) ->
     built for `inst`, whose scores and witness are reused.
     """
     ctx = _context(inst, support)
-    if not ctx.scores.any():
-        return CertOutcome(DclCertificate(ctx.support, 0.0))
     if ctx.zero_score_in_support:
         return CertOutcome(reason=REASON_ZERO_SCORE)
     if ctx.threshold_witness is not None:
@@ -417,12 +412,13 @@ def verify_dcl_certificate(inst: ProblemInstance, cert: DclCertificate) -> float
         d = ctx.duals(cert.lam)
     except ValueError as exc:
         raise CertificateConsistencyError(str(exc)) from None
-    # b lives on S, in the sorted order of d[in_mask]; einsum and dot
-    # overflow to inf without a warning, and a non-finite gap fails
+    # b lives on S, in the sorted order of d[in_mask]; rho ||b||^2 <= ||y||^2,
+    # but ||b||^2 alone can overflow, so b enters as sqrt(rho) b; a
+    # non-finite gap fails
     fit = ctx.fit
-    b, Xb = fit.coef, inst.y - fit.resid
-    dual_sum = float(np.einsum("i,i,i->", d[ctx.in_mask], b, b))
-    tau = float(Xb @ Xb) + inst.rho * (float(b @ b) - dual_sum)
+    root, Xb = math.sqrt(inst.rho) * fit.coef, inst.y - fit.resid
+    dual_sum = float(np.einsum("i,i,i->", d[ctx.in_mask], root, root))
+    tau = float(Xb @ Xb) + (float(root @ root) - dual_sum)
     dual = 0.5 * float(inst.y @ inst.y) - 0.5 * tau - 0.5 * (float(cert.lam) / inst.rho) * inst.k
     # relative to P, so that scaling y changes no verdict
     gap = (fit.value - dual) / fit.value if fit.value > 0.0 else fit.value - dual

@@ -19,6 +19,7 @@ copy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -66,11 +67,14 @@ def kernel_factor(G: np.ndarray, rho: float) -> tuple[np.ndarray, bool]:
 
 def ridge_coefficients(G: np.ndarray, y: np.ndarray, rho: float) -> np.ndarray:
     """argmin_b ||y - G b||^2 + rho ||b||^2 = (rho I + G^T G)^{-1} G^T y
-    = G^T (rho I_n + G G^T)^{-1} y, on the side `kernel_factor` picks; empty for no columns."""
+    = G^T (rho I_n + G G^T)^{-1} y, on the side `kernel_factor` picks; empty for no columns.
+    A solve that overflows, which LAPACK does to inf without a warning (on the n side
+    about ||y||/rho although b may be representable), raises ValueError."""
     L, woodbury = kernel_factor(G, rho)
-    if woodbury:
-        return dpotrs(L, G.T @ y, lower=1)[0]
-    return G.T @ dpotrs(L, y, lower=1)[0]
+    solved = dpotrs(L, G.T @ y if woodbury else y, lower=1)[0]
+    if not np.isfinite(solved).all():
+        raise ValueError("the ridge fit is not representable: its kernel solve overflows")
+    return solved if woodbury else G.T @ solved
 
 
 def ridge_restricted_solve(inst: ProblemInstance, support: Sequence[int]) -> RestrictedRidgeSolution:
@@ -81,7 +85,9 @@ def ridge_restricted_solve(inst: ProblemInstance, support: Sequence[int]) -> Res
     Xs = inst.X[:, sup]
     coef = ridge_coefficients(Xs, inst.y, inst.rho)
     resid = inst.y - Xs @ coef
-    value = 0.5 * float(resid @ resid) + 0.5 * inst.rho * float(coef @ coef)
+    # rho ||b||^2 <= ||y||^2, but ||b||^2 alone can overflow
+    root = math.sqrt(inst.rho) * coef
+    value = 0.5 * float(resid @ resid) + 0.5 * float(root @ root)
     return RestrictedRidgeSolution(coef=coef, resid=resid, value=value)
 
 

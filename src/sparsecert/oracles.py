@@ -156,7 +156,8 @@ def project_capped_simplex(v: np.ndarray, k: int) -> np.ndarray:
     Breakpoints need v_i - 1 to be exact, which fails once |v_i| >= 2^53.
     So when some |v_i| >= 2^52, theta, which lies within 1 below the (k+1)-th
     largest entry, is solved for on v minus that entry, and the coordinates
-    2^53 or more below it, which stay at 0, leave the breakpoints.
+    2^53 or more below it, which stay at 0, leave the breakpoints. A
+    non-finite entry, once clipping alone exceeds the cap, is a ValueError.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -164,6 +165,8 @@ def project_capped_simplex(v: np.ndarray, k: int) -> np.ndarray:
     clipped = np.clip(v, 0.0, 1.0)
     if clipped.sum() <= k:
         return clipped
+    if not np.isfinite(v).all():
+        raise ValueError("cannot project a vector with a non-finite entry")
     w = v
     if max(v.max(), -v.min()) >= 2.0**52:
         v = v - np.partition(v, v.size - k - 1)[v.size - k - 1]
@@ -196,7 +199,17 @@ def _relaxed_objective_and_scores(inst: ProblemInstance, z: np.ndarray) -> tuple
     G = inst.X * np.sqrt(z)
     b = ridge_coefficients(G, inst.y, inst.rho)
     r = inst.y - G @ b
-    return 0.5 * (float(r @ r) + inst.rho * float(b @ b)), inst.X.T @ r
+    root = math.sqrt(inst.rho) * b  # rho ||b||^2 <= ||y||^2, but ||b||^2 alone can overflow
+    return 0.5 * (float(r @ r) + float(root @ root)), inst.X.T @ r
+
+
+def _gradient(inst: ProblemInstance, scores: np.ndarray) -> np.ndarray:
+    """dg/dz_j = -c_j^2/(2 rho); ValueError when it overflows, tested at the largest |c_j|
+    as Python floats, whose arithmetic overflows to inf silently."""
+    top = float(np.abs(scores).max())
+    if not top * (top / (2.0 * inst.rho)) < math.inf:
+        raise ValueError("the relaxation's gradient c_j^2/(2 rho) is not representable")
+    return -scores * (scores / (2.0 * inst.rho))
 
 
 def relaxed_objective(inst: ProblemInstance, z: np.ndarray) -> float:
@@ -232,14 +245,15 @@ def pwg_value(inst: ProblemInstance) -> PwgValueResult:
     projected trial step would move no coordinate by more than PWG_TOL:
     that step is not evaluated (at that size the Armijo test only sees
     roundoff), and z is the last accepted iterate. A kernel whose scale
-    is not representable (`_check_kernel_scale`), or a ridge fit that
-    `linalg.kernel_factor` cannot factor, raises ValueError.
+    is not representable (`_check_kernel_scale`), a ridge fit that
+    `linalg.ridge_coefficients` cannot factor or solve, or a gradient that
+    overflows (`_gradient`) raises ValueError.
     """
     _check_kernel_scale(inst)
     p, k = inst.p, inst.k
     z = np.full(p, k / p)
     val, scores = _relaxed_objective_and_scores(inst, z)
-    grad = -scores * (scores / (2.0 * inst.rho))
+    grad = _gradient(inst, scores)
     trace = [val]
     step = 1.0
     iterations = 0
@@ -259,7 +273,7 @@ def pwg_value(inst: ProblemInstance) -> PwgValueResult:
             trial_step *= 0.5
         if not moved:
             break
-        grad_new = -scores_new * (scores_new / (2.0 * inst.rho))
+        grad_new = _gradient(inst, scores_new)
         # BB1 step for the next iteration, clamped to a sane range
         dg = grad_new - grad
         num = float(delta @ delta)
@@ -273,7 +287,7 @@ def pwg_value(inst: ProblemInstance) -> PwgValueResult:
     val_bin, scores_bin = _relaxed_objective_and_scores(inst, z_bin)
     if val_bin < val:
         z, val = z_bin, val_bin
-        grad = -scores_bin * (scores_bin / (2.0 * inst.rho))
+        grad = _gradient(inst, scores_bin)
         trace.append(val)
     gap = _frank_wolfe_gap(grad, z, k)
     return PwgValueResult(value=val, z=z, iterations=iterations, grad_norm_kkt=gap, trace=trace)

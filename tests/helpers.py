@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from sparsecert import ProblemInstance
+from sparsecert import ProblemInstance, SupportContext
 from sparsecert.linalg import max_eig_sym, ridge_restricted_solve
 from sparsecert.oracles import _relaxed_objective_and_scores
 from sparsecert.problem import normalize_support
@@ -34,6 +34,17 @@ def planted_instance(rng, n=None, p=None, k=None, rho=None, amplitude=3.0, noise
     beta[list(support)] = amplitude * rng.choice([-1.0, 1.0], size=k)
     y = X @ beta + noise * rng.standard_normal(n)
     return ProblemInstance(X=X, y=y, rho=rho, k=k), support
+
+
+def scaled_gaussian_instance(n, p, k, x_scale, y_scale, rho):
+    """X = x_scale * N(0,1)^{n x p}, then y = y_scale * N(0,1)^n, both drawn
+    from np.random.default_rng(0): the extreme-scale inputs whose overflows
+    the oracles and the certificate checks must turn into a ValueError or
+    a finite, correct result."""
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((n, p)) * x_scale
+    y = rng.standard_normal(n) * y_scale
+    return ProblemInstance(X=X, y=y, rho=rho, k=k)
 
 
 def mixed_instance(rng, **kwargs):
@@ -124,6 +135,83 @@ def exact_relaxed_objective(inst, z):
                 factor = rows[a][c]
                 rows[a] = [va - factor * vc for va, vc in zip(rows[a], rows[c])]
     return float(sum(y[a] * rows[a][n] for a in range(n)) / 2)
+
+
+def _exact_solve(A, rhs):
+    """x with A x = rhs for a symmetric positive definite Fraction matrix, by
+    Gauss-Jordan elimination: every pivot is positive."""
+    rows = [list(row) + [v] for row, v in zip(A, rhs)]
+    m = len(rows)
+    for c in range(m):
+        pivot = rows[c][c]
+        rows[c] = [v / pivot for v in rows[c]]
+        for a in range(m):
+            if a != c and rows[a][c]:
+                factor = rows[a][c]
+                rows[a] = [va - factor * vc for va, vc in zip(rows[a], rows[c])]
+    return [row[m] for row in rows]
+
+
+def _exact_is_pos_def(M):
+    """Whether a symmetric Fraction matrix is positive definite: every pivot
+    of its Gaussian elimination is positive. Overwrites M."""
+    m = len(M)
+    for c in range(m):
+        pivot = M[c][c]
+        if pivot <= 0:
+            return False
+        for a in range(c + 1, m):
+            if M[a][c]:
+                factor = M[a][c] / pivot
+                M[a][c + 1 :] = [va - factor * vc for va, vc in zip(M[a][c + 1 :], M[c][c + 1 :])]
+    return True
+
+
+def exact_dcl_violations(inst, cert, slack):
+    """The conditions a DclCertificate fails in exact rational arithmetic on
+    the float data, at a relative `slack`: the referee for
+    verify_dcl_certificate, which works in floats. b*_S, its residual r and
+    the scores c = X^T r are exact; the duals d are the floats the verifier
+    derives (`SupportContext.duals`). The conditions are the support equality
+    |d_i c_i^2 - lam| <= slack*lam, the off-support inequality
+    c_i^2 - lam*d_i <= slack*lam, the lifted duality gap |P - D| <= slack*P
+    (the verifier's P and D, exactly), and X^T X/rho + I - D(d) + slack*I
+    positive definite, so the slack matrix is NSD up to slack. Returns their
+    names, [] for a certificate. Costs O(p^3 + n p^2) Fraction operations,
+    so it is meant for p <= 16 (about 0.2 s at n = 40)."""
+    n, p = inst.n, inst.p
+    if p > 16:
+        raise ValueError(f"exact referee is meant for p <= 16, got p={p}")
+    sup = list(cert.support)
+    cols = [[Fraction(float(v)) for v in col] for col in inst.X.T]
+    y = [Fraction(float(v)) for v in inst.y]
+    rho, lam, tol = Fraction(float(inst.rho)), Fraction(float(cert.lam)), Fraction(float(slack))
+    d = [Fraction(float(v)) for v in SupportContext(inst, sup).duals(cert.lam)]
+
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
+
+    gram = [[dot(cols[i], cols[j]) for j in range(p)] for i in range(p)]
+    b = _exact_solve(
+        [[gram[i][j] + (rho if i == j else 0) for j in sup] for i in sup], [dot(cols[i], y) for i in sup]
+    )
+    Xb = [sum(cols[j][a] * bj for j, bj in zip(sup, b)) for a in range(n)]
+    r = [ya - xa for ya, xa in zip(y, Xb)]
+    c = [dot(col, r) for col in cols]
+    failed = []
+    if any(abs(d[i] * c[i] ** 2 - lam) > tol * lam for i in sup):
+        failed.append("support equality")
+    if any(c[i] ** 2 - lam * d[i] > tol * lam for i in range(p) if i not in sup):
+        failed.append("off-support inequality")
+    primal = (dot(r, r) + rho * dot(b, b)) / 2
+    dual_sum = sum(d[i] * bi**2 for i, bi in zip(sup, b))
+    dual = dot(y, y) / 2 - (dot(Xb, Xb) + rho * (dot(b, b) - dual_sum)) / 2 - lam / rho * inst.k / 2
+    if abs(primal - dual) > tol * primal:
+        failed.append("duality gap")
+    M = [[gram[i][j] / rho + ((1 - d[i] + tol) if i == j else 0) for j in range(p)] for i in range(p)]
+    if not _exact_is_pos_def(M):
+        failed.append("slack matrix not NSD")
+    return failed
 
 
 def slack_matrices(ctx, lams):

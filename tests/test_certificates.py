@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import (
     dense_margin,
     dense_margins,
+    exact_dcl_violations,
     mixed_instance,
     noise_instance,
     planted_instance,
@@ -200,13 +201,12 @@ def test_dcl_empty_interval():
     assert out.reason == REASON_EMPTY_INTERVAL
 
 
-def test_dcl_trivial_all_zero_scores():
-    out = check_dcl(ident([0.0, 0.0]), [0])
-    assert out.exact
-    cert = out.certificate
-    assert cert == DclCertificate(support=(0,), lam=0.0)
-    assert np.all(SupportContext(ident([0.0, 0.0]), [0]).duals(0.0) == 0.0)
-    assert verify_dcl_certificate(ident([0.0, 0.0]), cert) == 0.0
+def test_dcl_all_zero_scores_are_a_zero_score_in_support():
+    # y = 0 makes every score 0, a zero score on the support like any other
+    inst = ident([0.0, 0.0])
+    assert check_dcl(inst, [0]).reason == REASON_ZERO_SCORE
+    with pytest.raises(ValueError, match="zero correlation score"):
+        SupportContext(inst, [0]).duals(0.0)
 
 
 def _seed0_trial(alpha, mult, trial, y_exponent):
@@ -229,6 +229,33 @@ def test_underflowed_squares_are_not_the_all_zero_certificate():
     assert check_dcl(inst, sup).reason == REASON_ZERO_SCORE
     with pytest.raises(CertificateConsistencyError, match="zero correlation score"):
         verify_dcl_certificate(inst, DclCertificate(ctx.support, 0.0))
+
+
+@pytest.mark.parametrize("e", [539, 540])
+def test_rescaled_grid_certifies_no_trial_that_is_not_exact_unscaled(e):
+    # (X, y, rho) -> (2^-e X, 2^-e y, 4^-e rho) moves no decision in exact
+    # arithmetic, but here every score underflows to 0; the search used to
+    # certify those trials at lam = 0, and the verifier accepted 5 (e = 539)
+    # and 8 (e = 540) that are not exact unscaled
+    cfg = EnsembleConfig(p_list=[16, 64], trials=4, alpha_grid=[1.0, 2.0, 4.0], rho_multipliers=[2.0, 8.0])
+    scale = 2.0**-e
+    not_exact, false_exact, lams = 0, [], []
+    for key in itertools.product(cfg.p_list, cfg.alpha_grid, cfg.rho_multipliers, range(cfg.trials)):
+        inst, _, sup = generate_instance(cfg, *key)
+        try:
+            scaled = ProblemInstance(X=inst.X * scale, y=inst.y * scale, rho=inst.rho * scale * scale, k=inst.k)
+        except ValueError:  # rho underflowed to 0
+            continue
+        out = check_dcl(scaled, sup)
+        if out.exact:
+            lams.append(out.certificate.lam)
+        if not check_dcl(inst, sup).exact:
+            not_exact += 1
+            if out.exact:
+                false_exact.append(key)
+    assert not_exact >= 8
+    assert false_exact == []
+    assert all(lam > 0.0 for lam in lams)
 
 
 def test_dcl_zero_score_in_support_rejected():
@@ -386,27 +413,28 @@ def test_every_returned_certificate_reverifies():
     [
         # duals0: the scores (0.5, 0), where a NaN would make every dual NaN
         pytest.param(np.nan, [1.0, 0.0], "positive reals", id="nan-duals0"),
-        # duals1: all scores zero, where the duals exist at lam = 0 alone and
-        # a NaN must not pass for that zero
+        # duals1: all scores zero, where no duals exist, at lam = 0 either
         pytest.param(np.nan, [0.0, 0.0], "zero correlation score", id="nan-duals1"),
+        pytest.param(0.0, [0.0, 0.0], "zero correlation score", id="zero-duals1"),
+        pytest.param(0.0, [1.0, 0.0], "positive reals", id="zero"),
+        pytest.param(-0.0, [1.0, 0.0], "positive reals", id="-zero"),
         pytest.param(np.inf, [1.0, 0.0], "positive reals", id="inf"),
         pytest.param(-np.inf, [1.0, 0.0], "positive reals", id="-inf"),
         pytest.param(-0.25, [1.0, 0.0], "positive reals", id="-0.25"),
     ],
 )
 def test_verify_rejects_non_finite_certificates(lam, y, match):
-    # a threshold that is not a finite positive real has no canonical duals;
-    # every comparison with NaN is false, so that case must fail closed
+    # a threshold that is not a finite positive real, lam = 0 included, has
+    # no canonical duals; every comparison with NaN is false, so that case
+    # must fail closed
     cert = DclCertificate(support=(0,), lam=lam)
     with pytest.raises(CertificateConsistencyError, match=match):
         verify_dcl_certificate(ident(y), cert)
+    with pytest.raises(ValueError, match=match):
+        kkt_variables(ident(y), cert)
 
 
-def test_verify_accepts_lam_zero_only_when_every_score_is_zero():
-    assert verify_dcl_certificate(ident([0.0, 0.0]), DclCertificate((0,), 0.0)) == 0.0
-    # the scores (0.5, 0) are not all zero
-    with pytest.raises(CertificateConsistencyError, match="positive reals"):
-        verify_dcl_certificate(ident([1.0, 0.0]), DclCertificate((0,), 0.0))
+def test_verify_rejects_a_zero_score_on_the_support():
     # a zero score on the support leaves the canonical duals undefined
     with pytest.raises(CertificateConsistencyError, match="zero correlation score"):
         verify_dcl_certificate(ident([1.0, 0.0]), DclCertificate((1,), 0.25))
@@ -424,6 +452,47 @@ def test_verify_rejects_a_slack_matrix_that_is_not_nsd(lam, accepted):
     else:
         with pytest.raises(CertificateConsistencyError, match="slack matrix not NSD"):
             verify_dcl_certificate(ident([1.0, 0.0]), cert)
+
+
+@pytest.mark.parametrize(
+    "lam, violations", [(0.25, []), (0.5, []), (0.5 + 1e-6, ["slack matrix not NSD"]), (1.0, ["slack matrix not NSD"])]
+)
+def test_exact_referee_on_the_hand_example(lam, violations):
+    # scores (0.5, 0) at S = {0}: the canonical duals (4 lam, 0) meet the
+    # side conditions and close the gap at every lam, and
+    # X^T X/rho + I - D(d) = diag(2 - 4 lam, 2) is PSD for lam <= 1/2
+    inst = ident([1.0, 0.0])
+    assert exact_dcl_violations(inst, DclCertificate((0,), lam), 10 * certificates.COND_TOL) == violations
+
+
+_REFEREE_CFG = EnsembleConfig(p_list=[16], trials=200, alpha_grid=[4.0], rho_multipliers=[2.0, 1e-4, 1e-6, 1e-8])
+# at multiplier 1e-8 the verifier accepts 5 of these 200 trials (62, 72, 114,
+# 151, 161), and on each the exact support equality misses by more than
+# 10 COND_TOL lam: the float on-support scores X_S^T r lose their digits
+# to cancellation there
+
+
+@pytest.mark.parametrize(
+    "mult, trial",
+    [(m, t) for m in (2.0, 1e-4, 1e-6) for t in range(4)]
+    + [
+        pytest.param(
+            1e-8,
+            t,
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason=f"p=16, alpha 4, multiplier 1e-8, trial {t}: the exact support equality misses",
+            ),
+        )
+        for t in (62, 72)
+    ],
+)
+def test_exact_referee_accepts_what_the_verifier_accepts(mult, trial):
+    inst, _, sup = generate_instance(_REFEREE_CFG, 16, 4.0, mult, trial)
+    out = check_dcl(inst, sup)
+    verify_dcl_certificate(inst, out.certificate)
+    assert exact_dcl_violations(inst, out.certificate, 10 * certificates.COND_TOL) == []
 
 
 def _dense_edge(ctx, inside, outside):
@@ -567,14 +636,14 @@ def test_squared_scores_that_overflow_are_a_value_error():
 
 
 def test_zero_response_scale_property():
+    # y = 0 certifies nothing: every score is 0, on the support too
     rng = np.random.default_rng(31)
     for _ in range(50):
         inst = noise_instance(rng)
         zeroed = ProblemInstance(X=inst.X, y=np.zeros(inst.n), rho=inst.rho, k=inst.k)
         sup = random_support(rng, zeroed)
-        assert not check_pwg(zeroed, sup).exact
-        out = check_dcl(zeroed, sup)
-        assert out.exact and out.certificate.lam == 0.0
+        assert check_pwg(zeroed, sup).reason == REASON_SEPARATION
+        assert check_dcl(zeroed, sup).reason == REASON_ZERO_SCORE
 
 
 # ------------------------------------------------- soundness and dominance
@@ -736,7 +805,7 @@ def test_kkt_residuals_for_found_certificates():
     for _ in range(150):
         inst, sup = planted_instance(rng)
         out = check_dcl(inst, sup)
-        if not out.exact or out.certificate.lam == 0.0:
+        if not out.exact:
             continue
         d_raw, lam_raw = kkt_variables(inst, out.certificate)
         report = verify_kkt(inst, sup, d_raw, lam_raw)

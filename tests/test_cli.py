@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import scaled_gaussian_instance
 from sparsecert import ProblemInstance, certificates, cli, ensemble, oracles
 from sparsecert.cli import main
 from sparsecert.fileio import save_instance
@@ -107,6 +108,17 @@ def test_check_nan_duality_gap_exits_2(identity_instance, capsys, monkeypatch):
     assert code == 2
     assert "dcl: not-verified (duality gap nan at the restricted fit)" in out
     assert "dcl: exact" not in out
+
+
+def test_check_zero_response_is_a_zero_score_in_support(tmp_path, capsys):
+    # y = 0 makes every score 0; no certificate exists, lam = 0 included
+    path = tmp_path / "zero_response.json"
+    save_instance(path, ProblemInstance(X=np.eye(3), y=np.zeros(3), rho=1.0, k=1), (0,))
+    code = main(["check", str(path)])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "pwg: not-certified (separation-failed)" in out
+    assert "dcl: not-certified (zero-score-in-support)" in out
 
 
 def test_check_support_smaller_than_k_exits_1(tmp_path, capsys):
@@ -217,6 +229,31 @@ def test_oracle_ill_conditioned_kernel_exits_0(tmp_path, capsys):
     save_instance(path, inst)
     assert main(["oracle", str(path)]) == 0
     assert "relaxation value: " in capsys.readouterr().out
+
+
+def test_oracle_gradient_overflow_exits_1(tmp_path, capsys):
+    # the relaxation's gradient c_j^2/(2 rho) overflows at scores near 1e300;
+    # it used to end in an IndexError traceback from the projection
+    path = tmp_path / "huge.json"
+    save_instance(path, scaled_gaussian_instance(7, 8, 6, 1e150, 1e150, 1.0))
+    assert main(["oracle", str(path)]) == 1
+    assert "error: the relaxation's gradient" in capsys.readouterr().err
+
+
+def test_oracle_overflowing_norm_of_b_reports_the_optimum(tmp_path, capsys):
+    # p = k = 1 and b is about 2e170: rho ||b||^2 used to overflow to an
+    # infinite relaxation value and a false "exceeds the brute-force
+    # optimum" (exit 3); the value is about 1.4e39 and equals the optimum
+    inst = scaled_gaussian_instance(2, 1, 1, 1e-150, 1e20, 1e-320)
+    path = tmp_path / "tiny_x.json"
+    save_instance(path, inst)
+    assert main(["oracle", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    values = dict(line.split(": ", 1) for line in captured.out.splitlines())
+    best = float(values["best subset value"])
+    relaxed = float(values["relaxation value"].split(" ")[0])
+    assert np.isfinite(relaxed) and relaxed == pytest.approx(best, rel=1e-12, abs=0.0)
 
 
 def test_oracle_bug_trap_is_relative_to_the_optimum(tmp_path, capsys):

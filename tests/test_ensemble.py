@@ -194,8 +194,9 @@ def test_evaluate_trial_orthogonal_noiseless():
 
 
 def test_evaluate_trial_zero_response_degenerate():
+    # every score is 0, so neither test certifies
     inst = ProblemInstance(X=np.eye(4), y=np.zeros(4), rho=1.0, k=2)
-    assert evaluate_trial(inst, (0, 1)) == (False, True)
+    assert evaluate_trial(inst, (0, 1)) == (False, False)
 
 
 def test_evaluate_trial_requires_full_support():

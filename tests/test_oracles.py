@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,13 +16,17 @@ from helpers import (
     planted_instance,
     relaxed_gradient,
     ridge_value_kernel,
+    scaled_gaussian_instance,
 )
 from sparsecert import (
     ProblemInstance,
+    SupportContext,
     brute_force_l0,
+    check_dcl,
     check_pwg,
     oracles,
     pwg_value,
+    verify_dcl_certificate,
 )
 from sparsecert.ensemble import EnsembleConfig, generate_instance
 from sparsecert.problem import DEFAULT_REL_TOL
@@ -67,8 +72,8 @@ def test_brute_force_budget():
 
 
 def _brute_force_loop(inst):
-    """Reference: one Cholesky per support, ties within DEFAULT_REL_TOL of
-    the minimum in lexicographic order."""
+    """Reference: one Cholesky per support, ties within DEFAULT_REL_TOL times
+    y^T y/2 (the documented tie window) of the minimum in lexicographic order."""
     values = []
     for sup in itertools.combinations(range(inst.p), inst.k):
         Xs = inst.X[:, sup]
@@ -76,7 +81,7 @@ def _brute_force_loop(inst):
         cho = scipy.linalg.cho_factor(Xs.T @ Xs + inst.rho * np.eye(inst.k), lower=True)
         values.append((0.5 * (float(inst.y @ inst.y) - float(xty @ scipy.linalg.cho_solve(cho, xty))), sup))
     best = min(v for v, _ in values)
-    return best, [s for v, s in values if v <= best + DEFAULT_REL_TOL * max(1.0, abs(best))]
+    return best, [s for v, s in values if v <= best + DEFAULT_REL_TOL * 0.5 * float(inst.y @ inst.y)]
 
 
 @pytest.mark.parametrize("chunk", [BRUTE_FORCE_CHUNK, 100])
@@ -441,6 +446,58 @@ def test_tiny_rho_kernel_scale_is_a_value_error(rho):
         pwg_value(inst)
     with pytest.raises(ValueError, match="not representable"):
         relaxed_objective(inst, np.full(6, 1.0 / 3.0))
+
+
+# Extreme scales that ProblemInstance accepts; the suite's error::RuntimeWarning
+# filter turns any overflow warning on the way into a failure.
+
+
+def test_restricted_fit_value_forms_rho_b_squared_without_overflow():
+    # b*_S is about 1.6e170, so ||b||^2 overflows, although rho ||b||^2 is
+    # about 5e19, far below ||y||^2
+    inst = scaled_gaussian_instance(4, 6, 2, 1e-300, 1e150, 1e-320)
+    fit = SupportContext(inst, (0, 1)).fit
+    exact = sum(Fraction(float(r)) ** 2 for r in fit.resid) + Fraction(inst.rho) * sum(
+        Fraction(float(b)) ** 2 for b in fit.coef
+    )
+    assert abs(fit.coef).max() > 1e170
+    assert fit.value == pytest.approx(float(exact / 2), rel=1e-15, abs=0.0)
+    check_dcl(inst, (0, 1))  # decides with no overflow on the way
+    # (rho I_4 + G G^T)^{-1} y is about 1e470 on the relaxation's n side
+    with pytest.raises(ValueError, match="kernel solve overflows"):
+        pwg_value(inst)
+
+
+def test_pwg_value_refuses_a_gradient_that_overflows():
+    # the scores are about 1e300, so c_j^2/(2 rho) overflows; the projection
+    # of an infinite step used to end in an IndexError
+    inst = scaled_gaussian_instance(7, 8, 6, 1e150, 1e150, 1.0)
+    with pytest.raises(ValueError, match="gradient"):
+        pwg_value(inst)
+    with pytest.raises(ValueError, match="non-finite"):
+        project_capped_simplex(np.array([np.inf, 1.0, -np.inf]), 1)
+    with pytest.raises(ValueError, match="non-finite"):
+        project_capped_simplex(np.array([np.nan, 1.0, 0.5]), 1)
+
+
+def test_ridge_fit_whose_kernel_solve_overflows_is_a_value_error():
+    # n = 1: (rho + ||G||^2)^{-1} y is about 1e350, though b is about 5e249
+    inst = scaled_gaussian_instance(1, 4, 2, 1e-100, 1e150, 1e-200)
+    with pytest.raises(ValueError, match="kernel solve overflows"):
+        SupportContext(inst, (0, 1))
+    with pytest.raises(ValueError, match="kernel solve overflows"):
+        pwg_value(inst)
+
+
+def test_pwg_value_with_an_overflowing_norm_of_b_is_the_optimum():
+    # p = k = 1, so the relaxation, the best subset and the one support all
+    # have the same value; b is about 2e170, and rho ||b||^2 used to be inf
+    inst = scaled_gaussian_instance(2, 1, 1, 1e-150, 1e20, 1e-320)
+    relaxed, brute = pwg_value(inst), brute_force_l0(inst)
+    assert np.isfinite(relaxed.value)
+    assert relaxed.value == pytest.approx(brute.value, rel=1e-12, abs=0.0)
+    out = check_dcl(inst, (0,))
+    assert out.exact and abs(verify_dcl_certificate(inst, out.certificate)) <= 1e-12
 
 
 def test_monotone_descent_trace():
