@@ -56,8 +56,8 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
+from . import _lapack
 from .linalg import (
     cholesky,
     correlation_scores,
@@ -294,7 +294,7 @@ def _schur_query(ctx: SupportContext, duals: np.ndarray) -> Optional[np.ndarray]
     G = X.take(rest, axis=1)
     G /= root_wc
     L, woodbury = kernel_factor(G, rho)
-    F = dtrtrs(L, G.T @ XT if woodbury else XT, lower=1)[0]
+    F = _lapack.trtrs(L, G.T @ XT if woodbury else XT)
     sch = (XT.T @ XT - F.T @ F) / rho if woodbury else F.T @ F
     sch.flat[:: sch.shape[0] + 1] += w[block]
     if cholesky(sch.copy()) is not None:  # factored in place; the eigensolve needs sch
@@ -302,7 +302,7 @@ def _schur_query(ctx: SupportContext, duals: np.ndarray) -> Optional[np.ndarray]
     top, u = max_eig_sym(-sch)
     if top <= 0.0:
         return None
-    lift = dtrtrs(L, F @ u, lower=1, trans=1)[0]
+    lift = _lapack.trtrs(L, F @ u, trans=True)
     v = np.empty(ctx.inst.p)
     v[block] = u
     v[rest] = -(lift if woodbury else G.T @ lift) / root_wc

@@ -14,7 +14,7 @@ certificates; for G = X diag(sqrt z) it is the relaxation oracle's fit.
 `cholesky` is the single LAPACK `potrf` call site. It factors its argument
 in place, so `kernel_factor` factors the kernel it has just built with no
 copy, and a caller that still needs a matrix after factoring it passes a
-copy.
+copy. LAPACK is reached through `_lapack`, the OpenBLAS that numpy loads.
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dpotrf, dpotrs
 
+from . import _lapack
 from .problem import ProblemInstance, normalize_support
 
 
@@ -42,14 +41,17 @@ class RestrictedRidgeSolution:
 def cholesky(A: np.ndarray) -> Optional[np.ndarray]:
     """Cholesky factor of a symmetric matrix by one LAPACK `potrf` (only its
     lower triangle is the factor), or None when A is not positive definite.
-    A C- or Fortran-ordered float64 A is factored in place: its entries are
-    overwritten, whatever the outcome. A non-finite entry raises ValueError."""
+    A writable C- or Fortran-ordered float64 A is factored in place: its
+    entries are overwritten, whatever the outcome; any other A is copied
+    first. A non-finite entry raises ValueError."""
     if not np.isfinite(A).all():
         raise ValueError("cannot factor a matrix with a non-finite entry")
     # a symmetric C-ordered matrix is its own transpose, which is Fortran-
     # ordered, and potrf overwrites a Fortran-ordered float64 array with no copy
-    L, info = dpotrf(A.T if A.flags.c_contiguous else A, lower=1, clean=0, overwrite_a=1)
-    return L if info == 0 else None
+    L = np.asfortranarray(A.T if A.flags.c_contiguous else A, dtype=float)
+    if not L.flags.writeable:
+        L = L.copy(order="F")
+    return L if _lapack.potrf(L) == 0 else None
 
 
 def kernel_factor(G: np.ndarray, rho: float) -> tuple[np.ndarray, bool]:
@@ -68,13 +70,24 @@ def kernel_factor(G: np.ndarray, rho: float) -> tuple[np.ndarray, bool]:
 def ridge_coefficients(G: np.ndarray, y: np.ndarray, rho: float) -> np.ndarray:
     """argmin_b ||y - G b||^2 + rho ||b||^2 = (rho I + G^T G)^{-1} G^T y
     = G^T (rho I_n + G G^T)^{-1} y, on the side `kernel_factor` picks; empty for no columns.
-    A solve that overflows, which LAPACK does to inf without a warning (on the n side
-    about ||y||/rho although b may be representable), raises ValueError."""
+    On the n side the solve is about ||y||/rho and may overflow, which LAPACK does to inf
+    without a warning, although b is representable: it is then redone for y 2^-j, which
+    scales it exactly in binary, with ||y 2^-j||/rho about 2^256, and b is scaled back by
+    2^j. A b that is not representable raises ValueError."""
     L, woodbury = kernel_factor(G, rho)
-    solved = dpotrs(L, G.T @ y if woodbury else y, lower=1)[0]
-    if not np.isfinite(solved).all():
-        raise ValueError("the ridge fit is not representable: its kernel solve overflows")
-    return solved if woodbury else G.T @ solved
+    if woodbury:
+        coef = _lapack.potrs(L, G.T @ y)
+    else:
+        solved = _lapack.potrs(L, y)
+        if np.isfinite(solved).all():
+            coef = G.T @ solved
+        else:
+            j = math.frexp(float(np.abs(y).max()))[1] - math.frexp(rho)[1] - 256
+            with np.errstate(over="ignore"):  # an overflow is the ValueError below
+                coef = np.ldexp(G.T @ _lapack.potrs(L, np.ldexp(y, -j)), j)
+    if not np.isfinite(coef).all():
+        raise ValueError("the ridge fit is not representable: its coefficients overflow")
+    return coef
 
 
 def ridge_restricted_solve(inst: ProblemInstance, support: Sequence[int]) -> RestrictedRidgeSolution:
@@ -107,8 +120,8 @@ def max_eig_sym(A: np.ndarray) -> tuple[float, np.ndarray]:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
         raise ValueError("matrix must be square and nonempty")
-    if not np.array_equal(A, A.T):  # a NaN, unequal to itself, fails here too
+    if not np.isfinite(A).all():
+        raise ValueError("matrix has a non-finite entry")
+    if not np.array_equal(A, A.T):
         raise ValueError("matrix is not symmetric")
-    top = A.shape[0] - 1
-    w, V = scipy.linalg.eigh(A, subset_by_index=[top, top])
-    return float(w[0]), V[:, 0]
+    return _lapack.syevr_top(np.array(A, order="F"))

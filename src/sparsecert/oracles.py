@@ -28,6 +28,7 @@ from .problem import ProblemInstance, DEFAULT_REL_TOL
 MAX_COMBINATIONS = 10**6  # supports brute_force_l0 may enumerate
 BRUTE_FORCE_CHUNK = 4096  # supports per batched factorization in brute_force_l0
 PWG_TOL = 1e-10  # pwg_value stops once no coordinate moves by more than this
+PWG_ROUNDOFF = 8.0 * np.finfo(float).eps  # ... or a step predicts a decrease of at most this times |g|
 PWG_MAX_ITER = 5000
 
 
@@ -242,9 +243,11 @@ def pwg_value(inst: ProblemInstance) -> PwgValueResult:
     the k largest coordinates of z is evaluated and kept if it is lower;
     near-exact instances optimize at a vertex and the snap removes the last
     sliver of first-order error. Stops at PWG_MAX_ITER or as soon as a
-    projected trial step would move no coordinate by more than PWG_TOL:
-    that step is not evaluated (at that size the Armijo test only sees
-    roundoff), and z is the last accepted iterate. A kernel whose scale
+    projected trial step would move no coordinate by more than PWG_TOL, or
+    would predict a decrease -grad^T delta of at most PWG_ROUNDOFF * |g|, a
+    few ulps of the objective: that step is not evaluated (the Armijo test
+    would only see roundoff, and halving shrinks the prediction further),
+    and z is the last accepted iterate. A kernel whose scale
     is not representable (`_check_kernel_scale`), a ridge fit that
     `linalg.ridge_coefficients` cannot factor or solve, or a gradient that
     overflows (`_gradient`) raises ValueError.
@@ -263,9 +266,9 @@ def pwg_value(inst: ProblemInstance) -> PwgValueResult:
         for _ in range(60):
             z_new = project_capped_simplex(z - trial_step * grad, k)
             delta = z_new - z
-            if float(np.abs(delta).max()) <= PWG_TOL:
-                break  # converged: the Armijo test would only see roundoff
             decrease = float(grad @ delta)
+            if float(np.abs(delta).max()) <= PWG_TOL or -decrease <= PWG_ROUNDOFF * abs(val):
+                break  # converged: the Armijo test would only see roundoff
             val_new, scores_new = _relaxed_objective_and_scores(inst, z_new)
             if val_new <= val + 1e-4 * decrease:
                 moved = True

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -301,6 +303,32 @@ def sweep_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
+
+
+# blocks every import of scipy, then runs each user path in this one process
+NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+import sparsecert
+from sparsecert.cli import main
+instance, config, out = sys.argv[1:]
+assert main(["check", instance]) == 0
+assert main(["oracle", instance]) == 0
+assert main(["sweep", config, out, "--workers", "2"]) == 0
+assert main(["plot", out + ".agg.csv", out + ".svg"]) == 0
+"""
+
+
+def test_no_user_path_imports_scipy(identity_instance, tmp_path):
+    config = tmp_path / "one-cell.json"
+    config.write_text(json.dumps({"p_list": [16], "trials": 3, "alpha_grid": [2.0], "rho_multipliers": [2.0]}))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY, str(identity_instance), str(config), str(tmp_path / "sweep.csv")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "sweep.csv.svg").exists()
 
 
 def test_sweep_and_plot_end_to_end(tmp_path, capsys):

@@ -29,6 +29,7 @@ from sparsecert import (
     verify_dcl_certificate,
 )
 from sparsecert.ensemble import EnsembleConfig, generate_instance
+from sparsecert.linalg import ridge_restricted_solve
 from sparsecert.problem import DEFAULT_REL_TOL
 from sparsecert.oracles import (
     BRUTE_FORCE_CHUNK,
@@ -463,9 +464,11 @@ def test_restricted_fit_value_forms_rho_b_squared_without_overflow():
     assert abs(fit.coef).max() > 1e170
     assert fit.value == pytest.approx(float(exact / 2), rel=1e-15, abs=0.0)
     check_dcl(inst, (0, 1))  # decides with no overflow on the way
-    # (rho I_4 + G G^T)^{-1} y is about 1e470 on the relaxation's n side
-    with pytest.raises(ValueError, match="kernel solve overflows"):
-        pwg_value(inst)
+    # (rho I_4 + G G^T)^{-1} y is about 1e470 on the relaxation's n side,
+    # so the ridge fit solves for y 2^-j and scales b back
+    res = pwg_value(inst)
+    assert res.value == pytest.approx(exact_relaxed_objective(inst, res.z), rel=1e-12, abs=0.0)
+    assert res.value <= brute_force_l0(inst).value
 
 
 def test_pwg_value_refuses_a_gradient_that_overflows():
@@ -480,13 +483,36 @@ def test_pwg_value_refuses_a_gradient_that_overflows():
         project_capped_simplex(np.array([np.nan, 1.0, 0.5]), 1)
 
 
-def test_ridge_fit_whose_kernel_solve_overflows_is_a_value_error():
-    # n = 1: (rho + ||G||^2)^{-1} y is about 1e350, though b is about 5e249
-    inst = scaled_gaussian_instance(1, 4, 2, 1e-100, 1e150, 1e-200)
-    with pytest.raises(ValueError, match="kernel solve overflows"):
-        SupportContext(inst, (0, 1))
-    with pytest.raises(ValueError, match="kernel solve overflows"):
-        pwg_value(inst)
+def exact_one_row_coef(inst, support):
+    """b*_S = x_S y / (rho + ||x_S||^2) of a one-row instance in exact
+    rational arithmetic on the float data, rounded once."""
+    x = [Fraction(float(inst.X[0, j])) for j in support]
+    scale = Fraction(float(inst.y[0])) / (Fraction(inst.rho) + sum(v * v for v in x))
+    return [float(v * scale) for v in x]
+
+
+def test_ridge_fit_whose_kernel_solve_overflows_scales_back():
+    # the n-side solve overflows, so it is redone for y 2^-j and b is scaled
+    # back by 2^j, exact in binary
+    wide = scaled_gaussian_instance(1, 4, 2, 1e-100, 1e150, 1e-200)
+    # ||x_S||^2 = 1e-400 rounds away beside rho: the solve is about 1e310, b about 1e110
+    narrow = ProblemInstance(X=np.array([[1e-200, 0.5]]), y=np.array([1.0]), rho=1e-310, k=1)
+    # (rho + ||x_S||^2)^{-1} y is about 1e350 on wide, though b is about 5e249
+    for inst, support in ((wide, (0, 1)), (narrow, (0,))):
+        fit = ridge_restricted_solve(inst, support)
+        assert fit.coef.tolist() == pytest.approx(exact_one_row_coef(inst, support), rel=1e-14, abs=0.0)
+        assert SupportContext(inst, support).fit.coef.tolist() == fit.coef.tolist()
+    # on narrow the relaxation's kernel scale is refused before any fit
+    res = pwg_value(wide)
+    assert res.value == pytest.approx(exact_relaxed_objective(wide, res.z), rel=1e-12, abs=0.0)
+    assert res.value <= brute_force_l0(wide).value
+
+
+def test_ridge_fit_whose_coefficients_overflow_is_a_value_error():
+    # x^2 = 1e-324 underflows beside rho = 2^-1074, and b = x y/rho is about 2e311
+    inst = ProblemInstance(X=np.array([[1e-162, 0.5]]), y=np.array([1e150]), rho=5e-324, k=1)
+    with pytest.raises(ValueError, match="coefficients overflow"):
+        ridge_restricted_solve(inst, (0,))
 
 
 def test_pwg_value_with_an_overflowing_norm_of_b_is_the_optimum():
