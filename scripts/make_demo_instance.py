@@ -35,9 +35,10 @@ def main() -> int:
     inst, _, support = generate_instance(cfg, 16, 6.0, 2.0, 0)
     save_instance(args.out / "gaussian16.json", inst, support=support)
 
-    # rho = 1e-30 puts the scores of (0, 1) at roundoff level: check_dcl
-    # finds a threshold there, but the verifier rejects it (check exits 2);
-    # the brute-force argmin is (3, 4)
+    # rho = 1e-30 makes the on-support scores rho b*_S of (0, 1) about 1e-31,
+    # and the dual bracket is empty: check prints
+    # `dcl: not-certified (interval-empty)` and exits 2; the brute-force
+    # argmin is (3, 4)
     rng = np.random.default_rng(0)
     tiny = ProblemInstance(X=rng.standard_normal((12, 8)), y=rng.standard_normal(12), rho=1e-30, k=2)
     save_instance(args.out / "tiny_rho.json", tiny, support=(0, 1))

@@ -13,39 +13,36 @@ the cardinality-constrained ridge problem at S:
       d_i(lam) = lam / c_i^2 (i in S),  d_i(lam) = c_i^2 / lam (i not in S),
 
   negative semidefinite. Its top eigenvalue, the margin, is a convex function
-  of lam. When the scores separate, check_dcl certifies by the witness
-  transfer with no eigenproblem: every canonical dual at
-  lam0 = min_{i in S} c_i^2 is at most 1, so the slack matrix is NSD by
-  construction, and a threshold certificate always yields a dual one.
+  of lam. A certificate is (S, lam), and one rule, `_accepts`, decides it
+  for the search and the verifier alike: the slack matrix at the canonical
+  duals must be NSD, decided on a t x t Schur complement of
+  X^T X/rho + I - D(lam) with no p x p matrix (`_schur_query`), and the
+  lifted duality gap must close to COND_TOL, an O(n + p) check. When the
+  scores separate, check_dcl asks at lam0 = min_{i in S} c_i^2, where every
+  canonical dual is at most 1, so the slack matrix is NSD by construction
+  and the query factors nothing: a threshold certificate yields a dual one.
   Otherwise a safeguarded bisection searches an analytic bracket in log
-  space. Each query decides on a t x t Schur complement of
-  X^T X/rho + I - D(lam), with no p x p matrix (`_schur_query`); when it
-  does not certify, it returns a vector v with g_v(lam) = v^T S(lam) v =
-  a*lam + b/lam - c > 0. g_v bounds the margin below for any v, so every
-  certifying threshold lies between its roots, and this Rayleigh cut
-  shrinks the bracket to them or proves it empty. A certificate is (S, lam);
-  verify_dcl_certificate re-derives its canonical duals from scratch,
-  decides their slack matrix by the same Schur query, and returns the
-  relative duality gap.
+  space. A query that does not certify returns a vector v with
+  g_v(lam) = v^T S(lam) v = a*lam + b/lam - c > 0. g_v bounds the margin
+  below for any v, so every certifying threshold lies between its roots,
+  and this Rayleigh cut shrinks the bracket to them or proves it empty.
 
 `SupportContext` owns every support-level decision for one (instance,
 support) pair: it validates the support and holds the restricted fit b*_S,
-the scores X^T r of its residual, masks, threshold witness, duals, Rayleigh
-coefficients and bracket. Both tests take either a support, for which they
-build one, or a context built for the same instance, whose scores and
-witness they reuse: a sweep trial and `sparsecert check` build one context
-and run both tests on it, so the threshold test runs once. The verifier
-builds its own from the certificate's support and never asks it for the
-witness, so re-verification shares no state with the search.
+the scores (rho b*_S on the support, X^T r of its residual off it), masks,
+threshold witness, duals, Rayleigh coefficients and bracket. Both tests
+take either a support, for which they build one, or a context built for the
+same instance, whose scores and witness they reuse: a sweep trial and
+`sparsecert check` build one context and run both tests on it, so the
+threshold test runs once. `verify_dcl_certificate` builds its own from the
+certificate's support, so re-verification shares no state with the search.
 
 A dual-certificate search that fails says why: `interval-empty` means no
 threshold can certify, proved either by the analytic bracket or by a
 Rayleigh cut; `bisection-exhausted` means the bracket shrank below the
-tolerance without a proof either way.
-
-`verify_dcl_certificate` is the one verifier: besides the slack matrix it
-checks the lifted program's duality gap at its context's fit b*_S in
-O(n + p). verify_kkt, the full KKT system, is the dense reference.
+tolerance without a proof either way; `numerically-unresolved` means the
+slack matrix is NSD but the gap does not close. verify_kkt, the full KKT
+system, is the dense reference.
 """
 
 from __future__ import annotations
@@ -72,11 +69,12 @@ REASON_SEPARATION = "separation-failed"
 REASON_ZERO_SCORE = "zero-score-in-support"
 REASON_EXHAUSTED = "bisection-exhausted"
 REASON_EMPTY_INTERVAL = "interval-empty"
+REASON_UNRESOLVED = "numerically-unresolved"
 
 BISECTION_TOL = 1e-10  # relative bracket width at which the search gives up
 BISECTION_MAX_ITER = 200  # guard only: halving reaches BISECTION_TOL first
 
-COND_TOL = 1e-8  # slack allowed when re-verifying certificate conditions
+COND_TOL = 1e-8  # largest relative duality gap a certificate may leave
 SCHUR_SPLIT = 0.5  # columns with 1 - d_i <= SCHUR_SPLIT form the Schur block
 
 
@@ -146,10 +144,10 @@ def _checked_support(inst: ProblemInstance, support: Sequence[int]) -> tuple[int
 
 class SupportContext:
     """What the certificate tests read for one (instance, support) pair: the
-    restricted fit `fit`, the scores X^T r of its residual and their absolute
-    values `abs_scores`, the support masks, threshold witness, canonical
-    duals at a threshold, Rayleigh bound along a vector and analytic bracket.
-    No member forms a p x p array.
+    restricted fit `fit`, the scores X^T r of its residual (rho b*_S on the
+    support) and their absolute values `abs_scores`, the support masks,
+    threshold witness, canonical duals at a threshold, Rayleigh bound along
+    a vector and analytic bracket. No member forms a p x p array.
 
     The support is validated on construction (exactly k distinct columns in
     [0, p)), and scores whose squares would overflow are a ValueError there.
@@ -164,15 +162,17 @@ class SupportContext:
         self.inst = inst
         self.support = _checked_support(inst, support)
         self.fit = ridge_restricted_solve(inst, self.support)
+        self.in_mask = np.zeros(inst.p, dtype=bool)
+        self.in_mask[list(self.support)] = True
+        self.out_mask = ~self.in_mask
         self.scores = correlation_scores(inst, self.fit)
+        # X_S^T r = rho b*_S: by identity, not by cancellation in X_S^T r
+        self.scores[self.in_mask] = inst.rho * self.fit.coef
         self.abs_scores = np.abs(self.scores)
         # tested before squaring, which would overflow to inf with a warning
         if not float(self.abs_scores.max()) < math.sqrt(np.finfo(float).max):
             raise ValueError("the correlation scores are too large to square")
         sq = self.scores**2
-        self.in_mask = np.zeros(inst.p, dtype=bool)
-        self.in_mask[list(self.support)] = True
-        self.out_mask = ~self.in_mask
         self.sq_in = sq[self.in_mask]
         self.sq_out = sq[self.out_mask]
         self.zero_score_in_support = bool((self.sq_in == 0.0).any())
@@ -277,16 +277,16 @@ def _schur_query(ctx: SupportContext, duals: np.ndarray) -> Optional[np.ndarray]
     Sch = W_T + X_T^T (rho I_n + X_c W_c^{-1} X_c^T)^{-1} X_T, is. With
     G = X_c W_c^{-1/2} the inner inverse comes from `kernel_factor(G, rho)`,
     directly on its n x n side or by Woodbury on its |c| x |c| side. All
-    w_i > 0 (W > 0, so M > 0: a witness transfer's re-verification), a
-    Cholesky factor of Sch, or a nonpositive top eigenvalue of -Sch
+    w_i >= 0 (W and so M PSD: a witness transfer, whose duals are at most 1),
+    a Cholesky factor of Sch, or a nonpositive top eigenvalue of -Sch
     (`max_eig_sym`) certifies; else its eigenvector u lifts to
     v = (u, -M_cc^{-1} M_cT u), with v^T S v = -u^T Sch u > 0. A failed
     inner factorization or a non-finite entry raises ValueError.
     """
     X, rho = ctx.inst.X, ctx.inst.rho
-    w = 1.0 - duals
-    if (w > 0.0).all():
+    if duals.max() <= 1.0:  # every w_i >= 0
         return None
+    w = 1.0 - duals
     in_block = w <= SCHUR_SPLIT
     block, rest = np.flatnonzero(in_block), np.flatnonzero(~in_block)
     XT = X.take(block, axis=1)
@@ -309,12 +309,33 @@ def _schur_query(ctx: SupportContext, duals: np.ndarray) -> Optional[np.ndarray]
     return v
 
 
-def _witness_transfer(ctx: SupportContext) -> DclCertificate:
-    """The dual certificate that separated scores yield with no eigenproblem:
-    at lam0 = min_{i in S} c_i^2 the canonical duals are lam0/c_i^2 <= 1 on
-    the support and c_i^2/lam0 < 1 off it, so diag(d) - I is NSD, and so is
-    the slack matrix, which subtracts the PSD X^T X/rho from it."""
-    return DclCertificate(ctx.support, float(ctx.sq_in.min()))
+def _accepts(ctx: SupportContext, lam: float) -> tuple[bool, np.ndarray | float]:
+    """The one rule, for search and verifier alike: (ctx.support, lam)
+    certifies when the slack matrix S at the canonical duals d = ctx.duals(lam)
+    is NSD (`_schur_query`) and the lifted duality gap closes. With the fit
+    b, value P and residual r = y - X b, and the raw duals d_raw = rho*d,
+    lam_raw = lam/rho (`kkt_variables`), the dual value is D = y^T y/2 -
+    (||y - r||^2 + rho ||b||^2 - sum_i d_raw_i b_i^2)/2 - lam_raw*k/2, and
+    |(P - D)/P| (|P - D| when P = 0) must be at most COND_TOL. Returns
+    (True, gap), (False, v) with v^T S v > 0, or (False, gap) for a gap that
+    does not close; duals that do not exist raise CertificateConsistencyError."""
+    try:
+        d = ctx.duals(lam)
+    except ValueError as exc:
+        raise CertificateConsistencyError(str(exc)) from None
+    v = _schur_query(ctx, d)
+    if v is not None:
+        return False, v
+    inst, fit = ctx.inst, ctx.fit
+    # b lives on S, in the order of d[in_mask], and enters as sqrt(rho) b, since
+    # ||b||^2 can overflow where rho ||b||^2 <= ||y||^2 cannot; a non-finite gap fails
+    root, Xb = math.sqrt(inst.rho) * fit.coef, inst.y - fit.resid
+    dual_sum = float(np.einsum("i,i,i->", d[ctx.in_mask], root, root))
+    tau = float(Xb @ Xb) + (float(root @ root) - dual_sum)
+    dual = 0.5 * float(inst.y @ inst.y) - 0.5 * tau - 0.5 * (float(lam) / inst.rho) * inst.k
+    # relative to P, so that scaling y changes no verdict
+    gap = (fit.value - dual) / fit.value if fit.value > 0.0 else fit.value - dual
+    return abs(gap) <= COND_TOL, gap
 
 
 def _context(inst: ProblemInstance, support: Sequence[int] | SupportContext) -> SupportContext:
@@ -338,34 +359,33 @@ def check_pwg(inst: ProblemInstance, support: Sequence[int] | SupportContext) ->
 
 
 def check_dcl(inst: ProblemInstance, support: Sequence[int] | SupportContext) -> CertOutcome:
-    """Dual-certificate search.
+    """Dual-certificate search; each threshold is decided by `_accepts`.
 
     A zero squared score in the support, all-zero scores included, is
     `zero-score-in-support`. When the scores separate, the witness transfer
-    certifies at lam0 = min_{i in S} c_i^2 with no eigenproblem. Otherwise
-    a safeguarded bisection searches the analytic bracket [ell, up]. It
-    queries the geometric midpoint
-    lam_hat = sqrt(ell*up), since the duals scale as lam and 1/lam (the
-    arithmetic one while ell = 0). Each query is decided by `_schur_query`
-    on a t x t Schur complement, the t columns whose dual is at least 1/2
-    (SCHUR_SPLIT), with no p x p matrix. It certifies lam_hat, or returns a
-    vector v, lifted from the complement's bottom eigenvector, with
-    g_v(lam_hat) > 0. The Rayleigh bound g_v (`SupportContext.rayleigh`,
-    recomputed from scratch, so the cut is sound for any v) shrinks the
-    bracket to the root interval {g_v <= 0} (`root_interval`), which holds
-    every certifying threshold, and to the side of lam_hat where the slope
-    a - b/lam_hat^2 points down. The search stops as NotCertified with
-    `interval-empty` when that leaves nothing, as it does when the analytic
-    bracket itself is empty. It stops with `bisection-exhausted` when the
-    bracket width drops below BISECTION_TOL*up or, as a guard,
-    after BISECTION_MAX_ITER evaluations. `support` may be a SupportContext
-    built for `inst`, whose scores and witness are reused.
+    asks at lam0 = min_{i in S} c_i^2, where the slack matrix is NSD by
+    construction. Otherwise a safeguarded bisection asks at the geometric
+    midpoint lam_hat = sqrt(ell*up) of the analytic bracket [ell, up], since
+    the duals scale as lam and 1/lam (the arithmetic one while ell = 0). A
+    slack matrix that is not NSD gives a vector v with g_v(lam_hat) > 0,
+    whose Rayleigh bound (`SupportContext.rayleigh`, recomputed from
+    scratch, so the cut is sound for any v) shrinks the bracket to the root
+    interval {g_v <= 0} (`root_interval`), which holds every certifying
+    threshold, and to the side of lam_hat where the slope a - b/lam_hat^2
+    points down. The search stops with `interval-empty` when that leaves
+    nothing, as when the analytic bracket itself is empty; with
+    `bisection-exhausted` when the bracket is narrower than BISECTION_TOL*up
+    or, as a guard, after BISECTION_MAX_ITER evaluations; and with
+    `numerically-unresolved` on an NSD slack matrix whose gap does not
+    close. `support` may be a SupportContext built for `inst`.
     """
     ctx = _context(inst, support)
     if ctx.zero_score_in_support:
         return CertOutcome(reason=REASON_ZERO_SCORE)
     if ctx.threshold_witness is not None:
-        return CertOutcome(_witness_transfer(ctx))
+        lam = float(ctx.sq_in.min())
+        accepted, _ = _accepts(ctx, lam)
+        return CertOutcome(DclCertificate(ctx.support, lam)) if accepted else CertOutcome(reason=REASON_UNRESOLVED)
 
     ell, up = ctx.bracket()
     # a bracket narrower than the stopping width has no searchable interior
@@ -375,10 +395,12 @@ def check_dcl(inst: ProblemInstance, support: Sequence[int] | SupportContext) ->
     for _ in range(BISECTION_MAX_ITER):
         # the duals scale as lam and 1/lam, so query the geometric midpoint
         lam_hat = math.sqrt(ell) * math.sqrt(up) if ell > 0.0 else 0.5 * (ell + up)
-        v = _schur_query(ctx, ctx.duals(lam_hat))
-        if v is None:
+        accepted, why = _accepts(ctx, lam_hat)
+        if accepted:
             return CertOutcome(DclCertificate(ctx.support, lam_hat))
-        a, b, c = ctx.rayleigh(v)
+        if not isinstance(why, np.ndarray):
+            return CertOutcome(reason=REASON_UNRESOLVED)
+        a, b, c = ctx.rayleigh(why)
         lo, hi = root_interval(a, b, c)
         # g_v is positive at lam_hat, and certifying thresholds lie on the
         # side where its slope a - b/lam_hat^2 points down; cutting there too
@@ -396,54 +418,32 @@ def check_dcl(inst: ProblemInstance, support: Sequence[int] | SupportContext) ->
 
 
 def verify_dcl_certificate(inst: ProblemInstance, cert: DclCertificate) -> float:
-    """Re-check a dual certificate from scratch (independent of how it was
-    found): the canonical duals d at (support, lam), which meet the side
-    conditions by construction, must close the duality gap and make the
-    slack matrix NSD. With its context's fit b, value P and residual
-    r = y - X b, and the raw duals d_raw = rho*d, lam_raw = lam/rho
-    (`kkt_variables`), the lifted dual value is D = y^T y/2 - (||y - r||^2
-    + rho ||b||^2 - sum_i d_raw_i b_i^2)/2 - lam_raw*k/2, and the gap
-    (P - D)/P (P - D when P = 0) must be at most COND_TOL in absolute value.
-    S(d) has top eigenvalue at most COND_TOL exactly when S(d - COND_TOL) is
-    NSD, which `_schur_query` decides with no p x p matrix. Returns the gap;
-    raises CertificateConsistencyError, also when d does not exist (`duals`)."""
-    ctx = SupportContext(inst, cert.support)
-    try:
-        d = ctx.duals(cert.lam)
-    except ValueError as exc:
-        raise CertificateConsistencyError(str(exc)) from None
-    # b lives on S, in the sorted order of d[in_mask]; rho ||b||^2 <= ||y||^2,
-    # but ||b||^2 alone can overflow, so b enters as sqrt(rho) b; a
-    # non-finite gap fails
-    fit = ctx.fit
-    root, Xb = math.sqrt(inst.rho) * fit.coef, inst.y - fit.resid
-    dual_sum = float(np.einsum("i,i,i->", d[ctx.in_mask], root, root))
-    tau = float(Xb @ Xb) + (float(root @ root) - dual_sum)
-    dual = 0.5 * float(inst.y @ inst.y) - 0.5 * tau - 0.5 * (float(cert.lam) / inst.rho) * inst.k
-    # relative to P, so that scaling y changes no verdict
-    gap = (fit.value - dual) / fit.value if fit.value > 0.0 else fit.value - dual
-    if not abs(gap) <= COND_TOL:
-        raise CertificateConsistencyError(f"duality gap {gap:g} at the restricted fit")
-    if _schur_query(ctx, d - COND_TOL) is not None:
-        raise CertificateConsistencyError(f"slack matrix not NSD: top eigenvalue above {COND_TOL:g}")
-    return gap
+    """Re-check a dual certificate from scratch, independent of how it was
+    found: on a new context for its support, by the search's own rule
+    (`_accepts`). Returns the relative duality gap; raises
+    CertificateConsistencyError, also when the canonical duals do not exist
+    (`duals`)."""
+    accepted, why = _accepts(SupportContext(inst, cert.support), cert.lam)
+    if isinstance(why, np.ndarray):
+        raise CertificateConsistencyError("slack matrix not NSD: its top eigenvalue is positive")
+    if not accepted:
+        raise CertificateConsistencyError(f"duality gap {why:g} at the restricted fit")
+    return why
 
 
 def pwg_witness_to_dcl(
     inst: ProblemInstance, support: Sequence[int], pwg: PwgCertificate
 ) -> DclCertificate:
-    """Transfer a threshold certificate into a dual certificate by the
-    witness transfer of `check_dcl`: lam = min_{j in S} c_j^2 with the
-    canonical duals, all of which land in [0, 1]. Raises ValueError when the
-    certificate's support does not match or its scores do not separate on
-    this instance. The result is re-verified before being returned.
-    """
+    """The witness transfer of `check_dcl`: lam = min_{j in S} c_j^2, where
+    every canonical dual lands in [0, 1], re-verified before it is returned.
+    Raises ValueError when the certificate's support does not match or its
+    scores do not separate on this instance."""
     ctx = SupportContext(inst, support)
     if ctx.support != tuple(pwg.support):
         raise ValueError("certificate support does not match")
     if ctx.threshold_witness is None:
         raise ValueError("the correlation scores do not separate at this support")
-    cert = _witness_transfer(ctx)
+    cert = DclCertificate(ctx.support, float(ctx.sq_in.min()))
     verify_dcl_certificate(inst, cert)
     return cert
 

@@ -186,12 +186,14 @@ def test_bracket_contains_negative_margin_points():
 
 def test_dcl_exact_first_midpoint():
     # the scores (0.5, 0) separate, so the witness transfer certifies at
-    # lam0 = 0.25, which is also the bracket's first midpoint
+    # lam0 = 0.25, which is also the bracket's first midpoint; in floats the
+    # on-support score rho b*_S is 0.4999999999999999 (b*_S comes through
+    # sqrt(2)), so lam0 is 0.2499999999999999 and the relative gap -2^-51
     out = check_dcl(ident([1.0, 0.0]), [0])
     assert out.exact
     cert = out.certificate
-    assert cert.support == (0,) and cert.lam == pytest.approx(0.25)
-    assert verify_dcl_certificate(ident([1.0, 0.0]), cert) == 0.0
+    assert cert.support == (0,) and cert.lam == 0.2499999999999999
+    assert verify_dcl_certificate(ident([1.0, 0.0]), cert) == -(2.0**-51)
     assert dense_margin(SupportContext(ident([1.0, 0.0]), [0]), cert.lam)[0] == pytest.approx(-1.0)
 
 
@@ -299,18 +301,22 @@ def test_dcl_extreme_scales_give_outcome_or_value_error(seed, log_rho, log_scale
 
 
 def test_dcl_overflowed_bracket_is_value_error():
-    # c_i^2 * (||X_i||^2/rho + 1) overflows to up = inf here, and the width
-    # test inf - ell <= BISECTION_TOL * inf used to return interval-empty
-    # with no proof
-    rng = np.random.default_rng(0)
-    X = 1e100 * rng.standard_normal((8, 6))
-    inst = ProblemInstance(X=X, y=rng.standard_normal(8), rho=1.0, k=2)
+    # c_i^2 * (||X_i||^2/rho + 1) = rho y_i^2 = 1e310 overflows to up = inf
+    # on both support columns here, and the width test
+    # inf - ell <= BISECTION_TOL * inf used to return interval-empty with no
+    # proof; the off-support score 1e151 tops the on-support ones (about
+    # 1e150), so no witness transfer ends the search first
+    inst = ProblemInstance(X=np.diag([1e10, 1e10, 1.0]), y=[1e150, 1e150, 1e151], rho=1e10, k=2)
+    assert SupportContext(inst, (0, 1)).threshold_witness is None
     with pytest.raises(ValueError, match="not representable"):
         check_dcl(inst, (0, 1))
     with pytest.raises(ValueError, match="not representable"):
         SupportContext(inst, (0, 1)).bracket()
-    # the weights ||X_i||^2/rho themselves overflow
-    tiny = ProblemInstance(X=X * 1e-100, y=inst.y, rho=1e-310, k=2)
+    # the weights ||X_i||^2/rho, about 1e311, themselves overflow; the
+    # on-support scores rho b*_S (about 1e-159) still square to nonzero
+    rng = np.random.default_rng(0)
+    tiny = ProblemInstance(X=1e76 * rng.standard_normal((8, 6)), y=1e76 * rng.standard_normal(8), rho=1e-158, k=2)
+    assert not SupportContext(tiny, (0, 1)).zero_score_in_support
     with pytest.raises(ValueError, match="not representable"):
         SupportContext(tiny, (0, 1)).bracket()
 
@@ -366,8 +372,8 @@ def test_memory_layout_moves_no_certificate():
 
 def test_bracket_minimum_ignores_a_product_that_overflows():
     # c_0^2 * (||X_0||^2/rho + 1) is about 1e310, but up is the minimum and
-    # column 1's product is 1
-    inst = ProblemInstance(X=np.diag([1e147, 1.0]), y=[1e10, 1.0], rho=1e290, k=2)
+    # column 1's product is 1: with rho = 2^964 its score rho b_1 is exactly 1
+    inst = ProblemInstance(X=np.diag([1e147, 1.0]), y=[1e10, 1.0], rho=2.0**964, k=2)
     assert SupportContext(inst, (0, 1)).bracket() == (0.0, 1.0)
 
 
@@ -440,12 +446,20 @@ def test_verify_rejects_a_zero_score_on_the_support():
         verify_dcl_certificate(ident([1.0, 0.0]), DclCertificate((1,), 0.25))
 
 
-@pytest.mark.parametrize("lam, accepted", [(0.5 + 1e-9, True), (0.5 + 1e-8, False), (1.0, False)])
+_HAND_EDGE = 2.0 * 0.4999999999999999**2  # lam/c_0^2 = 2 exactly: margin 0
+
+
+@pytest.mark.parametrize(
+    "lam, accepted",
+    [(0.5 - 1e-9, True), (_HAND_EDGE, True), (0.5, False), (0.5 + 1e-9, False), (0.5 + 1e-8, False), (1.0, False)],
+)
 def test_verify_rejects_a_slack_matrix_that_is_not_nsd(lam, accepted):
-    # the scores at S = {0} are (0.5, 0), so the canonical duals (4 lam, 0)
-    # close the duality gap at every lam, and only the slack matrix
-    # diag(4 lam - 2, -2) can fail: its top eigenvalue 4 lam - 2 is 4e-9,
-    # 4e-8 and 2 against COND_TOL = 1e-8
+    # the scores at S = {0} are (c_0, 0), so the canonical duals
+    # (lam/c_0^2, 0) close the duality gap at every lam, and only the slack
+    # matrix diag(lam/c_0^2 - 2, -2) can fail; it is NSD with no slack. In
+    # exact arithmetic c_0 = 1/2 and the edge is lam = 1/2, but the float
+    # c_0 is 0.4999999999999999, so the edge is _HAND_EDGE, where the top
+    # eigenvalue is exactly 0, and lam = 0.5 is 2^-50 above it
     cert = DclCertificate(support=(0,), lam=lam)
     if accepted:
         assert abs(verify_dcl_certificate(ident([1.0, 0.0]), cert)) <= 1e-15
@@ -466,26 +480,26 @@ def test_exact_referee_on_the_hand_example(lam, violations):
 
 
 _REFEREE_CFG = EnsembleConfig(p_list=[16], trials=200, alpha_grid=[4.0], rho_multipliers=[2.0, 1e-4, 1e-6, 1e-8])
-# at multiplier 1e-8 the verifier accepts 5 of these 200 trials (62, 72, 114,
-# 151, 161), and on each the exact support equality misses by more than
-# 10 COND_TOL lam: the float on-support scores X_S^T r lose their digits
-# to cancellation there
+# at multiplier 1e-8, trial 62's certificate misses the exact off-support
+# inequality c_j^2 <= lam d_j by more than 10 COND_TOL lam: with lam about
+# 2e-7 and c_j^2 about 17 to 100, that slack is a few ulps of c_j^2, which
+# the float duals do not meet
 
 
 @pytest.mark.parametrize(
     "mult, trial",
     [(m, t) for m in (2.0, 1e-4, 1e-6) for t in range(4)]
+    + [(1e-8, 72)]
     + [
         pytest.param(
             1e-8,
-            t,
+            62,
             marks=pytest.mark.xfail(
                 strict=True,
                 raises=AssertionError,
-                reason=f"p=16, alpha 4, multiplier 1e-8, trial {t}: the exact support equality misses",
+                reason="p=16, alpha 4, multiplier 1e-8, trial 62: the exact off-support inequality misses",
             ),
         )
-        for t in (62, 72)
     ],
 )
 def test_exact_referee_accepts_what_the_verifier_accepts(mult, trial):
@@ -496,13 +510,13 @@ def test_exact_referee_accepts_what_the_verifier_accepts(mult, trial):
 
 
 def _dense_edge(ctx, inside, outside):
-    """The threshold, between one whose dense margin is at most COND_TOL and
-    one whose margin is above it, where the margin crosses COND_TOL, by
-    geometric bisection; the certifying thresholds form an interval because
-    the margin is convex."""
+    """The threshold, between one whose dense margin is at most 0 and one
+    whose margin is positive, where the margin crosses 0, by geometric
+    bisection; the certifying thresholds form an interval because the
+    margin is convex."""
     for _ in range(80):
         mid = math.sqrt(inside * outside)
-        if dense_margin(ctx, mid)[0] <= certificates.COND_TOL:
+        if dense_margin(ctx, mid)[0] <= 0.0:
             inside = mid
         else:
             outside = mid
@@ -511,7 +525,7 @@ def _dense_edge(ctx, inside, outside):
 
 def test_verifier_nsd_verdict_matches_the_dense_reference():
     # canonical duals close the gap at every threshold, so the verdict is
-    # the NSD test alone; it must equal the dense top eigenvalue <= COND_TOL
+    # the NSD test alone; it must equal the dense top eigenvalue <= 0
     # on a sweep through and past each certifying interval, which lies inside
     # the analytic bracket, and at relative distances 1e-3 to 1e-9 on both
     # sides of its ends
@@ -526,7 +540,7 @@ def test_verifier_nsd_verdict_matches_the_dense_reference():
         ctx = SupportContext(inst, sup)
         ell, up = ctx.bracket()
         lams = np.geomspace(ell / 2.0 if ell > 0.0 else 1e-6 * up, 2.0 * up, 40)
-        ends = [lam for lam in lams[[0, -1]] if dense_margin(ctx, lam)[0] > certificates.COND_TOL]
+        ends = [lam for lam in lams[[0, -1]] if dense_margin(ctx, lam)[0] > 0.0]
         for end in ends:
             lams = np.append(lams, _dense_edge(ctx, out.certificate.lam, end) * (1.0 + near))
         for lam, top in zip(lams, dense_margins(ctx, lams)):
@@ -537,7 +551,7 @@ def test_verifier_nsd_verdict_matches_the_dense_reference():
             except CertificateConsistencyError as err:
                 assert "slack matrix not NSD" in str(err)
                 accepted = False
-            verdicts.append((accepted, bool(top <= certificates.COND_TOL)))
+            verdicts.append((accepted, bool(top <= 0.0)))
     assert all(ours == dense for ours, dense in verdicts)
     assert 0 < sum(ours for ours, _ in verdicts) < len(verdicts)
 
@@ -561,44 +575,42 @@ def test_decision_grid_certificates_pass_the_dense_check():
 
 
 def test_verify_rejects_every_tiny_rho_certificate():
-    # at rho = 1e-30 the support scores sit at roundoff level, and check_dcl
-    # certifies most supports although the brute-force argmin (3, 4) is
-    # unique; its thresholds rest on roundoff, the argmin's included, so
-    # each certificate leaves a duality gap
-    rng = np.random.default_rng(0)
-    inst = ProblemInstance(X=rng.standard_normal((12, 8)), y=rng.standard_normal(12), rho=1e-30, k=2)
-    assert brute_force_l0(inst).argmin_supports == [(3, 4)]
-    certified = 0
-    for sup in itertools.combinations(range(inst.p), 2):
-        out = check_dcl(inst, sup)
-        if out.exact:
-            certified += 1
-            with pytest.raises(CertificateConsistencyError, match="duality gap"):
-                verify_dcl_certificate(inst, out.certificate)
-    assert certified > 0
+    # at these rho the support scores rho b*_S are tiny (about 1e-31 at
+    # 1e-30) and the brute-force argmin (3, 4) is unique; check_dcl used to
+    # certify 25 of the 28 supports at 1e-30 on scores X_S^T r that had lost
+    # every digit to cancellation, and the verifier rejected each. With the
+    # scores by identity, no support is certified: at 1e-30 every bracket is
+    # empty, and at 1e-300 every on-support square underflows to 0
+    for rho, reason in ((1e-30, REASON_EMPTY_INTERVAL), (1e-300, REASON_ZERO_SCORE)):
+        rng = np.random.default_rng(0)
+        inst = ProblemInstance(X=rng.standard_normal((12, 8)), y=rng.standard_normal(12), rho=rho, k=2)
+        assert brute_force_l0(inst).argmin_supports == [(3, 4)]
+        reasons = [check_dcl(inst, sup).reason for sup in itertools.combinations(range(inst.p), 2)]
+        assert reasons == [reason] * 28
 
 
 def test_verifier_verdicts_do_not_depend_on_the_scale_of_y():
-    # scaling y by 2^-30 scales P and P - D alike by 2^-60, exactly (2^-120
-    # for 2^-60), so the relative gap, and with it each verdict, is
-    # unchanged; the verifier accepts 1 of these 20 trials. A gap divided
-    # by max(1, |P|) turns absolute once P falls below 1, and accepted all
-    # 20 at 2^-30
-    cfg = EnsembleConfig(p_list=[16], trials=20, alpha_grid=[4.0], rho_multipliers=[1e-8])
-    verdicts = {}
-    for e in (0, -30, -60):
-        for trial in range(cfg.trials):
-            inst, _, sup = generate_instance(cfg, 16, 4.0, 1e-8, trial)
-            inst = ProblemInstance(X=inst.X, y=inst.y * 2.0**e, rho=inst.rho, k=inst.k)
-            out = check_dcl(inst, sup)
-            try:
-                verdicts[e, trial] = verify_dcl_certificate(inst, out.certificate)
-            except CertificateConsistencyError as err:
-                verdicts[e, trial] = str(err)
-    for trial in range(cfg.trials):
-        assert verdicts[0, trial] == verdicts[-30, trial] == verdicts[-60, trial]
-    accepted = sum(isinstance(v, float) for (e, _), v in verdicts.items() if e == 0)
-    assert 0 < accepted < cfg.trials
+    # scaling y by 2^e scales the scores by 2^e, every threshold by 2^2e and
+    # P and P - D alike by 2^2e, exactly, so check_dcl's reason, its lam
+    # times 2^-2e and the relative gap of the verifier, which decides by
+    # the same rule, are unchanged bit for bit. A gap divided by
+    # max(1, |P|) turns absolute once P falls below 1
+    cfg = EnsembleConfig(p_list=[16], trials=20, alpha_grid=[4.0], rho_multipliers=[1e-6, 1e-8, 1e-12])
+    outcomes = {}
+    for key in itertools.product((0, -30, -60), cfg.rho_multipliers, range(cfg.trials)):
+        e, mult, trial = key
+        inst, _, sup = generate_instance(cfg, 16, 4.0, mult, trial)
+        inst = ProblemInstance(X=inst.X, y=inst.y * 2.0**e, rho=inst.rho, k=inst.k)
+        out = check_dcl(inst, sup)
+        cert = out.certificate
+        outcomes[key] = (out.reason, None) if cert is None else (
+            math.ldexp(cert.lam, -2 * e).hex(),
+            verify_dcl_certificate(inst, cert),
+        )
+    for mult, trial in itertools.product(cfg.rho_multipliers, range(cfg.trials)):
+        assert outcomes[0, mult, trial] == outcomes[-30, mult, trial] == outcomes[-60, mult, trial]
+    # every trial certifies here, at every scale, and each certificate verifies
+    assert all(gap is not None for _, gap in outcomes.values())
 
 
 def test_certificate_checks_need_exactly_k_columns():
@@ -623,12 +635,12 @@ def test_certificate_checks_need_exactly_k_columns():
 
 
 def test_squared_scores_that_overflow_are_a_value_error():
-    # |c_j| is past sqrt(float max) here; squaring used to overflow with a
-    # warning, and check_dcl then returned a certificate breaking its own
-    # support equality
+    # the scores rho b*_S (about X^T y, 1e200, as rho dwarfs X X^T) are past
+    # sqrt(float max) here; squaring used to overflow with a warning, and
+    # check_dcl then returned a certificate breaking its own support equality
     rng = np.random.default_rng(1)
     inst = ProblemInstance(
-        X=rng.standard_normal((1, 4)) * 1e20, y=rng.standard_normal(1) * 1e150, rho=1e-30, k=4
+        X=rng.standard_normal((1, 4)) * 1e100, y=rng.standard_normal(1) * 1e100, rho=1e250, k=4
     )
     for call in (SupportContext, check_pwg, check_dcl):
         with pytest.raises(ValueError, match="too large to square"):
@@ -728,9 +740,8 @@ def test_witness_transfer_random_and_verified():
 
 
 def test_verifying_a_witness_transfer_factors_nothing(monkeypatch):
-    # the verifier queries the duals minus COND_TOL, so those of a witness
-    # transfer, all at most 1, leave W = I - D positive definite and the
-    # Schur query certifies with no kernel factorization
+    # the duals of a witness transfer are all at most 1, so W = I - D is PSD,
+    # and the Schur query certifies with no kernel factorization
     calls = []
 
     def counting(G, rho):
@@ -750,6 +761,45 @@ def test_verifying_a_witness_transfer_factors_nothing(monkeypatch):
         assert not calls
         hits += 1
     assert hits > 10
+
+
+def test_a_sweep_trial_accepts_on_one_query_and_never_requeries(monkeypatch):
+    # check_dcl's accepting query is the verifier's own NSD test, so a sweep
+    # trial queries once per evaluation and never again to re-verify: a
+    # midpoint certificate ends on its one accepting query, and a witness
+    # transfer's one query takes the W = I - D >= 0 shortcut, factoring
+    # nothing
+    queries, factors = [], []
+    real_query = certificates._schur_query
+
+    def counting_query(ctx, duals):
+        v = real_query(ctx, duals)
+        queries.append(v is None)
+        return v
+
+    def counting_factor(G, rho):
+        factors.append(G.shape)
+        return kernel_factor(G, rho)
+
+    monkeypatch.setattr(certificates, "_schur_query", counting_query)
+    monkeypatch.setattr(certificates, "kernel_factor", counting_factor)
+    cfg = EnsembleConfig(p_list=[16], trials=4, alpha_grid=[1.0, 2.0, 4.0], rho_multipliers=[2.0, 8.0])
+    hits = {"witness": 0, "midpoint": 0}
+    for alpha, mult, trial in itertools.product(cfg.alpha_grid, cfg.rho_multipliers, range(cfg.trials)):
+        inst, _, sup = generate_instance(cfg, 16, alpha, mult, trial)
+        queries.clear()
+        factors.clear()
+        pwg_exact, dcl_exact = evaluate_trial(inst, sup)
+        if pwg_exact:
+            assert queries == [True] and factors == []
+            hits["witness"] += 1
+        elif dcl_exact:
+            assert queries == [False] * (len(queries) - 1) + [True]
+            assert len(factors) == len(queries)
+            hits["midpoint"] += 1
+        else:
+            assert True not in queries
+    assert min(hits.values()) >= 3
 
 
 def test_threshold_pass_certifies_without_eigensolve(eig_calls):

@@ -35,9 +35,10 @@ def test_check_exact_support(identity_instance, capsys):
     code = main(["check", str(identity_instance), "--support", "0"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "pwg: exact" in out and "min_in=0.5" in out and "max_out=0.0" in out
-    assert "dcl: exact" in out and "lambda=0.25" in out
-    assert "gap=0.000e+00" in out
+    # in floats the on-support score rho b*_S is 0.4999999999999999
+    assert "pwg: exact" in out and "min_in=0.4999999999999999" in out and "max_out=0.0" in out
+    assert "dcl: exact" in out and "lambda=0.2499999999999999" in out
+    assert "gap=-4.441e-16" in out
 
 
 def test_check_uses_file_support(identity_instance, capsys):
@@ -72,17 +73,19 @@ def test_check_tiny_rho_exits_cleanly(tmp_path, capsys):
     save_instance(path, inst, (0, 1))
     code = main(["check", str(path)])
     out = capsys.readouterr().out
-    # the support scores are at roundoff level here; the dual search finds a
-    # threshold, but the verifier rejects it, so check does not exit 0; its
-    # canonical duals leave a duality gap of about 4e284
+    # the support scores rho b*_S are about 1e-301 here and their squares
+    # underflow to 0; the dual search used to find a threshold on scores
+    # lost to cancellation, which the verifier rejected
     assert code == 2
-    assert "dcl: not-verified (duality gap 3.9" in out
+    assert "dcl: not-certified (zero-score-in-support)" in out
+    assert "dcl: exact" not in out
 
 
 def test_check_huge_kkt_residual_exits_2(tmp_path, capsys):
-    # check_dcl certifies (0, 1) here although the brute-force argmin is
-    # (3, 4); its KKT complementarity residual is about 1.6e29, and the
-    # verifier rejects it
+    # check_dcl used to certify (0, 1) here, on scores lost to cancellation,
+    # although the brute-force argmin is (3, 4); its KKT complementarity
+    # residual was about 1.6e29, and the verifier rejected it. The scores
+    # rho b*_S leave the dual bracket empty
     rng = np.random.default_rng(0)
     inst = ProblemInstance(
         X=rng.standard_normal((12, 8)), y=rng.standard_normal(12), rho=1e-30, k=2
@@ -92,11 +95,13 @@ def test_check_huge_kkt_residual_exits_2(tmp_path, capsys):
     code = main(["check", str(path)])
     out = capsys.readouterr().out
     assert code == 2
-    assert "dcl: not-verified (duality gap 3.9" in out
+    assert "dcl: not-certified (interval-empty)" in out
     assert "dcl: exact" not in out
 
 
 def test_check_nan_duality_gap_exits_2(identity_instance, capsys, monkeypatch):
+    # the witness transfer's slack matrix is NSD, but a NaN gap does not
+    # close, so the search itself abstains rather than certify
     solve = certificates.ridge_restricted_solve
 
     def nan_value(inst, support):
@@ -105,6 +110,20 @@ def test_check_nan_duality_gap_exits_2(identity_instance, capsys, monkeypatch):
         return fit
 
     monkeypatch.setattr(certificates, "ridge_restricted_solve", nan_value)
+    code = main(["check", str(identity_instance), "--support", "0"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "pwg: exact" in out
+    assert "dcl: not-certified (numerically-unresolved)" in out
+    assert "dcl: exact" not in out
+
+
+def test_check_failed_reverification_exits_2(identity_instance, capsys, monkeypatch):
+    # check re-verifies from scratch and does not take the search's word
+    def rejecting(inst, cert):
+        raise certificates.CertificateConsistencyError("duality gap nan at the restricted fit")
+
+    monkeypatch.setattr(cli, "verify_dcl_certificate", rejecting)
     code = main(["check", str(identity_instance), "--support", "0"])
     out = capsys.readouterr().out
     assert code == 2
@@ -139,11 +158,12 @@ def test_check_support_smaller_than_k_exits_1(tmp_path, capsys):
 
 
 def test_check_prints_reverified_gap(identity_instance, capsys):
-    # the verifier decides the slack matrix diag(1, 0) - 2 I on a Schur
-    # complement and reports no eigenvalue, only the closed duality gap
+    # the slack matrix diag(1, 0) - 2 I has W = I - D = diag(0, 1) >= 0, so
+    # the Schur query certifies it outright; check reports no eigenvalue,
+    # only the duality gap, closed to the scores' last ulp
     assert main(["check", str(identity_instance), "--support", "0"]) == 0
     out = capsys.readouterr().out
-    assert "gap=0.000e+00" in out and "psd_margin" not in out
+    assert "gap=-4.441e-16" in out and "psd_margin" not in out
 
 
 def test_check_computes_the_scores_once_for_both_tests(identity_instance, capsys, monkeypatch):
@@ -167,9 +187,9 @@ def test_check_computes_the_scores_once_for_both_tests(identity_instance, capsys
     assert capsys.readouterr().out == (
         "instance: n=2 p=2 rho=1.0 k=1\n"
         "support: [0]\n"
-        "correlation scores: [0.5000000000000001, 0.0]\n"
-        "pwg: exact  min_in=0.5000000000000001 max_out=0.0\n"
-        "dcl: exact  lambda=0.2500000000000001 gap=0.000e+00\n"
+        "correlation scores: [0.4999999999999999, 0.0]\n"
+        "pwg: exact  min_in=0.4999999999999999 max_out=0.0\n"
+        "dcl: exact  lambda=0.2499999999999999 gap=-4.441e-16\n"
     )
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from sparsecert import EnsembleConfig, ProblemInstance, generate_instance, run_sweep
 from sparsecert import ensemble
-from sparsecert.certificates import CertificateConsistencyError, check_dcl, verify_dcl_certificate
+from sparsecert.certificates import check_dcl, verify_dcl_certificate
 from sparsecert.ensemble import aggregate_curves, evaluate_trial, sample_size_for, sparsity_for
 from sparsecert.rng import SplitMix64, seed_derive
 
@@ -232,20 +232,17 @@ def test_sweep_deterministic_and_dominance(workers):
         )
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=CertificateConsistencyError,
-    reason="run_sweep records check_dcl's verdict without re-verifying it: at rho "
-    "multiplier 1e-12 all 20 trials are recorded exact and the verifier rejects all 20",
-)
 def test_every_recorded_dcl_exact_reverifies_at_tiny_rho():
+    # run_sweep records check_dcl's verdict, which the verifier's own rule
+    # decides; at rho multiplier 1e-12 all 20 trials are recorded exact, and
+    # each certificate re-verifies from scratch
     cfg = EnsembleConfig(p_list=[16], trials=20, alpha_grid=[4.0], rho_multipliers=[1e-12])
     records = run_sweep(cfg, workers=1)
     assert len(records) == 20
+    assert all(rec.dcl_exact for rec in records)
     for rec in records:
-        if rec.dcl_exact:
-            inst, _, support = generate_instance(cfg, rec.p, rec.alpha, rec.rho_multiplier, rec.trial_index)
-            verify_dcl_certificate(inst, check_dcl(inst, support).certificate)
+        inst, _, support = generate_instance(cfg, rec.p, rec.alpha, rec.rho_multiplier, rec.trial_index)
+        verify_dcl_certificate(inst, check_dcl(inst, support).certificate)
 
 
 @pytest.mark.parametrize("workers", [2.5, "2", True, 0, -1])
