@@ -17,7 +17,7 @@ the cardinality-constrained ridge problem at S:
   for the search and the verifier alike: the slack matrix at the canonical
   duals must be NSD, decided on a t x t Schur complement of
   X^T X/rho + I - D(lam) with no p x p matrix (`_schur_query`), and the
-  lifted duality gap must close to COND_TOL, an O(n + p) check. When the
+  lifted duality gap, which no lam enters, must close to COND_TOL. When the
   scores separate, check_dcl asks at lam0 = min_{i in S} c_i^2, where every
   canonical dual is at most 1, so the slack matrix is NSD by construction
   and the query factors nothing: a threshold certificate yields a dual one.
@@ -28,21 +28,21 @@ the cardinality-constrained ridge problem at S:
   and this Rayleigh cut shrinks the bracket to them or proves it empty.
 
 `SupportContext` owns every support-level decision for one (instance,
-support) pair: it validates the support and holds the restricted fit b*_S,
-the scores (rho b*_S on the support, X^T r of its residual off it), masks,
-threshold witness, duals, Rayleigh coefficients and bracket. Both tests
-take either a support, for which they build one, or a context built for the
-same instance, whose scores and witness they reuse: a sweep trial and
-`sparsecert check` build one context and run both tests on it, so the
-threshold test runs once. `verify_dcl_certificate` builds its own from the
-certificate's support, so re-verification shares no state with the search.
+support) pair: it validates the support and holds the restricted fit b*_S
+and its gap, the scores (rho b*_S on the support, X^T r of its residual off
+it), masks, threshold witness, duals, Rayleigh coefficients and bracket.
+Both tests take either a support, for which they build one, or a context
+built for the same instance, whose scores, gap and witness they reuse: a
+sweep trial and `sparsecert check` build one context and run both tests on
+it. `verify_dcl_certificate` builds its own from the certificate's support,
+so re-verification shares no state with the search.
 
 A dual-certificate search that fails says why: `interval-empty` means no
 threshold can certify, proved either by the analytic bracket or by a
 Rayleigh cut; `bisection-exhausted` means the bracket shrank below the
 tolerance without a proof either way; `numerically-unresolved` means the
-slack matrix is NSD but the gap does not close. verify_kkt, the full KKT
-system, is the dense reference.
+fit's gap does not close, so no threshold can certify. verify_kkt, the full
+KKT system, is the dense reference.
 """
 
 from __future__ import annotations
@@ -92,8 +92,8 @@ class PwgCertificate:
 class DclCertificate:
     """Witness for the dual-certificate test: a support and the dual
     threshold `lam`. A valid one makes diag(d) - X^T X/rho - I_p negative
-    semidefinite at the canonical duals d = `SupportContext.duals(lam)` and
-    closes the lifted duality gap (up to roundoff), which
+    semidefinite at the canonical duals d = `SupportContext.duals(lam)`, on
+    a support whose fit closes the lifted duality gap (up to roundoff), which
     `verify_dcl_certificate` checks. `lam` is a positive finite real and
     every squared score on the support is nonzero, as the canonical duals
     need.
@@ -133,7 +133,7 @@ class CertificateConsistencyError(RuntimeError):
 
 def _checked_support(inst: ProblemInstance, support: Sequence[int]) -> tuple[int, ...]:
     """The normalized support, of exactly k columns: a smaller one leaves a
-    duality gap of lam_raw*(k - |S|)/2, so no certificate could verify."""
+    lifted duality gap lam_raw*(k - |S|)/2 past the fit's `SupportContext.gap`."""
     sup = normalize_support(support, inst.p)
     if not sup:
         raise ValueError("certificate checks need a nonempty support")
@@ -144,10 +144,11 @@ def _checked_support(inst: ProblemInstance, support: Sequence[int]) -> tuple[int
 
 class SupportContext:
     """What the certificate tests read for one (instance, support) pair: the
-    restricted fit `fit`, the scores X^T r of its residual (rho b*_S on the
-    support) and their absolute values `abs_scores`, the support masks,
-    threshold witness, canonical duals at a threshold, Rayleigh bound along
-    a vector and analytic bracket. No member forms a p x p array.
+    restricted fit `fit` and its duality `gap`, the scores X^T r of its
+    residual (rho b*_S on the support) and their absolute values
+    `abs_scores`, the support masks, threshold witness, canonical duals at a
+    threshold, Rayleigh bound along a vector and analytic bracket. No member
+    forms a p x p array.
 
     The support is validated on construction (exactly k distinct columns in
     [0, p)), and scores whose squares would overflow are a ValueError there.
@@ -176,6 +177,19 @@ class SupportContext:
         self.sq_in = sq[self.in_mask]
         self.sq_out = sq[self.out_mask]
         self.zero_score_in_support = bool((self.sq_in == 0.0).any())
+
+    @cached_property
+    def gap(self) -> float:
+        """The lifted duality gap (P - D)/P (P - D when P = 0) of the fit b, value
+        P and residual r, D = y^T y/2 - (||y - r||^2 + rho ||b||^2)/2: at c_S =
+        rho b the canonical duals' lam terms cancel, so P - D = b^T (rho b -
+        X_S^T r), the fit's stationarity, at every threshold."""
+        inst, fit = self.inst, self.fit
+        # sqrt(rho) b: ||b||^2 can overflow where rho ||b||^2 <= ||y||^2 cannot
+        root, Xb = math.sqrt(inst.rho) * fit.coef, inst.y - fit.resid
+        dual = 0.5 * float(inst.y @ inst.y) - 0.5 * (float(Xb @ Xb) + float(root @ root))
+        # relative to P, so that scaling y changes no verdict
+        return (fit.value - dual) / fit.value if fit.value > 0.0 else fit.value - dual
 
     @cached_property
     def threshold_witness(self) -> Optional[PwgCertificate]:
@@ -312,11 +326,7 @@ def _schur_query(ctx: SupportContext, duals: np.ndarray) -> Optional[np.ndarray]
 def _accepts(ctx: SupportContext, lam: float) -> tuple[bool, np.ndarray | float]:
     """The one rule, for search and verifier alike: (ctx.support, lam)
     certifies when the slack matrix S at the canonical duals d = ctx.duals(lam)
-    is NSD (`_schur_query`) and the lifted duality gap closes. With the fit
-    b, value P and residual r = y - X b, and the raw duals d_raw = rho*d,
-    lam_raw = lam/rho (`kkt_variables`), the dual value is D = y^T y/2 -
-    (||y - r||^2 + rho ||b||^2 - sum_i d_raw_i b_i^2)/2 - lam_raw*k/2, and
-    |(P - D)/P| (|P - D| when P = 0) must be at most COND_TOL. Returns
+    is NSD (`_schur_query`) and the fit's gap `ctx.gap` closes. Returns
     (True, gap), (False, v) with v^T S v > 0, or (False, gap) for a gap that
     does not close; duals that do not exist raise CertificateConsistencyError."""
     try:
@@ -326,16 +336,7 @@ def _accepts(ctx: SupportContext, lam: float) -> tuple[bool, np.ndarray | float]
     v = _schur_query(ctx, d)
     if v is not None:
         return False, v
-    inst, fit = ctx.inst, ctx.fit
-    # b lives on S, in the order of d[in_mask], and enters as sqrt(rho) b, since
-    # ||b||^2 can overflow where rho ||b||^2 <= ||y||^2 cannot; a non-finite gap fails
-    root, Xb = math.sqrt(inst.rho) * fit.coef, inst.y - fit.resid
-    dual_sum = float(np.einsum("i,i,i->", d[ctx.in_mask], root, root))
-    tau = float(Xb @ Xb) + (float(root @ root) - dual_sum)
-    dual = 0.5 * float(inst.y @ inst.y) - 0.5 * tau - 0.5 * (float(lam) / inst.rho) * inst.k
-    # relative to P, so that scaling y changes no verdict
-    gap = (fit.value - dual) / fit.value if fit.value > 0.0 else fit.value - dual
-    return abs(gap) <= COND_TOL, gap
+    return abs(ctx.gap) <= COND_TOL, ctx.gap
 
 
 def _context(inst: ProblemInstance, support: Sequence[int] | SupportContext) -> SupportContext:
@@ -361,10 +362,11 @@ def check_pwg(inst: ProblemInstance, support: Sequence[int] | SupportContext) ->
 def check_dcl(inst: ProblemInstance, support: Sequence[int] | SupportContext) -> CertOutcome:
     """Dual-certificate search; each threshold is decided by `_accepts`.
 
-    A zero squared score in the support, all-zero scores included, is
-    `zero-score-in-support`. When the scores separate, the witness transfer
-    asks at lam0 = min_{i in S} c_i^2, where the slack matrix is NSD by
-    construction. Otherwise a safeguarded bisection asks at the geometric
+    Before any query, a zero squared score in the support, all-zero scores
+    included, is `zero-score-in-support`, and a fit whose `ctx.gap` does not
+    close is `numerically-unresolved`. When the scores separate, the witness
+    transfer asks at lam0 = min_{i in S} c_i^2, where the slack matrix is NSD
+    by construction. Otherwise a safeguarded bisection asks at the geometric
     midpoint lam_hat = sqrt(ell*up) of the analytic bracket [ell, up], since
     the duals scale as lam and 1/lam (the arithmetic one while ell = 0). A
     slack matrix that is not NSD gives a vector v with g_v(lam_hat) > 0,
@@ -373,19 +375,21 @@ def check_dcl(inst: ProblemInstance, support: Sequence[int] | SupportContext) ->
     interval {g_v <= 0} (`root_interval`), which holds every certifying
     threshold, and to the side of lam_hat where the slope a - b/lam_hat^2
     points down. The search stops with `interval-empty` when that leaves
-    nothing, as when the analytic bracket itself is empty; with
+    nothing, as when the analytic bracket itself is empty, and with
     `bisection-exhausted` when the bracket is narrower than BISECTION_TOL*up
-    or, as a guard, after BISECTION_MAX_ITER evaluations; and with
-    `numerically-unresolved` on an NSD slack matrix whose gap does not
-    close. `support` may be a SupportContext built for `inst`.
+    or, as a guard, after BISECTION_MAX_ITER evaluations. `support` may be a
+    SupportContext built for `inst`.
     """
     ctx = _context(inst, support)
     if ctx.zero_score_in_support:
         return CertOutcome(reason=REASON_ZERO_SCORE)
+    if not abs(ctx.gap) <= COND_TOL:
+        return CertOutcome(reason=REASON_UNRESOLVED)
     if ctx.threshold_witness is not None:
         lam = float(ctx.sq_in.min())
-        accepted, _ = _accepts(ctx, lam)
-        return CertOutcome(DclCertificate(ctx.support, lam)) if accepted else CertOutcome(reason=REASON_UNRESOLVED)
+        if not _accepts(ctx, lam)[0]:  # every canonical dual at lam0 is at most 1
+            raise CertificateConsistencyError("the witness transfer's slack matrix is not NSD")
+        return CertOutcome(DclCertificate(ctx.support, lam))
 
     ell, up = ctx.bracket()
     # a bracket narrower than the stopping width has no searchable interior
@@ -398,8 +402,6 @@ def check_dcl(inst: ProblemInstance, support: Sequence[int] | SupportContext) ->
         accepted, why = _accepts(ctx, lam_hat)
         if accepted:
             return CertOutcome(DclCertificate(ctx.support, lam_hat))
-        if not isinstance(why, np.ndarray):
-            return CertOutcome(reason=REASON_UNRESOLVED)
         a, b, c = ctx.rayleigh(why)
         lo, hi = root_interval(a, b, c)
         # g_v is positive at lam_hat, and certifying thresholds lie on the
@@ -420,9 +422,9 @@ def check_dcl(inst: ProblemInstance, support: Sequence[int] | SupportContext) ->
 def verify_dcl_certificate(inst: ProblemInstance, cert: DclCertificate) -> float:
     """Re-check a dual certificate from scratch, independent of how it was
     found: on a new context for its support, by the search's own rule
-    (`_accepts`). Returns the relative duality gap; raises
-    CertificateConsistencyError, also when the canonical duals do not exist
-    (`duals`)."""
+    (`_accepts`). Returns the fit's relative duality gap, which no lam
+    enters; raises CertificateConsistencyError, also when the canonical
+    duals do not exist (`duals`)."""
     accepted, why = _accepts(SupportContext(inst, cert.support), cert.lam)
     if isinstance(why, np.ndarray):
         raise CertificateConsistencyError("slack matrix not NSD: its top eigenvalue is positive")

@@ -7,10 +7,11 @@ Both certificates rest on the ridge kernel of a support S,
 and every factorization of such a kernel goes through `kernel_factor`, the
 one place that picks its side: for an n x m matrix G it factors the m x m
 Woodbury form rho I_m + G^T G when 0 < m < n, else rho I_n + G G^T (= rho
-K_S for G = X_S). `ridge_coefficients`, the one ridge solve, reads the fit
-off either side. For G = X_S it is the restricted fit b*_S, whose residual
-r = y - X_S b*_S = K_S^{-1} y gives the scores X^T r that drive both
-certificates; for G = X diag(sqrt z) it is the relaxation oracle's fit.
+K_S for G = X_S). `ridge_fit`, the one ridge solve, reads the fit off either
+side, with its residual and overflow-safe value. For G = X_S it is the
+restricted fit b*_S, whose residual r = y - X_S b*_S = K_S^{-1} y gives the
+scores X^T r that drive both certificates; for G = X diag(sqrt z) it is the
+relaxation oracle's fit, whose value is g(z).
 `cholesky` is the single LAPACK `potrf` call site. It factors its argument
 in place, so `kernel_factor` factors the kernel it has just built with no
 copy, and a caller that still needs a matrix after factoring it passes a
@@ -30,12 +31,12 @@ from .problem import ProblemInstance, normalize_support
 
 
 @dataclass
-class RestrictedRidgeSolution:
-    """Ridge minimizer constrained to a support, with its residual and value."""
+class RidgeFit:
+    """Ridge minimizer over the columns of G, with its residual and value."""
 
-    coef: np.ndarray   # (|S|,), b*_S in the order of the normalized support
-    resid: np.ndarray  # (n,), y - X_S b*_S
-    value: float       # 0.5*||resid||^2 + 0.5*rho*||b*_S||^2
+    coef: np.ndarray   # (m,), b, for G = X_S in the order of the normalized support
+    resid: np.ndarray  # (n,), y - G b
+    value: float       # 0.5*||resid||^2 + 0.5*rho*||b||^2
 
 
 def cholesky(A: np.ndarray) -> Optional[np.ndarray]:
@@ -67,13 +68,13 @@ def kernel_factor(G: np.ndarray, rho: float) -> tuple[np.ndarray, bool]:
     return L, woodbury
 
 
-def ridge_coefficients(G: np.ndarray, y: np.ndarray, rho: float) -> np.ndarray:
-    """argmin_b ||y - G b||^2 + rho ||b||^2 = (rho I + G^T G)^{-1} G^T y
-    = G^T (rho I_n + G G^T)^{-1} y, on the side `kernel_factor` picks; empty for no columns.
-    On the n side the solve is about ||y||/rho and may overflow, which LAPACK does to inf
-    without a warning, although b is representable: it is then redone for y 2^-j, which
-    scales it exactly in binary, with ||y 2^-j||/rho about 2^256, and b is scaled back by
-    2^j. A b that is not representable raises ValueError."""
+def ridge_fit(G: np.ndarray, y: np.ndarray, rho: float) -> RidgeFit:
+    """The fit of b = argmin_b ||y - G b||^2 + rho ||b||^2 = (rho I + G^T G)^{-1} G^T y
+    = G^T (rho I_n + G G^T)^{-1} y, on the side `kernel_factor` picks; b is empty for no
+    columns. On the n side the solve is about ||y||/rho and may overflow, which LAPACK does
+    to inf without a warning, although b is representable: it is then redone for y 2^-j,
+    which scales it exactly in binary, with ||y 2^-j||/rho about 2^256, and b is scaled back
+    by 2^j. A b that is not representable raises ValueError."""
     L, woodbury = kernel_factor(G, rho)
     if woodbury:
         coef = _lapack.potrs(L, G.T @ y)
@@ -87,24 +88,20 @@ def ridge_coefficients(G: np.ndarray, y: np.ndarray, rho: float) -> np.ndarray:
                 coef = np.ldexp(G.T @ _lapack.potrs(L, np.ldexp(y, -j)), j)
     if not np.isfinite(coef).all():
         raise ValueError("the ridge fit is not representable: its coefficients overflow")
-    return coef
+    resid = y - G @ coef
+    root = math.sqrt(rho) * coef  # rho ||b||^2 <= ||y||^2, but ||b||^2 alone can overflow
+    return RidgeFit(coef=coef, resid=resid, value=0.5 * float(resid @ resid) + 0.5 * float(root @ root))
 
 
-def ridge_restricted_solve(inst: ProblemInstance, support: Sequence[int]) -> RestrictedRidgeSolution:
+def ridge_restricted_solve(inst: ProblemInstance, support: Sequence[int]) -> RidgeFit:
     """Ridge regression over the columns in `support` (must be nonempty)."""
     sup = normalize_support(support, inst.p)
     if not sup:
         raise ValueError("restricted ridge solve needs a nonempty support")
-    Xs = inst.X[:, sup]
-    coef = ridge_coefficients(Xs, inst.y, inst.rho)
-    resid = inst.y - Xs @ coef
-    # rho ||b||^2 <= ||y||^2, but ||b||^2 alone can overflow
-    root = math.sqrt(inst.rho) * coef
-    value = 0.5 * float(resid @ resid) + 0.5 * float(root @ root)
-    return RestrictedRidgeSolution(coef=coef, resid=resid, value=value)
+    return ridge_fit(inst.X[:, sup], inst.y, inst.rho)
 
 
-def correlation_scores(inst: ProblemInstance, fit: RestrictedRidgeSolution) -> np.ndarray:
+def correlation_scores(inst: ProblemInstance, fit: RidgeFit) -> np.ndarray:
     """c_j = X_j^T K_S^{-1} y = X_j^T (y - X_S b*_S) for every column j
     (support columns included), from the restricted fit `fit` of S."""
     return inst.X.T @ fit.resid

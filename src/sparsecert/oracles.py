@@ -11,8 +11,8 @@ by projected gradient descent; g is convex in z, every partial derivative is
 nonpositive, and the returned feasible point upper-bounds the relaxation
 optimum with a Frank-Wolfe gap estimate. For z >= 0 and G = X diag(sqrt z),
 y^T (I + X D(z) X^T/rho)^{-1} y = min_b ||y - G b||^2 + rho ||b||^2, so g is
-half a ridge fit's optimum, which `linalg.ridge_coefficients` solves: no
-n x n kernel is formed.
+the value of the ridge fit that `linalg.ridge_fit` returns, the same fit
+the certificates solve on a support: no n x n kernel is formed.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ridge_coefficients
+from .linalg import ridge_fit
 from .problem import ProblemInstance, DEFAULT_REL_TOL
 
 MAX_COMBINATIONS = 10**6  # supports brute_force_l0 may enumerate
@@ -197,11 +197,8 @@ def _check_kernel_scale(inst: ProblemInstance) -> None:
 def _relaxed_objective_and_scores(inst: ProblemInstance, z: np.ndarray) -> tuple[float, np.ndarray]:
     """g(z) and the scores X_j^T K(z)^{-1} y, z >= 0, by the ridge fit b of G = X diag(sqrt z):
     r = y - G b is K(z)^{-1} y, and G^T r = rho b makes y^T r = ||r||^2 + rho ||b||^2."""
-    G = inst.X * np.sqrt(z)
-    b = ridge_coefficients(G, inst.y, inst.rho)
-    r = inst.y - G @ b
-    root = math.sqrt(inst.rho) * b  # rho ||b||^2 <= ||y||^2, but ||b||^2 alone can overflow
-    return 0.5 * (float(r @ r) + float(root @ root)), inst.X.T @ r
+    fit = ridge_fit(inst.X * np.sqrt(z), inst.y, inst.rho)
+    return fit.value, inst.X.T @ fit.resid
 
 
 def _gradient(inst: ProblemInstance, scores: np.ndarray) -> np.ndarray:
@@ -249,7 +246,7 @@ def pwg_value(inst: ProblemInstance) -> PwgValueResult:
     would only see roundoff, and halving shrinks the prediction further),
     and z is the last accepted iterate. A kernel whose scale
     is not representable (`_check_kernel_scale`), a ridge fit that
-    `linalg.ridge_coefficients` cannot factor or solve, or a gradient that
+    `linalg.ridge_fit` cannot factor or solve, or a gradient that
     overflows (`_gradient`) raises ValueError.
     """
     _check_kernel_scale(inst)

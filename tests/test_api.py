@@ -41,7 +41,8 @@ MODULE_ONLY = {
     "correlation_scores": "linalg",
     "max_eig_sym": "linalg",
     "ridge_restricted_solve": "linalg",
-    "RestrictedRidgeSolution": "linalg",
+    "RidgeFit": "linalg",
+    "ridge_fit": "linalg",
     "project_capped_simplex": "oracles",
     "tie_window": "oracles",
     "normalize_support": "problem",

@@ -409,7 +409,7 @@ def test_every_returned_certificate_reverifies():
         out = check_dcl(inst, sup)
         if out.exact:
             assert abs(verify_dcl_certificate(inst, out.certificate)) <= 1e-10
-            assert dense_margin(SupportContext(inst, sup), out.certificate.lam)[0] <= certificates.COND_TOL
+            assert dense_margin(SupportContext(inst, sup), out.certificate.lam)[0] <= 0.0
             count += 1
     assert count > 30  # the family must actually exercise the exact branch
 
@@ -569,12 +569,12 @@ def test_decision_grid_certificates_pass_the_dense_check():
                     out = check_dcl(inst, ctx)
                     if out.exact:
                         verify_dcl_certificate(inst, out.certificate)
-                        assert dense_margin(ctx, out.certificate.lam)[0] <= certificates.COND_TOL
+                        assert dense_margin(ctx, out.certificate.lam)[0] <= 0.0
                         certified += 1
     assert certified > 1000
 
 
-def test_verify_rejects_every_tiny_rho_certificate():
+def test_tiny_rho_supports_are_interval_empty_or_zero_score():
     # at these rho the support scores rho b*_S are tiny (about 1e-31 at
     # 1e-30) and the brute-force argmin (3, 4) is unique; check_dcl used to
     # certify 25 of the 28 supports at 1e-30 on scores X_S^T r that had lost
@@ -611,6 +611,52 @@ def test_verifier_verdicts_do_not_depend_on_the_scale_of_y():
         assert outcomes[0, mult, trial] == outcomes[-30, mult, trial] == outcomes[-60, mult, trial]
     # every trial certifies here, at every scale, and each certificate verifies
     assert all(gap is not None for _, gap in outcomes.values())
+
+
+def test_verifier_gap_does_not_move_with_lam():
+    # at c_S = rho b*_S the canonical duals' lam terms cancel from the gap,
+    # so it is the fit's: the verifier returns the same number at every
+    # threshold of a support that verifies, not one that moves by roundoff
+    cfg = EnsembleConfig(p_list=[16], trials=20, alpha_grid=[4.0], rho_multipliers=[2.0, 1e-4, 1e-8])
+    certified = moved = 0
+    for mult, trial in itertools.product(cfg.rho_multipliers, range(cfg.trials)):
+        inst, _, sup = generate_instance(cfg, 16, 4.0, mult, trial)
+        cert = check_dcl(inst, sup).certificate
+        if cert is None:
+            continue
+        certified += 1
+        gaps = set()
+        for scale in (1.0, 1.001, 0.999):
+            try:
+                gaps.add(verify_dcl_certificate(inst, DclCertificate(cert.support, cert.lam * scale)))
+            except CertificateConsistencyError as err:
+                assert "slack matrix not NSD" in str(err)
+        moved += len(gaps) > 1
+    assert certified >= 50
+    assert moved == 0
+
+
+def test_a_gap_that_does_not_close_is_unresolved_before_any_query(monkeypatch):
+    # the gap is the fit's, so check_dcl abstains on it once per support,
+    # before it asks the Schur query at any threshold
+    solve = certificates.ridge_restricted_solve
+
+    def nan_value(inst, support):
+        fit = solve(inst, support)
+        fit.value = float("nan")
+        return fit
+
+    queries = []
+    real_query = certificates._schur_query
+    monkeypatch.setattr(certificates, "ridge_restricted_solve", nan_value)
+    monkeypatch.setattr(certificates, "_schur_query", lambda *a: queries.append(1) or real_query(*a))
+    cfg = EnsembleConfig(p_list=[16], trials=4, alpha_grid=[1.0, 4.0], rho_multipliers=[2.0])
+    cases = [(ident([1.0, 0.0]), (0,))]
+    for alpha, trial in itertools.product(cfg.alpha_grid, range(cfg.trials)):
+        cases.append(generate_instance(cfg, 16, alpha, 2.0, trial)[::2])
+    for inst, sup in cases:
+        assert check_dcl(inst, sup).reason == certificates.REASON_UNRESOLVED
+    assert queries == []
 
 
 def test_certificate_checks_need_exactly_k_columns():
@@ -1024,7 +1070,7 @@ def test_p256_trials_need_few_eigensolves(eig_calls):
             assert out.exact == exact
             if exact:
                 verify_dcl_certificate(inst, out.certificate)
-                assert dense_margin(SupportContext(inst, sup), out.certificate.lam)[0] <= certificates.COND_TOL
+                assert dense_margin(SupportContext(inst, sup), out.certificate.lam)[0] <= 0.0
             else:
                 assert out.reason == REASON_EMPTY_INTERVAL
     assert len(eig_calls) <= 12
@@ -1105,7 +1151,7 @@ def test_cholesky_certifies_first_query_without_eigensolve(eig_calls):
     ell, up = SupportContext(inst, sup).bracket()
     assert out.certificate.lam == np.sqrt(ell) * np.sqrt(up)
     verify_dcl_certificate(inst, out.certificate)
-    assert dense_margin(SupportContext(inst, sup), out.certificate.lam)[0] <= certificates.COND_TOL
+    assert dense_margin(SupportContext(inst, sup), out.certificate.lam)[0] <= 0.0
 
 
 def test_bisection_matches_grid_scan_small():
@@ -1251,8 +1297,8 @@ def test_one_restricted_solve_per_support(monkeypatch):
     # a context solves b*_S once for its scores and keeps the fit, and the
     # verifier reads P, b and X b off its own context's fit
     calls = []
-    real = linalg.ridge_coefficients
-    monkeypatch.setattr(linalg, "ridge_coefficients", lambda *a: calls.append(1) or real(*a))
+    real = linalg.ridge_fit
+    monkeypatch.setattr(linalg, "ridge_fit", lambda *a: calls.append(1) or real(*a))
     cfg = EnsembleConfig(p_list=[64], trials=1)
     verified = 0
     for alpha in (1.0, 3.0, 6.0):

@@ -81,7 +81,7 @@ def test_check_tiny_rho_exits_cleanly(tmp_path, capsys):
     assert "dcl: exact" not in out
 
 
-def test_check_huge_kkt_residual_exits_2(tmp_path, capsys):
+def test_check_tiny_rho_support_is_interval_empty(tmp_path, capsys):
     # check_dcl used to certify (0, 1) here, on scores lost to cancellation,
     # although the brute-force argmin is (3, 4); its KKT complementarity
     # residual was about 1.6e29, and the verifier rejected it. The scores
@@ -90,7 +90,7 @@ def test_check_huge_kkt_residual_exits_2(tmp_path, capsys):
     inst = ProblemInstance(
         X=rng.standard_normal((12, 8)), y=rng.standard_normal(12), rho=1e-30, k=2
     )
-    path = tmp_path / "huge_kkt.json"
+    path = tmp_path / "tiny_rho.json"
     save_instance(path, inst, (0, 1))
     code = main(["check", str(path)])
     out = capsys.readouterr().out
@@ -100,8 +100,8 @@ def test_check_huge_kkt_residual_exits_2(tmp_path, capsys):
 
 
 def test_check_nan_duality_gap_exits_2(identity_instance, capsys, monkeypatch):
-    # the witness transfer's slack matrix is NSD, but a NaN gap does not
-    # close, so the search itself abstains rather than certify
+    # the scores separate, but a NaN gap does not close, so the search
+    # itself abstains before any query rather than certify
     solve = certificates.ridge_restricted_solve
 
     def nan_value(inst, support):

@@ -419,4 +419,5 @@ def test_decision_grid_matches_pinned_digest(capsys):
     assert "p=64: exact 406, interval-empty 50\n" in out
     gap = re.search(r"^trials 1368, unverified 0, max \|gap\| (\S+)$", out, re.MULTILINE)
     assert gap is not None and float(gap.group(1)) <= 1e-14
+    assert "\nsearch/verifier gap mismatches 0\n" in out
     assert "\ndominance violations 0\n" in out

@@ -15,7 +15,7 @@ from sparsecert.linalg import (
     correlation_scores,
     kernel_factor,
     max_eig_sym,
-    ridge_coefficients,
+    ridge_fit,
     ridge_restricted_solve,
 )
 
@@ -110,7 +110,7 @@ def test_restricted_fit_carries_its_residual_scores_and_value():
         sup = random_support(rng, inst)
         fit = ridge_restricted_solve(inst, sup)
         Xs = inst.X[:, sup]
-        coeffs = ridge_coefficients(Xs, inst.y, inst.rho)
+        coeffs = ridge_fit(Xs, inst.y, inst.rho).coef
         assert np.array_equal(fit.coef, coeffs)
         assert np.array_equal(fit.resid, inst.y - Xs @ coeffs)
         assert np.array_equal(correlation_scores(inst, fit), inst.X.T @ (inst.y - Xs @ coeffs))
