@@ -1,11 +1,11 @@
-"""LAPACK's dpotrf, dpotrs, dtrtrs and dsyevr, bound by ctypes from the
-scipy-openblas64 library that numpy's wheels load for `numpy.linalg`. It
-exports them with 64-bit integers as `scipy_<routine>_64_`, and dlsym on
-numpy's extension module finds them among its dependencies; a numpy build
-without them fails this import with an ImportError. Matrices are Fortran-
-ordered float64, passed as their C-ordered transposes (the same memory),
-and only their lower triangles are read. gfortran appends the length of
-each character argument."""
+"""LAPACK's dpotrf, dpotrs, dtrtrs and dsyevr and BLAS's dsyrk, bound by ctypes
+from the scipy-openblas64 library that numpy's wheels load for `numpy.linalg`. It
+exports them with 64-bit integers as `scipy_<routine>_64_`, and dlsym on numpy's
+extension module finds them among its dependencies; a numpy build without them
+fails this import with an ImportError. Matrices are Fortran-ordered float64, passed
+as their C-ordered transposes (the same memory), and only their lower triangles
+are read or written. gfortran appends the length of each character argument.
+OpenBLAS's thread count is set through `scipy_openblas_{get,set}_num_threads64_`."""
 
 from __future__ import annotations
 
@@ -33,12 +33,21 @@ def _bind(routine: str, *argtypes):
 _potrf = _bind("dpotrf", _CHR, _I, _D, _I, _I, _LEN)
 _potrs = _bind("dpotrs", _CHR, _I, _I, _D, _I, _D, _I, _I, _LEN)
 _trtrs = _bind("dtrtrs", _CHR, _CHR, _CHR, _I, _I, _D, _I, _D, _I, _I, _LEN, _LEN, _LEN)
+_syrk = _bind("dsyrk", _CHR, _CHR, _I, _I, _D, _D, _I, _D, _D, _I, _LEN, _LEN)
 _syevr = _bind("dsyevr", _CHR, _CHR, _CHR, _I, _D, _I, _D, _D, _I, _I, _D, _I, _D, _D, _I, _I,
                _D, _I, _I, _I, _I, _LEN, _LEN, _LEN)
 
 
 def _mem(a: np.ndarray):  # a writable Fortran-ordered (or 1-D) float64 array
     return _DBL.from_buffer(a.T)
+
+
+def syrk(c: np.ndarray, a: np.ndarray, trans: bool = False) -> None:
+    """c += a^T a (a a^T when `trans`), a C-ordered float64, in the Fortran-ordered c's lower triangle."""
+    if a.dtype != np.float64 or not a.flags.c_contiguous or c.shape != (a.shape[not trans],) * 2:
+        raise ValueError("syrk needs a C-ordered float64 a whose product has the shape of c")
+    one, n, k, lda = _DBL(1.0), _INT(c.shape[0]), _INT(a.shape[trans]), _INT(max(1, a.shape[1]))
+    _syrk(b"L", b"T" if trans else b"N", n, k, one, a.ctypes.data_as(_D), lda, one, _mem(c), n, 1, 1)
 
 
 def potrf(a: np.ndarray) -> int:
@@ -83,3 +92,15 @@ def syevr_top(a: np.ndarray) -> tuple[float, np.ndarray]:
     if info.value != 0:
         raise np.linalg.LinAlgError(f"dsyevr failed with info {info.value}")
     return float(w[0]), z
+
+
+def set_blas_threads(count: int | None) -> int | None:
+    """Set OpenBLAS's thread count and return the one it replaces; set nothing
+    and return None for no `count` or a build without the thread symbols."""
+    get, put = (getattr(_LIB, f"scipy_openblas_{op}_num_threads64_", None) for op in ("get", "set"))
+    if count is None or not (get and put):
+        return None
+    get.restype, put.argtypes, put.restype = ctypes.c_int, [ctypes.c_int], None
+    before = get()
+    put(count)
+    return before

@@ -58,6 +58,7 @@ from . import _lapack
 from .linalg import (
     cholesky,
     correlation_scores,
+    kernel_chunks,
     kernel_factor,
     max_eig_sym,
     ridge_restricted_solve,
@@ -289,13 +290,15 @@ def _schur_query(ctx: SupportContext, duals: np.ndarray) -> Optional[np.ndarray]
     M_cc > I/2 is positive definite on the columns c with w_i > SCHUR_SPLIT,
     so M is PSD exactly when the Schur complement on the other t columns T,
     Sch = W_T + X_T^T (rho I_n + X_c W_c^{-1} X_c^T)^{-1} X_T, is. With
-    G = X_c W_c^{-1/2} the inner inverse comes from `kernel_factor(G, rho)`,
-    directly on its n x n side or by Woodbury on its |c| x |c| side. All
-    w_i >= 0 (W and so M PSD: a witness transfer, whose duals are at most 1),
-    a Cholesky factor of Sch, or a nonpositive top eigenvalue of -Sch
-    (`max_eig_sym`) certifies; else its eigenvector u lifts to
-    v = (u, -M_cc^{-1} M_cT u), with v^T S v = -u^T Sch u > 0. A failed
-    inner factorization or a non-finite entry raises ValueError.
+    G = X_c W_c^{-1/2} the inner inverse comes from `kernel_factor(X, rho,
+    X_T, c, sqrt(w_c))`, directly on its n x n side or by Woodbury on its
+    |c| x |c| side, with G^T X_T for the latter; the lift below runs over
+    the same `kernel_chunks`, so G is never formed. All w_i >= 0 (W and so
+    M PSD: a witness transfer, whose duals are at most 1), a Cholesky factor
+    of Sch, or a nonpositive top eigenvalue of -Sch (`max_eig_sym`)
+    certifies; else its eigenvector u lifts to v = (u, -M_cc^{-1} M_cT u),
+    with v^T S v = -u^T Sch u > 0. A failed inner factorization or a
+    non-finite entry raises ValueError.
     """
     X, rho = ctx.inst.X, ctx.inst.rho
     if duals.max() <= 1.0:  # every w_i >= 0
@@ -305,10 +308,8 @@ def _schur_query(ctx: SupportContext, duals: np.ndarray) -> Optional[np.ndarray]
     block, rest = np.flatnonzero(in_block), np.flatnonzero(~in_block)
     XT = X.take(block, axis=1)
     root_wc = np.sqrt(w[rest])
-    G = X.take(rest, axis=1)
-    G /= root_wc
-    L, woodbury = kernel_factor(G, rho)
-    F = _lapack.trtrs(L, G.T @ XT if woodbury else XT)
+    L, woodbury, GtXT = kernel_factor(X, rho, XT, rest, root_wc)  # G^T X_T, or X_T on the n side
+    F = _lapack.trtrs(L, GtXT)
     sch = (XT.T @ XT - F.T @ F) / rho if woodbury else F.T @ F
     sch.flat[:: sch.shape[0] + 1] += w[block]
     if cholesky(sch.copy()) is not None:  # factored in place; the eigensolve needs sch
@@ -319,7 +320,9 @@ def _schur_query(ctx: SupportContext, duals: np.ndarray) -> Optional[np.ndarray]
     lift = _lapack.trtrs(L, F @ u, trans=True)
     v = np.empty(ctx.inst.p)
     v[block] = u
-    v[rest] = -(lift if woodbury else G.T @ lift) / root_wc
+    if not woodbury:  # G^T lift, one column chunk at a time
+        lift = np.concatenate([G.T @ lift for _, G in kernel_chunks(X, rest, root_wc, False)])
+    v[rest] = -lift / root_wc
     return v
 
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _lapack
 from .certificates import SupportContext, check_dcl, check_pwg
 from .problem import ProblemInstance, _is_number
 from .rng import SplitMix64, seed_derive
@@ -205,6 +206,7 @@ def run_sweep(cfg: EnsembleConfig, workers: int | None = None) -> list[TrialReco
     trial). Process i of w runs the strided slice keys[i::w], so each slice
     holds the same mix of cells: the caller runs slice 0, the largest, and
     w - 1 forked children the rest, each sending its records back over a pipe.
+    With w > 1, every process runs OpenBLAS on one thread until the call ends.
     A child's exception is raised here, a child that ends without a result is
     a ChildProcessError, and no child outlives the call."""
     if workers is not None and not (_is_number(workers, int) and workers >= 1):
@@ -221,6 +223,7 @@ def run_sweep(cfg: EnsembleConfig, workers: int | None = None) -> list[TrialReco
     w = min(int(workers), len(keys))
     records: list = [None] * len(keys)
     pipes = {}  # the read end of each child's result pipe, by pid
+    threads = _lapack.set_blas_threads(1 if w > 1 else None)
     try:
         for i in range(1, w):
             read_fd, write_fd = os.pipe()
@@ -240,6 +243,7 @@ def run_sweep(cfg: EnsembleConfig, workers: int | None = None) -> list[TrialReco
         for pipe in pipes.values():
             pipe.close()
         statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pipes]
+        _lapack.set_blas_threads(threads)
     for i, (pid, status, data) in enumerate(zip(pipes, statuses, results), 1):
         if status != 0:
             raise ChildProcessError(f"sweep worker pid {pid} ended with exit status {status} and no result")

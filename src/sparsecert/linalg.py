@@ -4,10 +4,11 @@ Both certificates rest on the ridge kernel of a support S,
 
     K_S = I_n + (1/rho) * X_S X_S^T,
 
-and every factorization of such a kernel goes through `kernel_factor`, the
-one place that picks its side: for an n x m matrix G it factors the m x m
-Woodbury form rho I_m + G^T G when 0 < m < n, else rho I_n + G G^T (= rho
-K_S for G = X_S). `ridge_fit`, the one ridge solve, reads the fit off either
+and every such kernel is built and factored by `kernel_factor`, the one
+place that picks its side: for the n x m matrix G = X[:, cols] / scale it
+accumulates in place, over chunks of G (`kernel_chunks`), the m x m Woodbury
+form rho I_m + G^T G when 0 < m < n, else rho I_n + G G^T (= rho K_S for
+G = X_S). `ridge_fit`, the one ridge solve, reads the fit off either
 side, with its residual and overflow-safe value. For G = X_S it is the
 restricted fit b*_S, whose residual r = y - X_S b*_S = K_S^{-1} y gives the
 scores X^T r that drive both certificates; for G = X diag(sqrt z) it is the
@@ -28,6 +29,8 @@ import numpy as np
 
 from . import _lapack
 from .problem import ProblemInstance, normalize_support
+
+CHUNK_ENTRIES = 2**15  # a chunk of G holds at most max(half the kernel's entries, this)
 
 
 @dataclass
@@ -55,17 +58,47 @@ def cholesky(A: np.ndarray) -> Optional[np.ndarray]:
     return L if _lapack.potrf(L) == 0 else None
 
 
-def kernel_factor(G: np.ndarray, rho: float) -> tuple[np.ndarray, bool]:
-    """(L, woodbury): the Cholesky factor L of rho I_m + G^T G when
+def kernel_chunks(X: np.ndarray, cols: np.ndarray, scale: np.ndarray, woodbury: bool):
+    """(part, chunk) for the row chunks G[part] (woodbury) or else the column
+    chunks G[:, part] of G = X[:, cols] / scale, in order, gathered C-ordered
+    into one buffer of max(half the kernel's entries, CHUNK_ENTRIES) entries
+    or fewer, so each is valid until the next is drawn."""
+    width = len(cols) if woodbury else X.shape[0]  # the kernel's order
+    length = X.shape[0] if woodbury else len(cols)
+    step = max(width // 2, CHUNK_ENTRIES // width)
+    buf = np.empty(min(step, length) * width)
+    for start in range(0, max(length, 1), step):  # no columns: one empty chunk
+        part = slice(start, min(start + step, length))
+        rows, idx = (part, cols) if woodbury else (slice(None), cols[part])
+        out = buf[: (part.stop - start) * width].reshape((-1, width) if woodbury else (width, -1))
+        G = X[rows].take(idx, axis=1, out=out, mode="clip")  # "raise" would copy through a temporary
+        G /= scale if woodbury else scale[part]
+        yield part, G
+
+
+def kernel_factor(X: np.ndarray, rho: float, b: np.ndarray, cols=None, scale=None):
+    """(L, woodbury, rhs): the Cholesky factor L of rho I_m + G^T G when
     woodbury, which is when 0 < m < n for the n x m matrix G, else of
-    rho I_n + G G^T. A factorization that fails raises ValueError."""
-    woodbury = 0 < G.shape[1] < G.shape[0]
-    kernel = G.T @ G if woodbury else G @ G.T
+    rho I_n + G G^T, for G = X[:, cols] / scale (X itself with no `cols`),
+    and the right-hand side rhs = G^T b when woodbury, else b. Both are
+    summed in one pass over `kernel_chunks`: the kernel is numpy's product
+    of the first chunk, and `_lapack.syrk` adds each later one to its lower
+    triangle. A factorization that fails raises ValueError."""
+    m = X.shape[1] if cols is None else len(cols)
+    woodbury = 0 < m < X.shape[0]
+    kernel, rhs = None, None if woodbury else b
+    for part, G in [(slice(None), X)] if cols is None else kernel_chunks(X, cols, scale, woodbury):
+        if kernel is None:  # numpy's product, symmetric, so its transpose is Fortran-ordered
+            kernel = (G.T @ G if woodbury else G @ G.T).T
+        else:  # a later chunk, added to the lower triangle in place
+            _lapack.syrk(kernel, G, trans=not woodbury)
+        if woodbury:
+            rhs = G.T @ b[part] if rhs is None else rhs + G.T @ b[part]
     kernel.flat[:: kernel.shape[0] + 1] += rho
     L = cholesky(kernel)
     if L is None:
         raise ValueError("the ridge kernel is too ill-conditioned to factor")
-    return L, woodbury
+    return L, woodbury, rhs
 
 
 def ridge_fit(G: np.ndarray, y: np.ndarray, rho: float) -> RidgeFit:
@@ -75,9 +108,9 @@ def ridge_fit(G: np.ndarray, y: np.ndarray, rho: float) -> RidgeFit:
     to inf without a warning, although b is representable: it is then redone for y 2^-j,
     which scales it exactly in binary, with ||y 2^-j||/rho about 2^256, and b is scaled back
     by 2^j. A b that is not representable raises ValueError."""
-    L, woodbury = kernel_factor(G, rho)
+    L, woodbury, rhs = kernel_factor(G, rho, y)
     if woodbury:
-        coef = _lapack.potrs(L, G.T @ y)
+        coef = _lapack.potrs(L, rhs)
     else:
         solved = _lapack.potrs(L, y)
         if np.isfinite(solved).all():

@@ -790,9 +790,9 @@ def test_verifying_a_witness_transfer_factors_nothing(monkeypatch):
     # and the Schur query certifies with no kernel factorization
     calls = []
 
-    def counting(G, rho):
-        calls.append(G.shape)
-        return kernel_factor(G, rho)
+    def counting(*args):
+        calls.append(args)
+        return kernel_factor(*args)
 
     monkeypatch.setattr(certificates, "kernel_factor", counting)
     rng = np.random.default_rng(43)
@@ -823,9 +823,9 @@ def test_a_sweep_trial_accepts_on_one_query_and_never_requeries(monkeypatch):
         queries.append(v is None)
         return v
 
-    def counting_factor(G, rho):
-        factors.append(G.shape)
-        return kernel_factor(G, rho)
+    def counting_factor(*args):
+        factors.append(args)
+        return kernel_factor(*args)
 
     monkeypatch.setattr(certificates, "_schur_query", counting_query)
     monkeypatch.setattr(certificates, "kernel_factor", counting_factor)
@@ -1114,8 +1114,8 @@ def test_schur_query_agrees_with_dense_margin(seed, tall, frac):
 def test_search_forms_no_p_by_p_array(eig_calls):
     # one p x p float64 array at p=1024 is 8 MiB; neither the search nor the
     # verifier of a certificate builds the dense slack matrix or X^T X. At
-    # alpha 3 (n=663) the verifier's Schur query holds its 4.8 MiB of scaled
-    # columns G and the 3.4 MiB n x n kernel, which it factors in place
+    # alpha 3 (n=663) the verifier's Schur query holds the 3.4 MiB n x n
+    # kernel, which it factors in place, and one chunk of the scaled columns
     MiB = 1024 * 1024
     cfg = EnsembleConfig(p_list=[1024], trials=1, rho_multipliers=[2.0])
     inst, _, sup = generate_instance(cfg, 1024, 1.0, 2.0, 0)
@@ -1139,6 +1139,75 @@ def test_search_forms_no_p_by_p_array(eig_calls):
     out, gap, large_gap = results
     assert out.reason == REASON_EMPTY_INTERVAL and eig_calls
     assert abs(gap) <= 1e-10 and abs(large_gap) <= 1e-10
+
+
+def first_midpoint_duals(inst, sup):
+    """The canonical duals at check_dcl's first bisection midpoint."""
+    ctx = SupportContext(inst, sup)
+    ell, up = ctx.bracket()
+    return ctx, ctx.duals(math.sqrt(ell) * math.sqrt(up) if ell > 0.0 else 0.5 * (ell + up))
+
+
+def test_schur_query_peaks_at_one_and_a_half_kernels():
+    # p=1024, alpha 3: the n x n kernel is 3.4 MiB, and the query gathers at
+    # most half of it of the scaled columns at a time; a copy of all of
+    # them (n x |c|, 4.8 MiB) would take the peak past the bound
+    cfg = EnsembleConfig(p_list=[1024], trials=1, alpha_grid=[3.0], rho_multipliers=[2.0])
+    inst, _, sup = generate_instance(cfg, 1024, 3.0, 2.0, 0)
+    ctx, duals = first_midpoint_duals(inst, sup)
+    rest = int((1.0 - duals > certificates.SCHUR_SPLIT).sum())
+    assert rest >= inst.n  # the n x n side, in more than one chunk
+    kernel_bytes = inst.n * inst.n * 8
+    tracemalloc.start()
+    try:
+        certificates._schur_query(ctx, duals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * kernel_bytes + 1.5 * 1024 * 1024
+
+
+def test_one_chunk_and_many_decide_the_sweep_p256_cells_alike(monkeypatch):
+    # the sweep-p256 cells' Woodbury kernels take two or three row chunks;
+    # summed in one chunk they agree to roundoff, and no decision or
+    # certificate moves
+    cfg = EnsembleConfig(p_list=[256], trials=3, alpha_grid=[1.0, 3.0, 4.0], rho_multipliers=[2.0])
+    cases = [generate_instance(cfg, 256, a, 2.0, t)[::2] for a in cfg.alpha_grid for t in range(cfg.trials)]
+
+    def run():
+        outcomes, factors, chunks = [], [], 0
+        for inst, sup in cases:
+            out = check_dcl(inst, sup)
+            outcomes.append((out.reason, out.certificate.lam if out.exact else None))
+            duals = first_midpoint_duals(inst, sup)[1]
+            rest = np.flatnonzero(1.0 - duals > certificates.SCHUR_SPLIT)
+            root = np.sqrt(1.0 - duals[rest])
+            L, woodbury, _ = kernel_factor(inst.X, inst.rho, inst.y, rest, root)
+            factors.append(np.tril(L))
+            chunks = max(chunks, sum(1 for _ in linalg.kernel_chunks(inst.X, rest, root, woodbury)))
+        return outcomes, factors, chunks
+
+    outcomes, factors, chunks = run()
+    monkeypatch.setattr(linalg, "CHUNK_ENTRIES", 2**62)
+    single_outcomes, single_factors, single_chunks = run()
+    assert chunks >= 2 and single_chunks == 1
+    assert outcomes == single_outcomes
+    assert sum(lam is not None for _, lam in outcomes) >= 3
+    for L, single in zip(factors, single_factors):
+        assert np.linalg.norm(L - single) <= 1e-13 * np.linalg.norm(single)
+
+
+@pytest.mark.parametrize("duals, certifies", [((1.2, 0.6), True), ((2.5, 0.6), False), ((0.3, 0.2), True)])
+def test_schur_query_with_no_rest_or_no_block_columns(duals, certifies):
+    # every w_i <= SCHUR_SPLIT leaves no column for the kernel, which is
+    # rho I_n, and the Schur complement is M = X^T X/rho + W itself; every
+    # w_i > SCHUR_SPLIT leaves no block (t = 0), and W is PSD
+    inst = ProblemInstance(X=np.eye(2), y=[1.0, 0.0], rho=1.0, k=1)
+    v = certificates._schur_query(SupportContext(inst, (0,)), np.array(duals))
+    if certifies:
+        assert v is None
+    else:
+        assert v[1] == 0.0 and v @ (np.diag(duals) - 2.0 * np.eye(2)) @ v > 0.0
 
 
 def test_cholesky_certifies_first_query_without_eigensolve(eig_calls):

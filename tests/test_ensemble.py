@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsecert import EnsembleConfig, ProblemInstance, generate_instance, run_sweep
-from sparsecert import ensemble
+from sparsecert import _lapack, ensemble
 from sparsecert.certificates import check_dcl, verify_dcl_certificate
 from sparsecert.ensemble import aggregate_curves, evaluate_trial, sample_size_for, sparsity_for
 from sparsecert.rng import SplitMix64, seed_derive
@@ -334,6 +334,33 @@ def test_caller_exception_kills_and_reaps_every_child(monkeypatch, exc):
         run_sweep(small_config(), workers=3)
     assert time.perf_counter() - start < 15
     assert_no_child_left()
+
+
+def test_pooled_sweep_pins_blas_to_one_thread_and_restores_the_callers_count(monkeypatch):
+    # the caller's count is raised to 2 first, so the pin shows under
+    # OPENBLAS_NUM_THREADS=1 too
+    get = getattr(_lapack._LIB, "scipy_openblas_get_num_threads64_", None)
+    if get is None:
+        pytest.skip("this OpenBLAS exports no thread symbols")
+    before = _lapack.set_blas_threads(2)
+    try:
+        seen = []
+        patch_trial(monkeypatch, in_caller=lambda: seen.append(get()))
+        run_sweep(small_config(), workers=2)
+        assert set(seen) == {1} and get() == 2
+        seen.clear()
+        run_sweep(small_config(), workers=1)  # one process keeps the caller's threads
+        assert set(seen) == {2} and get() == 2
+        def report():  # a forked child inherits the pin
+            raise ValueError(f"child threads={get()}")
+
+        patch_trial(monkeypatch, in_child=report)
+        with pytest.raises(ValueError, match="^child threads=1$"):
+            run_sweep(small_config(), workers=2)
+        assert get() == 2
+        assert_no_child_left()
+    finally:
+        _lapack.set_blas_threads(before)
 
 
 def test_child_result_larger_than_a_pipe_buffer():

@@ -64,6 +64,36 @@ def test_top_eigenpair_matches_references(n, order):
     assert abs(float(u @ V[:, 0])) == pytest.approx(1.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("trans", [False, True])
+@pytest.mark.parametrize("n", SIZES)
+def test_syrk_accumulates_into_the_lower_triangle(n, trans):
+    # c += a^T a (a a^T when trans) with beta = 1: two calls sum two products,
+    # and the strict upper triangle is left as it was
+    rng = np.random.default_rng(200 + n)
+    a, b = rng.standard_normal((n, 5)), rng.standard_normal((n, 5))
+    if not trans:
+        a, b = a.T.copy(), b.T.copy()  # 5 x n: a^T a is n x n
+    start = np.array(sym(rng, n), order="F")
+    c = start.copy(order="F")
+    _lapack.syrk(c, a, trans)
+    _lapack.syrk(c, b, trans)
+    want = start + (a @ a.T + b @ b.T if trans else a.T @ a + b.T @ b)
+    assert np.allclose(np.tril(c), np.tril(want), rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    assert np.array_equal(np.triu(c, 1), np.triu(start, 1))
+    # one call into zeros gives numpy's product bit for bit
+    c = np.zeros((n, n), order="F")
+    _lapack.syrk(c, a, trans)
+    assert np.array_equal(np.tril(c), np.tril(a @ a.T if trans else a.T @ a))
+
+
+def test_syrk_refuses_what_it_cannot_read_or_write_safely():
+    c = np.zeros((3, 3), order="F")
+    for a, trans in [(np.ones((4, 2)), False), (np.ones((2, 4)), True), (np.ones((3, 4)).T, False),
+                     (np.ones((4, 3), dtype=np.float32), False)]:
+        with pytest.raises(ValueError, match="C-ordered float64"):
+            _lapack.syrk(c, a, trans)
+
+
 def test_cholesky_factors_a_read_only_matrix_on_a_copy():
     A = spd(np.random.default_rng(5), 4)
     A.setflags(write=False)

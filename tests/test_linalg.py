@@ -10,7 +10,7 @@ from helpers import (
     ridge_value_kernel,
     smw_residuals,
 )
-from sparsecert import ProblemInstance
+from sparsecert import ProblemInstance, linalg
 from sparsecert.linalg import (
     correlation_scores,
     kernel_factor,
@@ -191,10 +191,39 @@ def test_kernel_factor_side_and_factor(n, m, woodbury):
     rng = np.random.default_rng(n + m)
     G = rng.standard_normal((n, m))
     rho = 0.7
-    L, side = kernel_factor(G, rho)
+    b = rng.standard_normal(n)
+    L, side, rhs = kernel_factor(G, rho, b)
     assert side is woodbury
     kernel = G.T @ G + rho * np.eye(m) if woodbury else G @ G.T + rho * np.eye(n)
     assert np.allclose(np.tril(L), np.linalg.cholesky(kernel), rtol=1e-12, atol=1e-12)
+    assert np.array_equal(rhs, G.T @ b if woodbury else b)
+
+
+@pytest.mark.parametrize("chunk_entries", [1, 7, None])
+@pytest.mark.parametrize("n, m, woodbury", [(9, 0, False), (9, 4, True), (9, 8, True), (9, 9, False), (5, 12, False)])
+def test_kernel_factor_of_chosen_scaled_columns_over_chunks(monkeypatch, n, m, woodbury, chunk_entries):
+    # G = X[:, cols] / scale, accumulated over chunks of at most
+    # max(half the kernel, CHUNK_ENTRIES) entries: small budgets force many
+    rng = np.random.default_rng(10 * n + m)
+    X = rng.standard_normal((n, 15))
+    cols = np.sort(rng.choice(15, size=m, replace=False))
+    scale = rng.uniform(0.5, 2.0, size=m)
+    if chunk_entries:
+        monkeypatch.setattr(linalg, "CHUNK_ENTRIES", chunk_entries)
+    sizes = [G.size for _, G in linalg.kernel_chunks(X, cols, scale, woodbury)]
+    order = m if woodbury else n
+    assert sum(sizes) == n * m
+    assert all(size <= max(order * order // 2, linalg.CHUNK_ENTRIES) for size in sizes)
+    G, B = X[:, cols] / scale, rng.standard_normal((n, 3))
+    L, side, rhs = kernel_factor(X, 0.7, B, cols, scale)
+    assert side is woodbury
+    kernel = G.T @ G + 0.7 * np.eye(m) if woodbury else G @ G.T + 0.7 * np.eye(n)
+    assert np.allclose(np.tril(L), np.linalg.cholesky(kernel), rtol=1e-12, atol=1e-12)
+    assert np.allclose(rhs, G.T @ B if woodbury else B, rtol=1e-12, atol=1e-12)
+    if chunk_entries is None:  # one chunk: numpy's bits
+        assert len(sizes) == 1
+        whole = kernel_factor(G, 0.7, B)
+        assert np.array_equal(np.tril(L), np.tril(whole[0])) and np.array_equal(rhs, whole[2])
 
 
 def test_kernel_factor_rejects_what_it_cannot_factor():
@@ -202,10 +231,10 @@ def test_kernel_factor_rejects_what_it_cannot_factor():
         G = np.ones((3, 2))
         G[1, 0] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            kernel_factor(G, 1.0)
+            kernel_factor(G, 1.0, np.ones(3))
     # rank one plus rho below roundoff: the n x n side is singular in floating point
     with pytest.raises(ValueError, match="ill-conditioned"):
-        kernel_factor(np.ones((2, 3)), 1e-300)
+        kernel_factor(np.ones((2, 3)), 1e-300, np.ones(2))
 
 
 def test_smw_residuals_hand_example():
