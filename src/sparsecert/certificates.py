@@ -61,7 +61,7 @@ from .linalg import (
     kernel_chunks,
     kernel_factor,
     max_eig_sym,
-    ridge_restricted_solve,
+    ridge_fit,
 )
 from .problem import ProblemInstance, normalize_support
 
@@ -163,7 +163,7 @@ class SupportContext:
     def __init__(self, inst: ProblemInstance, support: Sequence[int]):
         self.inst = inst
         self.support = _checked_support(inst, support)
-        self.fit = ridge_restricted_solve(inst, self.support)
+        self.fit = ridge_fit(inst.X[:, self.support], inst.y, inst.rho)
         self.in_mask = np.zeros(inst.p, dtype=bool)
         self.in_mask[list(self.support)] = True
         self.out_mask = ~self.in_mask
@@ -486,7 +486,7 @@ def verify_kkt(
         raise ValueError(f"dual vector has length {d.shape[0]}, expected p={inst.p}")
     lam = float(lam)
     beta = np.zeros(inst.p)
-    beta[list(sup)] = ridge_restricted_solve(inst, sup).coef
+    beta[list(sup)] = ridge_fit(inst.X[:, sup], inst.y, inst.rho).coef
     gram = inst.X.T @ inst.X
     gram = 0.5 * (gram + gram.T)
     Q = gram + inst.rho * np.eye(inst.p) - np.diag(d)

@@ -54,7 +54,7 @@ class PwgValueResult:
     value: float
     z: np.ndarray
     iterations: int
-    grad_norm_kkt: float  # Frank-Wolfe stationarity gap at the returned point
+    fw_gap: float  # Frank-Wolfe stationarity gap at the returned point
     trace: list[float]  # objective at z0 and after every accepted step or snap
 
 
@@ -290,4 +290,4 @@ def pwg_value(inst: ProblemInstance) -> PwgValueResult:
         grad = _gradient(inst, scores_bin)
         trace.append(val)
     gap = _frank_wolfe_gap(grad, z, k)
-    return PwgValueResult(value=val, z=z, iterations=iterations, grad_norm_kkt=gap, trace=trace)
+    return PwgValueResult(value=val, z=z, iterations=iterations, fw_gap=gap, trace=trace)

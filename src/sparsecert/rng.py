@@ -22,15 +22,18 @@ their frozen bytes are those of numpy's AVX-512 log:
   returned sorted;
 * signs: +1.0 when the top bit of a draw is 0, else -1.0, one draw each.
 
-Every request takes its draws as vectorized blocks of consecutive
-outputs, which is the same stream as drawing them one at a time. A normals
-request of q pairs works through its pairs in blocks of at most
-NORMAL_BLOCK: each block mixes the u1 counters of its pairs and their u2
-counters (q further on) in one buffer and writes its values straight into
-the output, so the temporaries stay O(NORMAL_BLOCK) however large the
-request. The values, their order and the state after the request are those
-specified above; a request of at most NORMAL_BLOCK pairs is one block with
-counters 1..2q.
+A subset or a sign request takes its draws one at a time. A normals request
+of q pairs works through its pairs in blocks of at most NORMAL_BLOCK: each
+block mixes the u1 counters of its pairs and their u2 counters (q further
+on) in one buffer and writes its values straight into the output, so the
+temporaries stay O(NORMAL_BLOCK) however large the request. Within a block
+cos and sin run over the angles grouped by their 1/64 turn, and each result
+goes back to its own pair: numpy's float64 cos and sin are glibc's scalar
+kernels, whose range and quadrant branches mispredict on random angles and
+cost about twice as much as on grouped ones. An elementwise function's
+value depends on its argument alone, so grouping moves no value. The
+values, their order and the state after the request are those specified
+above.
 
 Per-trial seeds come from `seed_derive`, which folds the cell coordinates
 into the master seed through the same finalizer, one field at a time.
@@ -44,11 +47,17 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-_S11, _S27, _S30, _S31, _S63 = (np.uint64(b) for b in (11, 27, 30, 31, 63))
+_S11, _S27, _S30, _S31, _S47 = (np.uint64(b) for b in (11, 27, 30, 31, 47))
 
 # Box-Muller pairs per block of a normals request: a block's temporaries hold
-# at most 5 * NORMAL_BLOCK 8-byte values (640 KiB) at once, whatever the request
-NORMAL_BLOCK = 16384
+# at most 5 * NORMAL_BLOCK 8-byte values (160 KiB) at once, whatever the
+# request, so they stay in L2
+NORMAL_BLOCK = 4096
+
+# i * GAMMA for i = 1..NORMAL_BLOCK: a run of draws is these steps past the
+# state before its first draw
+_STEPS = np.arange(1, NORMAL_BLOCK + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+_STEPS.flags.writeable = False
 
 
 def _mix(z: int) -> int:
@@ -80,11 +89,14 @@ class SplitMix64:
         self._state = (self._state + _GAMMA) & _MASK
         return _mix(self._state)
 
-    def _outputs(self, z: np.ndarray) -> np.ndarray:
-        """The outputs at uint64 counters z, mixed in place: counter i is the
-        i-th draw after the current state, which does not move."""
-        z *= np.uint64(_GAMMA)
-        z += np.uint64(self._state)
+    def _outputs(self, n: int, starts: tuple[int, ...]) -> np.ndarray:
+        """Runs of n consecutive outputs as one uint64 array: run j holds the
+        draws starts[j]+1..starts[j]+n after the current state, which does
+        not move. n is at most NORMAL_BLOCK."""
+        z = np.empty(n * len(starts), dtype=np.uint64)
+        for j, start in enumerate(starts):
+            base = np.uint64((self._state + _GAMMA * start) & _MASK)
+            np.add(_STEPS[:n], base, out=z[j * n : (j + 1) * n])
         t = z >> _S30
         z ^= t
         z *= np.uint64(_MIX1)
@@ -95,30 +107,29 @@ class SplitMix64:
         z ^= t
         return z
 
-    def _block(self, m: int) -> np.ndarray:
-        """The next m outputs as uint64."""
-        z = self._outputs(np.arange(1, m + 1, dtype=np.uint64))
-        self._state = (self._state + _GAMMA * m) & _MASK
-        return z
-
     def _normal_block(self, out: np.ndarray, a: int, b: int, q: int) -> None:
         """Write pairs a..a+b-1 of a q-pair normals request into out[2a:2a+2b]:
         their u1 at counters a+1..a+b, their u2 at q+a+1..q+a+b. Every
         temporary is freed on return."""
-        bits = np.arange(a + 1, a + 2 * b + 1, dtype=np.uint64)
-        if b < q:
-            bits[b:] += np.uint64(q - b)
-        self._outputs(bits)
-        bits >>= _S11
-        bits += np.uint64(1)  # at most 2^53, so exact in float64
+        z = self._outputs(b, (a, q + a))
+        z >>= _S11
+        z += np.uint64(1)  # at most 2^53, so exact in float64
+        # the angles in order of their 1/64 turn; each cos and sin is put back
+        # in its own pair's slot, so no value moves
+        order = np.argsort((z[b:] >> _S47).astype(np.uint8), kind="stable")
+        f = z.view(np.float64)  # each word becomes its float in place
         # scaling by 2^-53 is exact: theta is the one rounding fl(u2 * 2 pi)
-        r = np.multiply(bits[:b], 2.0**-53)
-        theta = np.multiply(bits[b:], 2.0 * np.pi * 2.0**-53)
+        np.multiply(z[b:], 2.0 * np.pi * 2.0**-53, out=f[b:])
+        theta = f[b:][order]
+        r = np.multiply(z[:b], 2.0**-53, out=f[:b])
         np.log(r, out=r)
         r *= -2.0
         np.sqrt(r, out=r)
-        np.multiply(r, np.cos(theta), out=out[2 * a : 2 * (a + b) : 2])
-        np.multiply(r, np.sin(theta), out=out[2 * a + 1 : 2 * (a + b) : 2])
+        trig = f[b:]  # the angles in pair order are dead once gathered
+        trig[order] = np.cos(theta)
+        np.multiply(r, trig, out=out[2 * a : 2 * (a + b) : 2])
+        trig[order] = np.sin(theta)
+        np.multiply(r, trig, out=out[2 * a + 1 : 2 * (a + b) : 2])
 
     def normals(self, m: int) -> np.ndarray:
         """m standard normals via Box-Muller, drawn NORMAL_BLOCK pairs at a time."""
@@ -134,11 +145,11 @@ class SplitMix64:
         if not 0 <= k <= p:
             raise ValueError(f"cannot draw {k} of {p} items")
         pool = list(range(p))
-        for i, bits in enumerate(self._block(k).tolist()):
-            j = i + (((bits >> 11) * (p - i)) >> 53)
+        for i in range(k):
+            j = i + (((self.next_u64() >> 11) * (p - i)) >> 53)
             pool[i], pool[j] = pool[j], pool[i]
         return tuple(sorted(pool[:k]))
 
     def signs(self, m: int) -> np.ndarray:
         """m values in {+1.0, -1.0}, equiprobable (top output bit)."""
-        return np.where(self._block(m) >> _S63 == 0, 1.0, -1.0)
+        return np.array([-1.0 if self.next_u64() >> 63 else 1.0 for _ in range(m)])

@@ -639,16 +639,16 @@ def test_verifier_gap_does_not_move_with_lam():
 def test_a_gap_that_does_not_close_is_unresolved_before_any_query(monkeypatch):
     # the gap is the fit's, so check_dcl abstains on it once per support,
     # before it asks the Schur query at any threshold
-    solve = certificates.ridge_restricted_solve
+    fit_ridge = certificates.ridge_fit
 
-    def nan_value(inst, support):
-        fit = solve(inst, support)
+    def nan_value(G, y, rho):
+        fit = fit_ridge(G, y, rho)
         fit.value = float("nan")
         return fit
 
     queries = []
     real_query = certificates._schur_query
-    monkeypatch.setattr(certificates, "ridge_restricted_solve", nan_value)
+    monkeypatch.setattr(certificates, "ridge_fit", nan_value)
     monkeypatch.setattr(certificates, "_schur_query", lambda *a: queries.append(1) or real_query(*a))
     cfg = EnsembleConfig(p_list=[16], trials=4, alpha_grid=[1.0, 4.0], rho_multipliers=[2.0])
     cases = [(ident([1.0, 0.0]), (0,))]
@@ -1367,7 +1367,9 @@ def test_one_restricted_solve_per_support(monkeypatch):
     # verifier reads P, b and X b off its own context's fit
     calls = []
     real = linalg.ridge_fit
-    monkeypatch.setattr(linalg, "ridge_fit", lambda *a: calls.append(1) or real(*a))
+    # a context fits through certificates' name, and ridge_restricted_solve through linalg's
+    for module in (linalg, certificates):
+        monkeypatch.setattr(module, "ridge_fit", lambda *a: calls.append(1) or real(*a))
     cfg = EnsembleConfig(p_list=[64], trials=1)
     verified = 0
     for alpha in (1.0, 3.0, 6.0):

@@ -102,14 +102,14 @@ def test_check_tiny_rho_support_is_interval_empty(tmp_path, capsys):
 def test_check_nan_duality_gap_exits_2(identity_instance, capsys, monkeypatch):
     # the scores separate, but a NaN gap does not close, so the search
     # itself abstains before any query rather than certify
-    solve = certificates.ridge_restricted_solve
+    fit_ridge = certificates.ridge_fit
 
-    def nan_value(inst, support):
-        fit = solve(inst, support)
+    def nan_value(G, y, rho):
+        fit = fit_ridge(G, y, rho)
         fit.value = float("nan")
         return fit
 
-    monkeypatch.setattr(certificates, "ridge_restricted_solve", nan_value)
+    monkeypatch.setattr(certificates, "ridge_fit", nan_value)
     code = main(["check", str(identity_instance), "--support", "0"])
     out = capsys.readouterr().out
     assert code == 2
@@ -300,7 +300,7 @@ def test_oracle_bug_trap_fires_on_a_proven_violation(tmp_path, capsys, monkeypat
     def too_high(inst):
         best = cli.brute_force_l0(inst).value
         return oracles.PwgValueResult(value=best * (1.0 + 1e-6), z=np.zeros(inst.p),
-                                      iterations=0, grad_norm_kkt=0.0, trace=[])
+                                      iterations=0, fw_gap=0.0, trace=[])
 
     monkeypatch.setattr(cli, "pwg_value", too_high)
     path = tmp_path / "identity.json"

@@ -14,7 +14,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from sparsecert import EnsembleConfig, generate_instance
+from sparsecert import EnsembleConfig, generate_instance, rng
 from sparsecert.rng import SplitMix64
 
 SEEDS = (0x5EED, 2**64 - 1)  # the second wraps the state on the first step
@@ -60,8 +60,9 @@ DRAWS = {
     ("signs", (1,)): ('a4e209f3fda32172a500558f8b8acad12ef67669987b5018e25b205a1e704727', '78e39eb5c3c54e20e65e560849689aa2dd38c09350958fff24a1048e7fe1792c'),
     ("signs", (33,)): ('4956d8c1e7f3339238a59d7d9483800fc529cd09b7701515324a4ecd7bfc8751', 'dd838d1a9ef9f95c03888561832102cdb2456c9d9a34607b072bcb115af6c873'),
     # appended after the older cases so their parametrize ids stay put:
-    # 1, 2 and 3 blocks of NORMAL_BLOCK = 16384 pairs, one pair short and
-    # one pair over, with an even and an odd count
+    # 1, 2 and 3 times 16384 pairs (4, 8 and 12 blocks of NORMAL_BLOCK =
+    # 4096 pairs), one pair short and one pair over, with an even and an
+    # odd count
     ("normals", (32766,)): ('301adc0e6a309ac086452c640195c728421a293d4a98165866017505d724ab54', '4f8ee6c397a20a441190593aa0dd464973b974db8c7f89e697203dc0001b04da'),
     ("normals", (32767,)): ('0aa6c216362e75e93feeb615cec6165b041b416ca10800280f645514b22990c5', '2f73d2c7cdefe6f1ca504d7c8c173e46d73cbf394b2f1a0a1b9c3b9837358658'),
     ("normals", (32769,)): ('6e9940207ea6ac7ff0aab43aaaf4e6662d0b3cc0ac2117463ef86465eaea370d', '743d5276dbe5b681dba99e25df618602aad39cc11b428ac97cbb482a18ec3ce7'),
@@ -82,7 +83,7 @@ CHAINED = {
     ("subset", (64, 8)): 'c1144b73d8bd738bbdbc5ab5c7f74444639767b0081eed9031cd28c6941e75b3',
     ("signs", (8,)): '886cb64756f7ce81ceb23af51f37e08e93f960ddd3d718d034fe5efc8806d674',
     ("normals", (97,)): '7e375ddd53160b6840853c160022ed5cfe12eefa0864ac21f1d7af9a0663ffe8',
-    # then a 3-block request (32769 pairs) and a draw from the state it leaves
+    # then a 9-block request (32769 pairs) and a draw from the state it leaves
     ("normals", (65537,)): '4e8958b7b10662ee1e60bbde5a4a40be5cee16a336a6c0d8a7a6b3174bbe9295',
     ("signs", (3,)): '8755526ab8e470b789649a9e4298010e330df05dc2d71d6af975af276f7570f3',
 }
@@ -94,7 +95,7 @@ CELLS = {
     (64, 3.0, 8.0, 1): 'b884f6fe6bf07eddda54dcbb249e4908ae3a6e6b5e4416ebdef9cd4309e29ebb',
     (256, 1.0, 2.0, 0): '6298672a006ef6630586e4dadde49d534a0bc728f289d728f3095a31a320856b',
     (256, 4.0, 3.0, 5): '97e3c9fe294fd6ade494a92480a218b380e2b1dcee51f73f5d0421f80c0b0cf3',
-    (256, 4.0, 2.0, 0): '02ced6594ee0b38c2c964e997c1c11aa10b7b659acf439683cf81fb25f7b1c6e',  # a sweep-p256 cell, 3 blocks
+    (256, 4.0, 2.0, 0): '02ced6594ee0b38c2c964e997c1c11aa10b7b659acf439683cf81fb25f7b1c6e',  # a sweep-p256 cell, 11 blocks
 }
 
 
@@ -115,3 +116,32 @@ def test_generate_instance_bytes_frozen(cell):
     inst, beta, support = generate_instance(cfg, *cell)
     got = _digest(_bytes("normals", inst.X), _bytes("normals", inst.y), _bytes("normals", beta), _bytes("subset", support))
     assert got == CELLS[cell]
+
+
+# normals that cross several default blocks, with an odd count
+BLOCKED = 4 * rng.NORMAL_BLOCK + 3
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_normals_do_not_depend_on_the_block_size(seed, monkeypatch):
+    draws = []
+    for block in (1, 3, rng.NORMAL_BLOCK):
+        monkeypatch.setattr(rng, "NORMAL_BLOCK", block)
+        gen = SplitMix64(seed)
+        draws.append(_digest(gen.normals(BLOCKED), _state(gen)))
+    assert len(set(draws)) == 1
+
+
+@pytest.mark.parametrize("m", [1, 178, BLOCKED])
+def test_normals_are_the_documented_box_muller(m):
+    # the module docstring's definition, on words drawn one at a time and
+    # with numpy's log, cos and sin over them in stream order
+    gen = SplitMix64(SEEDS[0])
+    q = (m + 1) // 2
+    u = np.array([((gen.next_u64() >> 11) + 1) * 2.0**-53 for _ in range(2 * q)])
+    r = np.sqrt(-2.0 * np.log(u[:q]))
+    theta = 2.0 * np.pi * u[q:]
+    expected = np.column_stack([r * np.cos(theta), r * np.sin(theta)]).reshape(-1)[:m]
+    got = SplitMix64(SEEDS[0])
+    assert got.normals(m).tobytes() == expected.tobytes()
+    assert got._state == gen._state

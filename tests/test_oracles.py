@@ -297,7 +297,7 @@ def test_pwg_value_feasibility_and_consistency():
         assert (res.z >= -1e-12).all() and (res.z <= 1 + 1e-12).all()
         assert res.z.sum() <= inst.k + 1e-9
         assert res.value == pytest.approx(relaxed_objective(inst, res.z), abs=1e-10)
-        assert res.grad_norm_kkt >= 0.0
+        assert res.fw_gap >= 0.0
 
 
 def test_pwg_value_below_brute_force():
