@@ -10,9 +10,11 @@ search context's `gap` bit for bit: search and verifier decide on the same
 number. Prints the `check_dcl` reason counts per p, the largest |relative
 duality gap| over the verified certificates, the number of gap mismatches,
 the number of dominance violations (trials where `check_pwg` is exact and
-`check_dcl` is not, which a threshold certificate's transfer to a dual one
-rules out) and one sha256 over the stream of (pwg_exact, dcl_exact) across
-all seeds.
+`check_dcl` is not) and one sha256 over the stream of (pwg_exact,
+dcl_exact) across all seeds. Dominance holds by construction: both tests
+pass one gate before they certify, and past it a threshold certificate's
+witness transfer is NSD in floating point, so the count stays as a check
+that this still holds, not as a trap for the search.
 
 Usage:
     python scripts/decision_grid.py --seeds 100-105 [--expect SHA]

@@ -42,7 +42,15 @@ def main() -> int:
     rng = np.random.default_rng(0)
     tiny = ProblemInstance(X=rng.standard_normal((12, 8)), y=rng.standard_normal(12), rho=1e-30, k=2)
     save_instance(args.out / "tiny_rho.json", tiny, support=(0, 1))
-    names = ", ".join(str(args.out / name) for name in ("identity2.json", "gaussian16.json", "tiny_rho.json"))
+
+    # at rho = 1e-14 the off-support score rho/(1 + rho) ties the on-support
+    # scores rho in exact arithmetic; roundoff cancels it to 9.8e-15, but
+    # the fit's duality gap does not close, so check prints
+    # `not-certified (numerically-unresolved)` for both tests and exits 2
+    tied = ProblemInstance(X=[[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]], y=[1.0, 1.0], rho=1e-14, k=2)
+    save_instance(args.out / "tied_scores.json", tied, support=(0, 1))
+    files = ("identity2.json", "gaussian16.json", "tiny_rho.json", "tied_scores.json")
+    names = ", ".join(str(args.out / name) for name in files)
     print(f"wrote {names}")
     return 0
 

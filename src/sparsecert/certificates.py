@@ -12,20 +12,20 @@ the cardinality-constrained ridge problem at S:
       diag(d(lam)) - X^T X / rho - I_p,
       d_i(lam) = lam / c_i^2 (i in S),  d_i(lam) = c_i^2 / lam (i not in S),
 
-  negative semidefinite. Its top eigenvalue, the margin, is a convex function
-  of lam. A certificate is (S, lam), and one rule, `_accepts`, decides it
-  for the search and the verifier alike: the slack matrix at the canonical
-  duals must be NSD, decided on a t x t Schur complement of
-  X^T X/rho + I - D(lam) with no p x p matrix (`_schur_query`), and the
-  lifted duality gap, which no lam enters, must close to COND_TOL. When the
-  scores separate, check_dcl asks at lam0 = min_{i in S} c_i^2, where every
-  canonical dual is at most 1, so the slack matrix is NSD by construction
-  and the query factors nothing: a threshold certificate yields a dual one.
-  Otherwise a safeguarded bisection searches an analytic bracket in log
-  space. A query that does not certify returns a vector v with
-  g_v(lam) = v^T S(lam) v = a*lam + b/lam - c > 0. g_v bounds the margin
-  below for any v, so every certifying threshold lies between its roots,
-  and this Rayleigh cut shrinks the bracket to them or proves it empty.
+  negative semidefinite. Its top eigenvalue, the margin, is convex in lam.
+  A certificate (S, lam) needs an NSD slack matrix at the canonical duals,
+  decided on a t x t Schur complement with no p x p matrix (`_schur_query`),
+  and a lifted duality gap, which no lam enters, closed to COND_TOL.
+
+Both tests first pass one gate (`_abstention`): no zero squared score in
+the support and a closed gap. Past it, a threshold certificate is a dual
+one by construction: rounding is monotone, so at lam0 = min_{i in S} c_i^2
+separating scores give float duals lam0/c_i^2 <= 1 and c_j^2/lam0 <= 1, and
+the slack matrix is NSD with no query. Otherwise a safeguarded bisection
+searches an analytic bracket in log space. A query that does not certify
+returns v with g_v(lam) = v^T S(lam) v = a*lam + b/lam - c > 0; g_v bounds
+the margin below, so this Rayleigh cut shrinks the bracket to its roots or
+proves it empty.
 
 `SupportContext` owns every support-level decision for one (instance,
 support) pair: it validates the support and holds the restricted fit b*_S
@@ -37,12 +37,12 @@ sweep trial and `sparsecert check` build one context and run both tests on
 it. `verify_dcl_certificate` builds its own from the certificate's support,
 so re-verification shares no state with the search.
 
-A dual-certificate search that fails says why: `interval-empty` means no
-threshold can certify, proved either by the analytic bracket or by a
-Rayleigh cut; `bisection-exhausted` means the bracket shrank below the
-tolerance without a proof either way; `numerically-unresolved` means the
-fit's gap does not close, so no threshold can certify. verify_kkt, the full
-KKT system, is the dense reference.
+A test that fails says why: `separation-failed` (threshold test only), the
+gate's `zero-score-in-support` and `numerically-unresolved`, and the
+search's `interval-empty` (no threshold can certify, by the analytic
+bracket or a Rayleigh cut) and `bisection-exhausted` (the bracket shrank
+below tolerance with no proof either way). verify_kkt, the full KKT
+system, is the dense reference.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ class KktReport:
 
 
 class CertificateConsistencyError(RuntimeError):
-    """A constructed certificate failed its own validity conditions."""
+    """A dual certificate failed re-verification (`verify_dcl_certificate`)."""
 
 
 def _checked_support(inst: ProblemInstance, support: Sequence[int]) -> tuple[int, ...]:
@@ -326,20 +326,13 @@ def _schur_query(ctx: SupportContext, duals: np.ndarray) -> Optional[np.ndarray]
     return v
 
 
-def _accepts(ctx: SupportContext, lam: float) -> tuple[bool, np.ndarray | float]:
-    """The one rule, for search and verifier alike: (ctx.support, lam)
-    certifies when the slack matrix S at the canonical duals d = ctx.duals(lam)
-    is NSD (`_schur_query`) and the fit's gap `ctx.gap` closes. Returns
-    (True, gap), (False, v) with v^T S v > 0, or (False, gap) for a gap that
-    does not close; duals that do not exist raise CertificateConsistencyError."""
-    try:
-        d = ctx.duals(lam)
-    except ValueError as exc:
-        raise CertificateConsistencyError(str(exc)) from None
-    v = _schur_query(ctx, d)
-    if v is not None:
-        return False, v
-    return abs(ctx.gap) <= COND_TOL, ctx.gap
+def _abstention(ctx: SupportContext) -> Optional[str]:
+    """The gate both tests pass before they certify: `zero-score-in-support`
+    for a zero squared score in the support, all-zero scores included, then
+    `numerically-unresolved` for a fit whose `ctx.gap` does not close."""
+    if ctx.zero_score_in_support:
+        return REASON_ZERO_SCORE
+    return None if abs(ctx.gap) <= COND_TOL else REASON_UNRESOLVED
 
 
 def _context(inst: ProblemInstance, support: Sequence[int] | SupportContext) -> SupportContext:
@@ -355,44 +348,44 @@ def _context(inst: ProblemInstance, support: Sequence[int] | SupportContext) -> 
 
 def check_pwg(inst: ProblemInstance, support: Sequence[int] | SupportContext) -> CertOutcome:
     """Threshold test: exact iff off-support scores sit strictly below every
-    on-support score in absolute value. Ties fail (strictness required).
-    `support` may be a SupportContext built for `inst`, whose scores and
-    witness are reused."""
-    cert = _context(inst, support).threshold_witness
-    return CertOutcome(cert) if cert is not None else CertOutcome(reason=REASON_SEPARATION)
+    on-support score in absolute value. Ties fail (strictness required);
+    separating scores then report the reason of the gate it shares with
+    check_dcl (`_abstention`), so every threshold certificate is a dual one.
+    `support` may be a SupportContext built for `inst`, which is reused."""
+    ctx = _context(inst, support)
+    cert = ctx.threshold_witness
+    reason = REASON_SEPARATION if cert is None else _abstention(ctx)
+    return CertOutcome(reason=reason) if reason else CertOutcome(cert)
 
 
 def check_dcl(inst: ProblemInstance, support: Sequence[int] | SupportContext) -> CertOutcome:
-    """Dual-certificate search; each threshold is decided by `_accepts`.
+    """Dual-certificate search.
 
-    Before any query, a zero squared score in the support, all-zero scores
-    included, is `zero-score-in-support`, and a fit whose `ctx.gap` does not
-    close is `numerically-unresolved`. When the scores separate, the witness
-    transfer asks at lam0 = min_{i in S} c_i^2, where the slack matrix is NSD
-    by construction. Otherwise a safeguarded bisection asks at the geometric
-    midpoint lam_hat = sqrt(ell*up) of the analytic bracket [ell, up], since
-    the duals scale as lam and 1/lam (the arithmetic one while ell = 0). A
-    slack matrix that is not NSD gives a vector v with g_v(lam_hat) > 0,
-    whose Rayleigh bound (`SupportContext.rayleigh`, recomputed from
-    scratch, so the cut is sound for any v) shrinks the bracket to the root
-    interval {g_v <= 0} (`root_interval`), which holds every certifying
-    threshold, and to the side of lam_hat where the slope a - b/lam_hat^2
-    points down. The search stops with `interval-empty` when that leaves
-    nothing, as when the analytic bracket itself is empty, and with
-    `bisection-exhausted` when the bracket is narrower than BISECTION_TOL*up
-    or, as a guard, after BISECTION_MAX_ITER evaluations. `support` may be a
-    SupportContext built for `inst`.
-    """
+    Before anything else it returns the reason of the gate it shares with
+    check_pwg (`_abstention`). When the scores separate, the witness
+    transfer returns lam0 = min_{i in S} c_i^2 with no query: every float
+    canonical dual there is at most 1, so the slack matrix is NSD by
+    construction. Otherwise a safeguarded bisection runs `_schur_query` at
+    the canonical duals of the geometric midpoint lam_hat = sqrt(ell*up) of
+    the analytic bracket [ell, up], since the duals scale as lam and 1/lam
+    (the arithmetic one while ell = 0). A slack matrix that is not NSD
+    gives a vector v with g_v(lam_hat) > 0, whose Rayleigh bound
+    (`SupportContext.rayleigh`, recomputed from scratch, so the cut is sound
+    for any v) shrinks the bracket to the root interval {g_v <= 0}
+    (`root_interval`), which holds every certifying threshold, and to the
+    side of lam_hat where the slope a - b/lam_hat^2 points down. The search
+    stops with `interval-empty` when that leaves nothing, as when the
+    analytic bracket itself is empty, and with `bisection-exhausted` when
+    the bracket is narrower than BISECTION_TOL*up or, as a guard, after
+    BISECTION_MAX_ITER evaluations. `support` may be a SupportContext built
+    for `inst`."""
     ctx = _context(inst, support)
-    if ctx.zero_score_in_support:
-        return CertOutcome(reason=REASON_ZERO_SCORE)
-    if not abs(ctx.gap) <= COND_TOL:
-        return CertOutcome(reason=REASON_UNRESOLVED)
+    reason = _abstention(ctx)
+    if reason:
+        return CertOutcome(reason=reason)
     if ctx.threshold_witness is not None:
-        lam = float(ctx.sq_in.min())
-        if not _accepts(ctx, lam)[0]:  # every canonical dual at lam0 is at most 1
-            raise CertificateConsistencyError("the witness transfer's slack matrix is not NSD")
-        return CertOutcome(DclCertificate(ctx.support, lam))
+        # rounding is monotone: lam0/c_i^2 <= 1 on S and c_j^2/lam0 <= 1 off it
+        return CertOutcome(DclCertificate(ctx.support, float(ctx.sq_in.min())))
 
     ell, up = ctx.bracket()
     # a bracket narrower than the stopping width has no searchable interior
@@ -402,10 +395,10 @@ def check_dcl(inst: ProblemInstance, support: Sequence[int] | SupportContext) ->
     for _ in range(BISECTION_MAX_ITER):
         # the duals scale as lam and 1/lam, so query the geometric midpoint
         lam_hat = math.sqrt(ell) * math.sqrt(up) if ell > 0.0 else 0.5 * (ell + up)
-        accepted, why = _accepts(ctx, lam_hat)
-        if accepted:
+        v = _schur_query(ctx, ctx.duals(lam_hat))
+        if v is None:
             return CertOutcome(DclCertificate(ctx.support, lam_hat))
-        a, b, c = ctx.rayleigh(why)
+        a, b, c = ctx.rayleigh(v)
         lo, hi = root_interval(a, b, c)
         # g_v is positive at lam_hat, and certifying thresholds lie on the
         # side where its slope a - b/lam_hat^2 points down; cutting there too
@@ -423,34 +416,41 @@ def check_dcl(inst: ProblemInstance, support: Sequence[int] | SupportContext) ->
 
 
 def verify_dcl_certificate(inst: ProblemInstance, cert: DclCertificate) -> float:
-    """Re-check a dual certificate from scratch, independent of how it was
-    found: on a new context for its support, by the search's own rule
-    (`_accepts`). Returns the fit's relative duality gap, which no lam
-    enters; raises CertificateConsistencyError, also when the canonical
-    duals do not exist (`duals`)."""
-    accepted, why = _accepts(SupportContext(inst, cert.support), cert.lam)
-    if isinstance(why, np.ndarray):
+    """Re-check a dual certificate from scratch on a new context for its
+    support: the canonical duals must exist (`duals`), the slack matrix at
+    them must be NSD (`_schur_query`, the search's own query) and the fit's
+    relative duality gap, which no lam enters, must close to COND_TOL.
+    Returns that gap; raises CertificateConsistencyError on the first
+    condition that fails."""
+    ctx = SupportContext(inst, cert.support)
+    try:
+        d = ctx.duals(cert.lam)
+    except ValueError as exc:
+        raise CertificateConsistencyError(str(exc)) from None
+    if _schur_query(ctx, d) is not None:
         raise CertificateConsistencyError("slack matrix not NSD: its top eigenvalue is positive")
-    if not accepted:
-        raise CertificateConsistencyError(f"duality gap {why:g} at the restricted fit")
-    return why
+    if not abs(ctx.gap) <= COND_TOL:
+        raise CertificateConsistencyError(f"duality gap {ctx.gap:g} at the restricted fit")
+    return ctx.gap
 
 
 def pwg_witness_to_dcl(
     inst: ProblemInstance, support: Sequence[int], pwg: PwgCertificate
 ) -> DclCertificate:
-    """The witness transfer of `check_dcl`: lam = min_{j in S} c_j^2, where
-    every canonical dual lands in [0, 1], re-verified before it is returned.
-    Raises ValueError when the certificate's support does not match or its
-    scores do not separate on this instance."""
+    """The witness transfer, lam = min_{j in S} c_j^2, taken from `check_dcl`
+    on one context and re-verified before it is returned. Raises ValueError
+    when the certificate's support does not match, or when its scores do
+    not separate on this instance or fail the gate both tests share."""
     ctx = SupportContext(inst, support)
     if ctx.support != tuple(pwg.support):
         raise ValueError("certificate support does not match")
     if ctx.threshold_witness is None:
         raise ValueError("the correlation scores do not separate at this support")
-    cert = DclCertificate(ctx.support, float(ctx.sq_in.min()))
-    verify_dcl_certificate(inst, cert)
-    return cert
+    dcl = check_dcl(inst, ctx)
+    if not dcl.exact:
+        raise ValueError(f"the threshold test does not certify this support ({dcl.reason})")
+    verify_dcl_certificate(inst, dcl.certificate)
+    return dcl.certificate
 
 
 def kkt_variables(inst: ProblemInstance, cert: DclCertificate) -> tuple[np.ndarray, float]:

@@ -7,12 +7,12 @@ Subcommands:
   plot     aggregate CSV -> SVG rate-vs-alpha chart
 
 Exit codes: check returns 0 when check_dcl certifies and a from-scratch
-`verify_dcl_certificate`, by the same rule, agrees (printing the relative
-duality gap as gap), 2 when not (`numerically-unresolved` included), 1 on
-input errors (a support `SupportContext` refuses); oracle returns 3 if the
-relaxation value minus its Frank-Wolfe gap, a lower bound on the relaxation
-optimum, exceeds the brute-force optimum by more than the oracle's tie
-window, DEFAULT_REL_TOL * y^T y/2 (bug trap); everything else uses 0/1.
+`verify_dcl_certificate`, by the search's own query and gap test, agrees
+(printing the relative duality gap as gap), 2 when not (the shared gate's
+reasons included), 1 on input errors (a support `SupportContext` refuses);
+oracle returns 3 if the relaxation value minus its Frank-Wolfe gap, a lower
+bound on the relaxation optimum, exceeds the brute-force optimum by more
+than the oracle's tie window DEFAULT_REL_TOL * y^T y/2 (bug trap); else 0/1.
 """
 
 from __future__ import annotations

@@ -747,6 +747,57 @@ def test_pwg_exact_implies_dcl_exact():
     assert transfers > 20
 
 
+def test_tied_scores_are_not_a_threshold_certificate():
+    # in exact arithmetic the off-support score rho/(1 + rho) ties the
+    # on-support ones rho, so the scores do not separate; the float residual
+    # cancels it to 9.8e-15, and the fit's gap (about 0.045) does not close,
+    # so both tests abstain alike, and its witness does not transfer
+    X = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]])
+    inst = ProblemInstance(X=X, y=[1.0, 1.0], rho=1e-14, k=2)
+    ctx = SupportContext(inst, (0, 1))
+    assert ctx.threshold_witness is not None and not abs(ctx.gap) <= certificates.COND_TOL
+    assert check_pwg(inst, ctx).reason == check_dcl(inst, ctx).reason == certificates.REASON_UNRESOLVED
+    with pytest.raises(ValueError, match="numerically-unresolved"):
+        pwg_witness_to_dcl(inst, (0, 1), ctx.threshold_witness)
+
+
+def test_separating_scores_whose_squares_underflow_are_a_zero_score():
+    # the on-support scores 1.5e-162 and 1e-162 top the off-support 1e-163,
+    # but their squares round to 0, where no canonical duals exist
+    inst = ProblemInstance(X=np.eye(4), y=[3e-162, 2e-162, 1e-163, 0.0], rho=1.0, k=2)
+    ctx = SupportContext(inst, (0, 1))
+    assert ctx.threshold_witness is not None and not ctx.sq_in.any()
+    assert check_pwg(inst, ctx).reason == check_dcl(inst, ctx).reason == REASON_ZERO_SCORE
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=-520, max_value=520),
+    st.integers(min_value=-520, max_value=520),
+    st.floats(min_value=-300.0, max_value=300.0),
+)
+def test_a_threshold_certificate_is_a_verified_dual_certificate(seed, n, p, x_exp, y_exp, log_rho):
+    # on one context, pwg exact implies dcl exact, and the verifier accepts
+    # that certificate, at any scale ProblemInstance accepts
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, p + 1))
+    sup = tuple(sorted(rng.choice(p, size=k, replace=False).tolist()))
+    X = rng.standard_normal((n, p))
+    y = X[:, list(sup)] @ rng.uniform(1.0, 2.0, k) + 0.1 * rng.standard_normal(n)
+    try:
+        inst = ProblemInstance(X=X * 2.0**x_exp, y=y * 2.0**y_exp, rho=10.0**log_rho, k=k)
+        ctx = SupportContext(inst, sup)
+    except ValueError:
+        return
+    if check_pwg(inst, ctx).exact:
+        dcl = check_dcl(inst, ctx)
+        assert dcl.exact
+        assert abs(verify_dcl_certificate(inst, dcl.certificate)) <= certificates.COND_TOL
+
+
 # ------------------------------------------------------------ witness transfer
 
 
@@ -813,8 +864,7 @@ def test_a_sweep_trial_accepts_on_one_query_and_never_requeries(monkeypatch):
     # check_dcl's accepting query is the verifier's own NSD test, so a sweep
     # trial queries once per evaluation and never again to re-verify: a
     # midpoint certificate ends on its one accepting query, and a witness
-    # transfer's one query takes the W = I - D >= 0 shortcut, factoring
-    # nothing
+    # transfer, NSD by construction, makes no query at all
     queries, factors = [], []
     real_query = certificates._schur_query
 
@@ -837,7 +887,7 @@ def test_a_sweep_trial_accepts_on_one_query_and_never_requeries(monkeypatch):
         factors.clear()
         pwg_exact, dcl_exact = evaluate_trial(inst, sup)
         if pwg_exact:
-            assert queries == [True] and factors == []
+            assert queries == [] and factors == []
             hits["witness"] += 1
         elif dcl_exact:
             assert queries == [False] * (len(queries) - 1) + [True]

@@ -100,8 +100,8 @@ def test_check_tiny_rho_support_is_interval_empty(tmp_path, capsys):
 
 
 def test_check_nan_duality_gap_exits_2(identity_instance, capsys, monkeypatch):
-    # the scores separate, but a NaN gap does not close, so the search
-    # itself abstains before any query rather than certify
+    # the scores separate, but a NaN gap does not close, so both tests
+    # abstain at the gate they share rather than certify
     fit_ridge = certificates.ridge_fit
 
     def nan_value(G, y, rho):
@@ -113,7 +113,7 @@ def test_check_nan_duality_gap_exits_2(identity_instance, capsys, monkeypatch):
     code = main(["check", str(identity_instance), "--support", "0"])
     out = capsys.readouterr().out
     assert code == 2
-    assert "pwg: exact" in out
+    assert "pwg: not-certified (numerically-unresolved)" in out
     assert "dcl: not-certified (numerically-unresolved)" in out
     assert "dcl: exact" not in out
 
