@@ -11,8 +11,8 @@ form rho I_m + G^T G when 0 < m < n, else rho I_n + G G^T (= rho K_S for
 G = X_S). `ridge_fit`, the one ridge solve, reads the fit off either
 side, with its residual and overflow-safe value. For G = X_S it is the
 restricted fit b*_S, whose residual r = y - X_S b*_S = K_S^{-1} y gives the
-scores X^T r that drive both certificates; for G = X diag(sqrt z) it is the
-relaxation oracle's fit, whose value is g(z).
+scores X^T r that drive both certificates; for G = X_T diag(sqrt z_T), on
+the support T of z, it is the relaxation oracle's fit, whose value is g(z).
 `cholesky` is the single LAPACK `potrf` call site. It factors its argument
 in place, so `kernel_factor` factors the kernel it has just built with no
 copy, and a caller that still needs a matrix after factoring it passes a

@@ -12,7 +12,9 @@ nonpositive, and the returned feasible point upper-bounds the relaxation
 optimum with a Frank-Wolfe gap estimate. For z >= 0 and G = X diag(sqrt z),
 y^T (I + X D(z) X^T/rho)^{-1} y = min_b ||y - G b||^2 + rho ||b||^2, so g is
 the value of the ridge fit that `linalg.ridge_fit` returns, the same fit
-the certificates solve on a support: no n x n kernel is formed.
+the certificates solve on a support, on the smaller side of G. A zero
+column of G drops out of that fit, so it runs on the columns in supp z
+only; the first evaluation, at the dense z0 = (k/p)e, still takes all p.
 """
 
 from __future__ import annotations
@@ -195,9 +197,13 @@ def _check_kernel_scale(inst: ProblemInstance) -> None:
 
 
 def _relaxed_objective_and_scores(inst: ProblemInstance, z: np.ndarray) -> tuple[float, np.ndarray]:
-    """g(z) and the scores X_j^T K(z)^{-1} y, z >= 0, by the ridge fit b of G = X diag(sqrt z):
-    r = y - G b is K(z)^{-1} y, and G^T r = rho b makes y^T r = ||r||^2 + rho ||b||^2."""
-    fit = ridge_fit(inst.X * np.sqrt(z), inst.y, inst.rho)
+    """g(z) and the scores X_j^T K(z)^{-1} y, z >= 0, by the ridge fit b of G = X_T diag(sqrt z_T),
+    T = supp z (zero columns of X diag(sqrt z) drop out): r = y - G b is K(z)^{-1} y, and
+    G^T r = rho b makes y^T r = ||r||^2 + rho ||b||^2. The scores are over all p columns."""
+    cols = np.flatnonzero(z)
+    G = inst.X.take(cols, axis=1)
+    G *= np.sqrt(z[cols])
+    fit = ridge_fit(G, inst.y, inst.rho)
     return fit.value, inst.X.T @ fit.resid
 
 
@@ -208,18 +214,6 @@ def _gradient(inst: ProblemInstance, scores: np.ndarray) -> np.ndarray:
     if not top * (top / (2.0 * inst.rho)) < math.inf:
         raise ValueError("the relaxation's gradient c_j^2/(2 rho) is not representable")
     return -scores * (scores / (2.0 * inst.rho))
-
-
-def relaxed_objective(inst: ProblemInstance, z: np.ndarray) -> float:
-    """g(z) = 0.5 * y^T (X D(z) X^T / rho + I)^{-1} y; a negative or
-    non-finite entry of z, outside the ridge form's domain, is a ValueError."""
-    z = np.asarray(z, dtype=float).reshape(-1)
-    if z.shape != (inst.p,):
-        raise ValueError(f"z has length {z.shape[0]}, expected p={inst.p}")
-    if not (np.isfinite(z).all() and z.min() >= 0.0):
-        raise ValueError("z must be finite and nonnegative")
-    _check_kernel_scale(inst)
-    return _relaxed_objective_and_scores(inst, z)[0]
 
 
 def _frank_wolfe_gap(grad: np.ndarray, z: np.ndarray, k: int) -> float:

@@ -34,7 +34,7 @@ from sparsecert.certificates import kkt_variables, pwg_witness_to_dcl, verify_kk
 from sparsecert.cli import main
 from sparsecert.ensemble import aggregate_curves, run_sweep
 from sparsecert.linalg import ridge_restricted_solve
-from sparsecert.oracles import project_capped_simplex, relaxed_objective
+from sparsecert.oracles import _relaxed_objective_and_scores, project_capped_simplex
 
 ARTIFACT_DIR = Path(__file__).resolve().parent.parent / "test-artifacts"
 
@@ -175,11 +175,12 @@ def test_criterion_4_analytic_kernels(family500):
         # interior of the capped simplex, every coordinate above the step
         z = (1.0 - 1e-3) * z + 1e-3 * (inst.k / inst.p)
         grad = relaxed_gradient(inst, z)
-        floor = 1e-9 * max(1.0, relaxed_objective(inst, z))
+        g = lambda z: _relaxed_objective_and_scores(inst, z)[0]
+        floor = 1e-9 * max(1.0, g(z))
         for j in rng.choice(inst.p, size=3, replace=False):
             e = np.zeros(inst.p)
             e[j] = 1e-6
-            fd = (relaxed_objective(inst, z + e) - relaxed_objective(inst, z - e)) / 2e-6
+            fd = (g(z + e) - g(z - e)) / 2e-6
             assert abs(fd - grad[j]) <= 1e-5 * abs(grad[j]) + floor
     assert kkt_checked > 30 and transfer_checked > 30
     print(

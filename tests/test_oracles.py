@@ -29,14 +29,13 @@ from sparsecert import (
     verify_dcl_certificate,
 )
 from sparsecert.ensemble import EnsembleConfig, generate_instance
-from sparsecert.linalg import ridge_restricted_solve
+from sparsecert.linalg import ridge_fit, ridge_restricted_solve
 from sparsecert.problem import DEFAULT_REL_TOL
 from sparsecert.oracles import (
     BRUTE_FORCE_CHUNK,
     MAX_COMBINATIONS,
     CombinationBudgetError,
     project_capped_simplex,
-    relaxed_objective,
 )
 
 I2 = np.eye(2)
@@ -296,7 +295,7 @@ def test_pwg_value_feasibility_and_consistency():
         res = pwg_value(inst)
         assert (res.z >= -1e-12).all() and (res.z <= 1 + 1e-12).all()
         assert res.z.sum() <= inst.k + 1e-9
-        assert res.value == pytest.approx(relaxed_objective(inst, res.z), abs=1e-10)
+        assert res.value == pytest.approx(oracles._relaxed_objective_and_scores(inst, res.z)[0], abs=1e-10)
         assert res.fw_gap >= 0.0
 
 
@@ -353,11 +352,12 @@ def test_gradient_matches_finite_differences():
         z = (1.0 - 1e-3) * z + 1e-3 * (inst.k / inst.p)
         grad = relaxed_gradient(inst, z)
         # absolute floor covers central-difference roundoff, eps*|g|/step
-        floor = 1e-9 * max(1.0, relaxed_objective(inst, z))
+        g = lambda z: oracles._relaxed_objective_and_scores(inst, z)[0]
+        floor = 1e-9 * max(1.0, g(z))
         for j in rng.choice(inst.p, size=min(4, inst.p), replace=False):
             e = np.zeros(inst.p)
             e[j] = 1e-6
-            fd = (relaxed_objective(inst, z + e) - relaxed_objective(inst, z - e)) / 2e-6
+            fd = (g(z + e) - g(z - e)) / 2e-6
             assert abs(fd - grad[j]) <= 1e-5 * abs(grad[j]) + floor
 
 
@@ -385,6 +385,42 @@ def test_pwg_value_converged_step_exits(monkeypatch):
                     assert len(calls) <= res.iterations + 30
 
 
+def test_relaxation_fits_only_the_columns_z_keeps(monkeypatch):
+    # a zero column of X diag(sqrt z) drops out of the fit, so every fit gets
+    # supp z; the first, at the dense z0, takes all p columns and later
+    # iterates fewer (a p=64 draw that takes 20 iterations)
+    cfg = EnsembleConfig(p_list=[64], trials=1, alpha_grid=[2.0], rho_multipliers=[2.0])
+    inst = generate_instance(cfg, 64, 2.0, 2.0, 0)[0]
+    calls = []  # [nonzeros of z, columns of each fit it made]
+    real_fit, real_eval = oracles.ridge_fit, oracles._relaxed_objective_and_scores
+
+    def fit(G, y, rho):
+        calls[-1].append(G.shape[1])
+        return real_fit(G, y, rho)
+
+    def evaluate(inst, z):
+        calls.append([np.count_nonzero(z)])
+        return real_eval(inst, z)
+
+    monkeypatch.setattr(oracles, "ridge_fit", fit)
+    monkeypatch.setattr(oracles, "_relaxed_objective_and_scores", evaluate)
+    assert pwg_value(inst).iterations == 20
+    assert calls[0] == [64, 64]
+    assert all(columns == [kept] for kept, *columns in calls)
+    assert min(kept for kept, _ in calls) < 64
+
+
+def test_pwg_value_at_p256_matches_the_fit_on_all_columns():
+    # the fit on supp z against the form that scales all p columns, at the
+    # returned z of a p=256 draw (5 iterations)
+    cfg = EnsembleConfig(p_list=[256], trials=1, alpha_grid=[3.0], rho_multipliers=[8.0])
+    inst = generate_instance(cfg, 256, 3.0, 8.0, 0)[0]
+    res = pwg_value(inst)
+    assert res.iterations == 5 and np.count_nonzero(res.z) < inst.p
+    full = ridge_fit(inst.X * np.sqrt(res.z), inst.y, inst.rho).value
+    assert res.value == pytest.approx(full, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("seed", [9, 10, 14, 17, 31])
 def test_pwg_value_ill_conditioned_kernel_matches_exact_referee(seed):
     # X D(z) X^T/rho swamps the identity, and at n > p it is rank-deficient:
@@ -401,26 +437,20 @@ def test_pwg_value_ill_conditioned_kernel_matches_exact_referee(seed):
     assert res.value <= brute_force_l0(inst).value
 
 
-@pytest.mark.parametrize("bad", [-1e-300, -0.5, np.nan, np.inf])
-def test_relaxed_objective_rejects_z_outside_its_domain(bad):
-    # the ridge form needs sqrt z, so g is evaluated only at finite z >= 0
-    rng = np.random.default_rng(0)
-    inst = ProblemInstance(X=rng.standard_normal((8, 6)), y=rng.standard_normal(8), rho=1.0, k=2)
-    z = np.full(6, 1.0 / 3.0)
-    z[2] = bad
-    with pytest.raises(ValueError, match="finite and nonnegative"):
-        relaxed_objective(inst, z)
-
-
 def test_relaxed_objective_matches_exact_referee():
     # 0.5 * min_b ||y - G b||^2 + rho ||b||^2, G = X diag(sqrt z), against the
     # kernel form in exact arithmetic, on both sides of kernel_factor and at
-    # points with zero coordinates
+    # points with zero coordinates; z = 0 is the empty fit, with value y^T y/2
+    # and scores X^T y
     rng = np.random.default_rng(3)
     for _ in range(30):
         inst = mixed_instance(rng, n=int(rng.integers(3, 13)))
         z = project_capped_simplex(rng.uniform(-0.5, 1.0, size=inst.p), inst.k)
-        assert relaxed_objective(inst, z) == pytest.approx(exact_relaxed_objective(inst, z), rel=1e-12)
+        value = oracles._relaxed_objective_and_scores(inst, z)[0]
+        assert value == pytest.approx(exact_relaxed_objective(inst, z), rel=1e-12)
+        value, scores = oracles._relaxed_objective_and_scores(inst, np.zeros(inst.p))
+        assert value == 0.5 * float(inst.y @ inst.y)
+        assert scores.tolist() == (inst.X.T @ inst.y).tolist()
 
 
 @pytest.mark.parametrize("rho", [1e-20, 1e-30, 1e-100])
@@ -445,8 +475,6 @@ def test_tiny_rho_kernel_scale_is_a_value_error(rho):
     inst = ProblemInstance(X=rng.standard_normal((8, 6)), y=rng.standard_normal(8), rho=rho, k=2)
     with pytest.raises(ValueError, match="not representable"):
         pwg_value(inst)
-    with pytest.raises(ValueError, match="not representable"):
-        relaxed_objective(inst, np.full(6, 1.0 / 3.0))
 
 
 # Extreme scales that ProblemInstance accepts; the suite's error::RuntimeWarning
