@@ -10,8 +10,10 @@ search context's `gap` bit for bit: search and verifier decide on the same
 number. Prints the `check_dcl` reason counts per p, the largest |relative
 duality gap| over the verified certificates, the number of gap mismatches,
 the number of dominance violations (trials where `check_pwg` is exact and
-`check_dcl` is not) and one sha256 over the stream of (pwg_exact,
-dcl_exact) across all seeds. Dominance holds by construction: both tests
+`check_dcl` is not), one sha256 over the stream of (pwg_exact,
+dcl_exact) across all seeds and a `lam sha256` over each trial's
+`check_dcl` reason and, when exact, its certificate's `lam.hex()`, which
+pins every certificate's bits. Dominance holds by construction: both tests
 pass one gate before they certify, and past it a threshold certificate's
 witness transfer is NSD in floating point, so the count stays as a check
 that this still holds, not as a trap for the search.
@@ -49,7 +51,7 @@ def main(argv=None) -> int:
     parser.add_argument("--expect", default=None, help="sha256 the decisions must hash to")
     args = parser.parse_args(argv)
 
-    digest = hashlib.sha256()
+    digest, lam_digest = hashlib.sha256(), hashlib.sha256()
     reasons = {p: Counter() for p in P_LIST}
     unverified = violations = mismatched = 0
     max_gap = 0.0
@@ -64,6 +66,8 @@ def main(argv=None) -> int:
                         pwg = check_pwg(inst, ctx).exact
                         dcl = check_dcl(inst, ctx)
                         digest.update(b"%d%d" % (pwg, dcl.exact))
+                        lam = dcl.certificate.lam.hex() if dcl.exact else ""
+                        lam_digest.update((dcl.reason + lam).encode())
                         reasons[p]["exact" if dcl.exact else dcl.reason] += 1
                         if pwg and not dcl.exact:
                             violations += 1
@@ -90,6 +94,7 @@ def main(argv=None) -> int:
     print(f"search/verifier gap mismatches {mismatched}")
     print(f"dominance violations {violations}")
     print(f"sha256 {sha}")
+    print(f"lam sha256 {lam_digest.hexdigest()}")
     if unverified or mismatched or violations:
         return 1
     if args.expect is not None and args.expect != sha:

@@ -43,11 +43,11 @@ def _mem(a: np.ndarray):  # a writable Fortran-ordered (or 1-D) float64 array
 
 
 def syrk(c: np.ndarray, a: np.ndarray, trans: bool = False) -> None:
-    """c += a^T a (a a^T when `trans`), a C-ordered float64, in the Fortran-ordered c's lower triangle."""
-    if a.dtype != np.float64 or not a.flags.c_contiguous or c.shape != (a.shape[not trans],) * 2:
-        raise ValueError("syrk needs a C-ordered float64 a whose product has the shape of c")
+    """c += a^T a (a a^T when `trans`), a writable C-ordered float64, in the Fortran-ordered c's lower triangle."""
+    if a.dtype != np.float64 or not a.flags.carray or c.shape != (a.shape[not trans],) * 2:
+        raise ValueError("syrk needs a writable C-ordered float64 a whose product has the shape of c")
     one, n, k, lda = _DBL(1.0), _INT(c.shape[0]), _INT(a.shape[trans]), _INT(max(1, a.shape[1]))
-    _syrk(b"L", b"T" if trans else b"N", n, k, one, a.ctypes.data_as(_D), lda, one, _mem(c), n, 1, 1)
+    _syrk(b"L", b"T" if trans else b"N", n, k, one, _mem(a.T), lda, one, _mem(c), n, 1, 1)
 
 
 def potrf(a: np.ndarray) -> int:

@@ -21,21 +21,16 @@ Both tests first pass one gate (`_abstention`): no zero squared score in
 the support and a closed gap. Past it, a threshold certificate is a dual
 one by construction: rounding is monotone, so at lam0 = min_{i in S} c_i^2
 separating scores give float duals lam0/c_i^2 <= 1 and c_j^2/lam0 <= 1, and
-the slack matrix is NSD with no query. Otherwise a safeguarded bisection
-searches an analytic bracket in log space. A query that does not certify
-returns v with g_v(lam) = v^T S(lam) v = a*lam + b/lam - c > 0; g_v bounds
-the margin below, so this Rayleigh cut shrinks the bracket to its roots or
-proves it empty.
+the slack matrix is NSD with no query. Otherwise the search bisects an
+analytic bracket in log space: `_probe` at each midpoint, intersect with
+the `Cut`, one stopping test.
 
 `SupportContext` owns every support-level decision for one (instance,
-support) pair: it validates the support and holds the restricted fit b*_S
-and its gap, the scores (rho b*_S on the support, X^T r of its residual off
-it), masks, threshold witness, duals, Rayleigh coefficients and bracket.
-Both tests take either a support, for which they build one, or a context
-built for the same instance, whose scores, gap and witness they reuse: a
-sweep trial and `sparsecert check` build one context and run both tests on
-it. `verify_dcl_certificate` builds its own from the certificate's support,
-so re-verification shares no state with the search.
+support) pair. Both tests take either a support, for which they build one,
+or a context built for the same instance, whose scores, gap and witness
+they reuse: a sweep trial and `sparsecert check` build one context and run
+both tests on it. `verify_dcl_certificate` builds its own from the
+certificate's support, so re-verification shares no state with the search.
 
 A test that fails says why: `separation-failed` (threshold test only), the
 gate's `zero-score-in-support` and `numerically-unresolved`, and the
@@ -50,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -73,7 +68,7 @@ REASON_EMPTY_INTERVAL = "interval-empty"
 REASON_UNRESOLVED = "numerically-unresolved"
 
 BISECTION_TOL = 1e-10  # relative bracket width at which the search gives up
-BISECTION_MAX_ITER = 200  # guard only: halving reaches BISECTION_TOL first
+BISECTION_MAX_ITER = 200  # guard: while ell = 0 each midpoint only halves up
 
 COND_TOL = 1e-8  # largest relative duality gap a certificate may leave
 SCHUR_SPLIT = 0.5  # columns with 1 - d_i <= SCHUR_SPLIT form the Schur block
@@ -326,6 +321,33 @@ def _schur_query(ctx: SupportContext, duals: np.ndarray) -> Optional[np.ndarray]
     return v
 
 
+class Cut(NamedTuple):
+    """What refuting `lam` proves: its vector v has g_v(lam) > 0, and the Rayleigh
+    bound g_v (`SupportContext.rayleigh`, from v alone, so sound for any v) is at
+    most the margin, so every certifying threshold lies in [lo, hi], where g_v <= 0
+    (`root_interval`) on the side of lam where g_v decreases. lo >= hi leaves none."""
+
+    lam: float
+    v: np.ndarray
+    lo: float
+    hi: float
+
+
+def _probe(ctx: SupportContext, lam: float) -> Optional[Cut]:
+    """None when `lam` certifies (`_schur_query` at its duals), else its `Cut`,
+    whose downhill side keeps the search moving when roundoff blurs the roots."""
+    v = _schur_query(ctx, ctx.duals(lam))
+    if v is None:
+        return None
+    a, b, c = ctx.rayleigh(v)
+    lo, hi = root_interval(a, b, c)
+    if a * lam > b / lam:
+        hi = min(hi, lam)
+    else:
+        lo = max(lo, lam)
+    return Cut(lam, v, lo, hi)
+
+
 def _abstention(ctx: SupportContext) -> Optional[str]:
     """The gate both tests pass before they certify: `zero-score-in-support`
     for a zero squared score in the support, all-zero scores included, then
@@ -362,23 +384,14 @@ def check_dcl(inst: ProblemInstance, support: Sequence[int] | SupportContext) ->
     """Dual-certificate search.
 
     Before anything else it returns the reason of the gate it shares with
-    check_pwg (`_abstention`). When the scores separate, the witness
-    transfer returns lam0 = min_{i in S} c_i^2 with no query: every float
-    canonical dual there is at most 1, so the slack matrix is NSD by
-    construction. Otherwise a safeguarded bisection runs `_schur_query` at
-    the canonical duals of the geometric midpoint lam_hat = sqrt(ell*up) of
-    the analytic bracket [ell, up], since the duals scale as lam and 1/lam
-    (the arithmetic one while ell = 0). A slack matrix that is not NSD
-    gives a vector v with g_v(lam_hat) > 0, whose Rayleigh bound
-    (`SupportContext.rayleigh`, recomputed from scratch, so the cut is sound
-    for any v) shrinks the bracket to the root interval {g_v <= 0}
-    (`root_interval`), which holds every certifying threshold, and to the
-    side of lam_hat where the slope a - b/lam_hat^2 points down. The search
-    stops with `interval-empty` when that leaves nothing, as when the
-    analytic bracket itself is empty, and with `bisection-exhausted` when
-    the bracket is narrower than BISECTION_TOL*up or, as a guard, after
-    BISECTION_MAX_ITER evaluations. `support` may be a SupportContext built
-    for `inst`."""
+    check_pwg (`_abstention`). When the scores separate, the witness transfer
+    returns lam0 = min_{i in S} c_i^2, NSD by construction, with no query.
+    Otherwise it bisects the analytic bracket [ell, up]: `_probe` at each
+    midpoint (geometric, as the duals scale as lam and 1/lam; arithmetic while
+    ell = 0), intersect with the `Cut`, one stopping test: `interval-empty` for an
+    empty bracket or, before any cut, one narrower than BISECTION_TOL*up, and
+    `bisection-exhausted` when a cut leaves it that narrow or after
+    BISECTION_MAX_ITER probes. `support` may be a SupportContext built for `inst`."""
     ctx = _context(inst, support)
     reason = _abstention(ctx)
     if reason:
@@ -388,31 +401,18 @@ def check_dcl(inst: ProblemInstance, support: Sequence[int] | SupportContext) ->
         return CertOutcome(DclCertificate(ctx.support, float(ctx.sq_in.min())))
 
     ell, up = ctx.bracket()
-    # a bracket narrower than the stopping width has no searchable interior
-    if ell >= up or up - ell <= BISECTION_TOL * up:
-        return CertOutcome(reason=REASON_EMPTY_INTERVAL)
-
-    for _ in range(BISECTION_MAX_ITER):
-        # the duals scale as lam and 1/lam, so query the geometric midpoint
-        lam_hat = math.sqrt(ell) * math.sqrt(up) if ell > 0.0 else 0.5 * (ell + up)
-        v = _schur_query(ctx, ctx.duals(lam_hat))
-        if v is None:
-            return CertOutcome(DclCertificate(ctx.support, lam_hat))
-        a, b, c = ctx.rayleigh(v)
-        lo, hi = root_interval(a, b, c)
-        # g_v is positive at lam_hat, and certifying thresholds lie on the
-        # side where its slope a - b/lam_hat^2 points down; cutting there too
-        # keeps the search moving when roundoff blurs the roots
-        if a * lam_hat > b / lam_hat:
-            hi = min(hi, lam_hat)
-        else:
-            lo = max(lo, lam_hat)
-        ell, up = max(ell, lo), min(up, hi)
-        if ell >= up:
+    for step in range(BISECTION_MAX_ITER + 1):
+        # a bracket narrower than the stopping width has no searchable interior
+        narrow = up - ell <= BISECTION_TOL * up
+        if ell >= up or narrow and step == 0:
             return CertOutcome(reason=REASON_EMPTY_INTERVAL)
-        if up - ell <= BISECTION_TOL * up:
+        if narrow or step == BISECTION_MAX_ITER:
             return CertOutcome(reason=REASON_EXHAUSTED)
-    return CertOutcome(reason=REASON_EXHAUSTED)
+        lam_hat = math.sqrt(ell) * math.sqrt(up) if ell > 0.0 else 0.5 * (ell + up)
+        cut = _probe(ctx, lam_hat)
+        if cut is None:
+            return CertOutcome(DclCertificate(ctx.support, lam_hat))
+        ell, up = max(ell, cut.lo), min(up, cut.hi)
 
 
 def verify_dcl_certificate(inst: ProblemInstance, cert: DclCertificate) -> float:

@@ -30,11 +30,14 @@ from sparsecert import (
 )
 from sparsecert import certificates, linalg
 from sparsecert.certificates import (
+    BISECTION_MAX_ITER,
     BISECTION_TOL,
     REASON_EMPTY_INTERVAL,
+    REASON_EXHAUSTED,
     REASON_SEPARATION,
     REASON_ZERO_SCORE,
     CertificateConsistencyError,
+    Cut,
     DclCertificate,
     kkt_variables,
     pwg_witness_to_dcl,
@@ -1101,12 +1104,103 @@ def test_certifying_thresholds_lie_in_every_root_interval(seed, amplitude):
     if ell >= up:
         return
     lams = np.linspace(ell, up, 402)[1:-1]
+    margins = dense_margins(ctx, lams)
     # certifying with room to spare for the roundoff of the eigensolver
-    certifying = lams[dense_margins(ctx, lams) < -1e-9]
+    certifying = lams[margins < -1e-9]
     for _ in range(10):
         v = rng.standard_normal(inst.p)
         lo, hi = root_interval(*ctx.rayleigh(v / np.linalg.norm(v)))
         assert ((lo <= certifying) & (certifying <= hi)).all()
+    # a probe's cut at a refuted threshold, on its downhill side too
+    for lam in rng.permutation(lams[margins > 1e-9])[:3]:
+        cut = certificates._probe(ctx, float(lam))
+        assert cut is not None
+        assert ((cut.lo <= certifying) & (certifying <= cut.hi)).all()
+
+
+def test_replayed_probes_give_back_every_cut_and_the_outcome(monkeypatch):
+    # check_dcl's loop keeps only its outer rule: every probe it makes is
+    # reproduced bit for bit on a fresh context, and the cuts folded into the
+    # analytic bracket give back its outcome
+    real_probe, real_query = certificates._probe, certificates._schur_query
+    probes, refuted = [], []
+
+    def recording_probe(ctx, lam):
+        cut = real_probe(ctx, lam)
+        probes.append((lam, cut))
+        return cut
+
+    def counting_query(ctx, duals):
+        v = real_query(ctx, duals)
+        refuted.append(v is not None)
+        return v
+
+    monkeypatch.setattr(certificates, "_probe", recording_probe)
+    monkeypatch.setattr(certificates, "_schur_query", counting_query)
+    multi_cut = 0
+    for p in (16, 64):
+        cfg = EnsembleConfig(p_list=[p], trials=2)
+        for alpha, mult, trial in itertools.product(cfg.alpha_grid, cfg.rho_multipliers, range(cfg.trials)):
+            inst, _, sup = generate_instance(cfg, p, alpha, mult, trial)
+            probes.clear()
+            refuted.clear()
+            out = check_dcl(inst, sup)
+            cuts = [cut for _, cut in probes if cut is not None]
+            assert len(cuts) == sum(refuted)
+            multi_cut += len(cuts) >= 2
+            if not probes and out.reason not in (REASON_EMPTY_INTERVAL, REASON_EXHAUSTED):
+                continue  # decided by the gate or the witness transfer
+            fresh = SupportContext(inst, sup)
+            for cut in cuts:
+                again = real_probe(fresh, cut.lam)
+                assert [x.hex() for x in (again.lam, again.lo, again.hi)] == [
+                    x.hex() for x in (cut.lam, cut.lo, cut.hi)
+                ]
+                assert np.array_equal(again.v, cut.v)
+            ell, up = fresh.bracket()
+            for lam, cut in probes:
+                assert ell < lam < up
+                if cut is not None:
+                    ell, up = max(ell, cut.lo), min(up, cut.hi)
+            if out.exact:
+                assert probes[-1] == (out.certificate.lam, None)
+                assert real_probe(fresh, out.certificate.lam) is None
+            else:
+                assert len(cuts) == len(probes)
+                narrow = up - ell <= BISECTION_TOL * up
+                assert ell >= up or narrow or len(cuts) == BISECTION_MAX_ITER
+                empty = ell >= up or not cuts
+                assert out.reason == (REASON_EMPTY_INTERVAL if empty else REASON_EXHAUSTED)
+    assert multi_cut >= 1
+
+
+@pytest.mark.parametrize(
+    "narrow_bracket, ends, reason, probes",
+    [
+        (True, [], REASON_EMPTY_INTERVAL, 0),
+        (False, [(math.inf, 0.0)], REASON_EMPTY_INTERVAL, 1),
+        (False, [(0.2, 0.2 * (1.0 + 1e-11))], REASON_EXHAUSTED, 1),
+        (False, [], REASON_EXHAUSTED, BISECTION_MAX_ITER),
+        (False, [(0.0, math.inf)] * (BISECTION_MAX_ITER - 1) + [(math.inf, 0.0)], REASON_EMPTY_INTERVAL,
+         BISECTION_MAX_ITER),
+    ],
+)
+def test_one_stopping_test_gives_each_reason(monkeypatch, narrow_bracket, ends, reason, probes):
+    # a bracket too narrow to search before any cut is empty, and so is one a cut
+    # empties, the guard's last cut included; one a cut leaves that narrow, or
+    # that no cut shrinks within the guard, is exhausted
+    inst = ProblemInstance(X=[[1.0, 1.1]], y=[1.0], rho=1.0, k=1)  # bracket [0.137, 0.5]
+    if narrow_bracket:
+        monkeypatch.setattr(SupportContext, "bracket", lambda ctx: (1.0, 1.0 + 1e-11))
+    ends, lams = iter(ends), []
+
+    def fake_probe(ctx, lam):
+        lams.append(lam)
+        return Cut(lam, None, *next(ends, (0.0, math.inf)))
+
+    monkeypatch.setattr(certificates, "_probe", fake_probe)
+    assert check_dcl(inst, [0]).reason == reason
+    assert len(lams) == probes
 
 
 def test_p256_trials_need_few_eigensolves(eig_calls):

@@ -88,8 +88,10 @@ def test_syrk_accumulates_into_the_lower_triangle(n, trans):
 
 def test_syrk_refuses_what_it_cannot_read_or_write_safely():
     c = np.zeros((3, 3), order="F")
+    read_only = np.ones((4, 3))
+    read_only.setflags(write=False)  # ctypes takes only a writable buffer
     for a, trans in [(np.ones((4, 2)), False), (np.ones((2, 4)), True), (np.ones((3, 4)).T, False),
-                     (np.ones((4, 3), dtype=np.float32), False)]:
+                     (np.ones((4, 3), dtype=np.float32), False), (read_only, False)]:
         with pytest.raises(ValueError, match="C-ordered float64"):
             _lapack.syrk(c, a, trans)
 
